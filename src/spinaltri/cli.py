@@ -158,7 +158,7 @@ def cmd_lift(args) -> int:
     sp = spine(p, _parse_index_set(args.set))
     sm = shadow(sp)
     with open(args.star) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=str)
     simplices = sio.simplices_from_doc(doc)
     star = Triangulation.make(sm.star_points, simplices, sm.e)
     lifted = lift(star, sm)

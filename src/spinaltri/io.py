@@ -48,7 +48,7 @@ def polytope_from_doc(doc: dict[str, Any]) -> Polytope:
 
 def load_polytope(path: str) -> Polytope:
     with open(path) as fh:
-        return polytope_from_doc(json.load(fh))
+        return polytope_from_doc(json.load(fh, parse_float=str))
 
 
 def save_polytope(p: Polytope, path: str) -> None:

@@ -32,7 +32,10 @@ def format_rational(q) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def sqrt_rational(q) -> Fraction | None:

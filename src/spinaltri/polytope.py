@@ -1,15 +1,17 @@
 """V-representation polytopes with exact facet enumeration.
 
 Polytopes are stored as ordered vertex lists over Q.  Facets are enumerated
-by brute force over candidate hyperplanes spanned by vertex subsets, which
-is O(C(#vertices, dim)) and perfectly auditable at desk scale.  Polytopes
-whose affine hull is lower-dimensional than the ambient space are handled
-by switching to exact coordinates in a basis of the hull first.
+by the double description method in integer arithmetic, on the cone of
+inequalities valid for the vertices, so the cost grows with the rays met on
+the way rather than with the number of vertex subsets.  Polytopes whose affine
+hull is lower-dimensional than the ambient space are handled by switching
+to exact coordinates in a basis of the hull first.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +21,7 @@ from .linalg import (
     DimensionError,
     QMatrix,
     QVector,
+    det,
     inverse,
 )
 from .lp import EQ, LE, lp_feasible
@@ -227,7 +230,7 @@ def _build_frame(vertices: tuple[QVector, ...], ambient_dim: int) -> _Frame:
     bmat = QMatrix.from_cols(basis, dim=ambient_dim)
     gram = bmat.transpose() @ bmat
     gram_inv = inverse(gram)
-    gram_det = _det_small(gram)
+    gram_det = det(gram)
     coords = []
     for v in vertices:
         rhs = bmat.transpose() @ (v - origin)
@@ -239,12 +242,6 @@ def _build_frame(vertices: tuple[QVector, ...], ambient_dim: int) -> _Frame:
     return _Frame(
         k, origin, tuple(basis), tuple(coords), gram_det, False, bmat, gram_inv
     )
-
-
-def _det_small(m: QMatrix) -> Fraction:
-    from .linalg import det
-
-    return det(m)
 
 
 def _reduce_against(
@@ -332,96 +329,69 @@ def _lift_normal(
 def _supporting_hyperplanes(
     pts: list[tuple[int, ...]], k: int
 ) -> list[tuple[tuple[int, ...], int, int]]:
-    """All supporting hyperplanes of a dim-k integer point set in Z^k.
+    """All facet hyperplanes of a dim-k integer point set in Z^k.
 
     Returns (normal, offset, incident_mask) triples with normal.p <= offset
-    for every point.  Enumerates k-subsets depth-first so that the partial
-    eliminations of shared prefixes are computed once; affinely dependent
-    prefixes are pruned, and subsets lying inside an already found facet are
-    skipped before the expensive leaf work.
+    for every point and a primitive normal.  Double description method
+    (Fukuda and Prodon, "Double description method revisited", 1996) on the
+    cone of y = (a, b) with b - a.p >= 0 for every point p, whose extreme
+    rays are the facets.  Rays are gcd-normalised integer tuples with their
+    zero sets as bitmasks over the points; b = a.p at an incident point, so
+    the normal of a ray is primitive too.  Two rays are adjacent iff they
+    share at least k - 1 zeros and no third ray's zero set contains the
+    shared ones.
     """
-    n = len(pts)
-    found: dict[int, tuple[tuple[int, ...], int]] = {}
-    found_masks: list[int] = []
-    if n < k:
-        return []
-
-    def leaf(base: int, rows: list[list[int]], pivots: list[int], mask: int) -> None:
-        for fm in found_masks:
-            if mask & fm == mask:
-                return
-        free = next(c for c in range(k) if c not in pivots)
-        # Back-substitute the echelon (creation order) for the kernel vector.
-        x: list[Fraction] = [Fraction(0)] * k
-        x[free] = Fraction(1)
-        for idx in range(len(rows) - 1, -1, -1):
-            row = rows[idx]
-            c = pivots[idx]
-            s = row[free] * x[free]
-            for later in pivots[idx + 1 :]:
-                if row[later] != 0:
-                    s += row[later] * x[later]
-            x[c] = -s / row[c]
-        mult = math.lcm(*(f.denominator for f in x))
-        normal = [int(f * mult) for f in x]
-        g0 = math.gcd(*(abs(v) for v in normal))
-        if g0 > 1:
-            normal = [v // g0 for v in normal]
-        base_pt = pts[base]
-        offset = sum(normal[c] * base_pt[c] for c in range(k))
-        above = below = False
-        inc_mask = 0
-        for i, q in enumerate(pts):
-            s = sum(normal[c] * q[c] for c in range(k)) - offset
+    rows = [(*(-c for c in p), 1) for p in pts]
+    # Start: the simplicial cone of the first k + 1 affinely independent
+    # points, by fraction-free elimination against a lineality basis.
+    lineal = [tuple(int(i == j) for j in range(k + 1)) for i in range(k + 1)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+    start_mask = 0
+    rest: list[int] = []
+    for i, h in enumerate(rows):
+        dots = [_idot(h, l) for l in lineal]
+        j = next((j for j, d in enumerate(dots) if d), None)
+        if j is None:
+            rest.append(i)
+            continue
+        l0, d0 = lineal.pop(j), dots.pop(j)
+        if d0 < 0:
+            l0, d0 = tuple(-b for b in l0), -d0
+        rays = [(_combine(d0, r, _idot(h, r), l0), z | 1 << i) for r, z in rays]
+        rays.append((l0, start_mask))
+        start_mask |= 1 << i
+        lineal = [_combine(d0, l, d, l0) for l, d in zip(lineal, dots)]
+    for i in rest:
+        h, bit = rows[i], 1 << i
+        pos, neg, new = [], [], []
+        for r, z in rays:
+            s = _idot(h, r)
             if s > 0:
-                above = True
-                if below:
-                    return
+                pos.append((r, z, s))
+                new.append((r, z))
             elif s < 0:
-                below = True
-                if above:
-                    return
+                neg.append((r, z, s))
             else:
-                inc_mask |= 1 << i
-        if above:
-            normal = [-v for v in normal]
-            offset = -offset
-        if inc_mask not in found:
-            found[inc_mask] = (tuple(normal), offset)
-            found_masks.append(inc_mask)
+                new.append((r, z | bit))
+        masks = [z for _, z in rays]
+        for rp, zp, sp in pos:
+            for rm, zm, sm in neg:
+                common = zp & zm
+                if common.bit_count() < k - 1 or any(
+                    z & common == common and z != zp and z != zm for z in masks
+                ):
+                    continue
+                new.append((_combine(sp, rm, sm, rp), common | bit))
+        rays = new
+    return [(r[:k], r[k], z) for r, z in rays]
 
-    def descend(
-        base: int,
-        start: int,
-        count: int,
-        rows: list[list[int]],
-        pivots: list[int],
-        mask: int,
-    ) -> None:
-        remaining = k - count
-        for i in range(start, n - remaining + 1):
-            edge = [pts[i][c] - pts[base][c] for c in range(k)]
-            red = list(edge)
-            for row, c in zip(rows, pivots):
-                if red[c] != 0:
-                    piv = row[c]
-                    f = red[c]
-                    red = [piv * a - f * b for a, b in zip(red, row)]
-            piv_col = next((c for c, v in enumerate(red) if v != 0), None)
-            if piv_col is None:
-                continue  # affinely dependent on the chosen prefix
-            rows.append(red)
-            pivots.append(piv_col)
-            if count + 1 == k:
-                leaf(base, rows, pivots, mask | 1 << i)
-            else:
-                descend(base, i + 1, count + 1, rows, pivots, mask | 1 << i)
-            rows.pop()
-            pivots.pop()
 
-    for base in range(n - k + 1):
-        if k == 1:
-            leaf(base, [], [], 1 << base)
-        else:
-            descend(base, base + 1, 1, [], [], 1 << base)
-    return [(nrm, off, m) for m, (nrm, off) in found.items()]
+def _idot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _combine(c: int, u: Sequence[int], e: int, v: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector along c*u - e*v."""
+    w = [c * a - e * b for a, b in zip(u, v)]
+    g = math.gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)

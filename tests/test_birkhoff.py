@@ -58,6 +58,15 @@ class TestContext:
         assert is_spine(p, ctx.spine_vertex_indices)
 
 
+    def test_truncated_n4_facets(self):
+        ctx = birkhoff_context(4)
+        p = make_polytope([ctx.a_map @ v for v in ctx.vertices])
+        assert p.dim == 9
+        fs = p.facets()
+        assert len(fs) == 16
+        assert all(len(f.incident) == 18 for f in fs)
+
+
 class TestDeterminants:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_identities(self, n):

@@ -123,6 +123,20 @@ def test_fold_then_lift_roundtrip(capsys, cube_file, tmp_path):
     assert all({0, 7} <= set(c) for c in lifted["simplices"])
 
 
+def test_lift_rejects_fractional_index(capsys, cube_file, tmp_path):
+    _, out = run(capsys, "fold", cube_file, "--set", "0,7")
+    simplices = json.loads(out)["simplices"]
+    star_path = tmp_path / "star.json"
+    star_path.write_text(
+        json.dumps({"simplices": simplices}).replace("1", "1.5", 1)
+    )
+    code = main(["lift", cube_file, "--set", "0,7", "--star", str(star_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_birkhoff_context(capsys):
     code, out = run(capsys, "birkhoff", "context", "3")
     assert code == 0
@@ -158,6 +172,16 @@ def test_domain_error_exit_code(capsys, cube_file):
 def test_missing_file_is_domain_error(capsys):
     code = main(["volume", "/nonexistent/poly.json"])
     assert code == 1
+
+
+def test_zero_denominator_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"ambient_dim": 1, "vertices": [["0"], ["1/0"]]}')
+    code = main(["facets", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: zero denominator in '1/0'\n"
 
 
 def test_usage_error_exit_code(capsys):

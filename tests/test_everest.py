@@ -181,6 +181,15 @@ class TestSimplotope:
         assert len(p.facets()) == 6
         assert sp.n == 3
 
+    def test_s32_facets(self):
+        from spinaltri.everest import simplotope
+
+        p = simplotope(3, 2)
+        assert p.n_vertices == 27 and p.dim == 6
+        fs = p.facets()
+        assert len(fs) == 9
+        assert all(len(f.incident) == 18 for f in fs)
+
     @pytest.mark.parametrize("n,s", [(1, 2), (2, 1), (2, 2)])
     def test_facet_count(self, n, s):
         p, _ = simplotope_with_spine(n, s)

@@ -1,17 +1,137 @@
-"""Cross-check the shared-prefix facet enumeration against a naive oracle.
+"""Cross-check the double description facet search against two oracles.
 
-The oracle below recomputes supporting hyperplanes with plain rational
-row reduction over every vertex subset, with no prefix sharing, no pruning,
-and no integer scaling; agreement on random instances guards the optimized
-path in the library.
+`brute_force_hyperplanes` is the library's former C(n, k) search over vertex
+subsets, kept verbatim: on every instance it must return the same
+hyperplanes (normal, offset and incidence) as `_supporting_hyperplanes`,
+and the facets built from its output must equal `Polytope.facets()`.
+`naive_facets` recomputes the incidences independently with plain rational
+row reduction over every vertex subset, with no prefix sharing, no pruning
+and no integer scaling.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import pytest
+
+from spinaltri import polytope
+from spinaltri.birkhoff import birkhoff_context
+from spinaltri.everest import simplotope
 from spinaltri.linalg import QMatrix, QVector, kernel_basis
 from spinaltri.polytope import extreme_points, frame_coords, make_polytope
+
+
+def brute_force_hyperplanes(
+    pts: list[tuple[int, ...]], k: int
+) -> list[tuple[tuple[int, ...], int, int]]:
+    """All supporting hyperplanes of a dim-k integer point set in Z^k.
+
+    Returns (normal, offset, incident_mask) triples with normal.p <= offset
+    for every point.  Enumerates k-subsets depth-first so that the partial
+    eliminations of shared prefixes are computed once; affinely dependent
+    prefixes are pruned, and subsets lying inside an already found facet are
+    skipped before the expensive leaf work.
+    """
+    n = len(pts)
+    found: dict[int, tuple[tuple[int, ...], int]] = {}
+    found_masks: list[int] = []
+    if n < k:
+        return []
+
+    def leaf(base: int, rows: list[list[int]], pivots: list[int], mask: int) -> None:
+        for fm in found_masks:
+            if mask & fm == mask:
+                return
+        free = next(c for c in range(k) if c not in pivots)
+        # Back-substitute the echelon (creation order) for the kernel vector.
+        x: list[Fraction] = [Fraction(0)] * k
+        x[free] = Fraction(1)
+        for idx in range(len(rows) - 1, -1, -1):
+            row = rows[idx]
+            c = pivots[idx]
+            s = row[free] * x[free]
+            for later in pivots[idx + 1 :]:
+                if row[later] != 0:
+                    s += row[later] * x[later]
+            x[c] = -s / row[c]
+        mult = math.lcm(*(f.denominator for f in x))
+        normal = [int(f * mult) for f in x]
+        g0 = math.gcd(*(abs(v) for v in normal))
+        if g0 > 1:
+            normal = [v // g0 for v in normal]
+        base_pt = pts[base]
+        offset = sum(normal[c] * base_pt[c] for c in range(k))
+        above = below = False
+        inc_mask = 0
+        for i, q in enumerate(pts):
+            s = sum(normal[c] * q[c] for c in range(k)) - offset
+            if s > 0:
+                above = True
+                if below:
+                    return
+            elif s < 0:
+                below = True
+                if above:
+                    return
+            else:
+                inc_mask |= 1 << i
+        if above:
+            normal = [-v for v in normal]
+            offset = -offset
+        if inc_mask not in found:
+            found[inc_mask] = (tuple(normal), offset)
+            found_masks.append(inc_mask)
+
+    def descend(
+        base: int,
+        start: int,
+        count: int,
+        rows: list[list[int]],
+        pivots: list[int],
+        mask: int,
+    ) -> None:
+        remaining = k - count
+        for i in range(start, n - remaining + 1):
+            edge = [pts[i][c] - pts[base][c] for c in range(k)]
+            red = list(edge)
+            for row, c in zip(rows, pivots):
+                if red[c] != 0:
+                    piv = row[c]
+                    f = red[c]
+                    red = [piv * a - f * b for a, b in zip(red, row)]
+            piv_col = next((c for c, v in enumerate(red) if v != 0), None)
+            if piv_col is None:
+                continue  # affinely dependent on the chosen prefix
+            rows.append(red)
+            pivots.append(piv_col)
+            if count + 1 == k:
+                leaf(base, rows, pivots, mask | 1 << i)
+            else:
+                descend(base, i + 1, count + 1, rows, pivots, mask | 1 << i)
+            rows.pop()
+            pivots.pop()
+
+    for base in range(n - k + 1):
+        if k == 1:
+            leaf(base, [], [], 1 << base)
+        else:
+            descend(base, base + 1, 1, [], [], 1 << base)
+    return [(nrm, off, m) for m, (nrm, off) in found.items()]
+
+
+def assert_matches_brute_force(p):
+    """Same hyperplanes as the brute-force search, hence the same facets."""
+    pts = polytope._scaled_int_coords(p.frame().coords)
+    got = polytope._supporting_hyperplanes(pts, p.dim)
+    assert sorted(got) == sorted(brute_force_hyperplanes(pts, p.dim))
+    with mock.patch.object(
+        polytope, "_supporting_hyperplanes", brute_force_hyperplanes
+    ):
+        expected = polytope._enumerate_facets(p)
+    assert p.facets() == expected
 
 
 def naive_facets(p):
@@ -63,6 +183,7 @@ def test_agrees_with_naive_oracle_on_random_instances():
         p = random_polytope(rng)
         got = {f.incident for f in p.facets()}
         assert got == naive_facets(p)
+        assert_matches_brute_force(p)
 
 
 def test_agrees_on_lower_dimensional_embedding():
@@ -76,3 +197,27 @@ def test_agrees_on_lower_dimensional_embedding():
     got = {f.incident for f in p.facets()}
     assert got == naive_facets(p)
     assert len(got) == 4
+    assert_matches_brute_force(p)
+
+
+def truncated_b4():
+    ctx = birkhoff_context(4)
+    return make_polytope([ctx.a_map @ v for v in ctx.vertices])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: simplotope(3, 2),
+        lambda: make_polytope(
+            [QVector(b) for b in itertools.product((0, 1), repeat=5)],
+            max_vertices=32,
+        ),
+        truncated_b4,
+    ],
+    ids=["S(3,2)", "5-cube", "truncated-B4"],
+)
+def test_agrees_with_brute_force_on_large_instances(build):
+    # The brute-force search takes 11-107 s on each of these.
+    assert_matches_brute_force(build())

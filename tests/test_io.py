@@ -49,3 +49,16 @@ def test_triangulation_doc_is_canonical():
     doc = sio.triangulation_to_doc(t)
     assert doc["simplices"] == sorted(doc["simplices"])
     assert json.dumps(doc)  # serializable as-is
+
+
+def test_json_numbers_parse_exactly(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(
+        '{"ambient_dim": 1, "vertices": [[0], [0.12345678901234567890123]]}'
+    )
+    p = sio.load_polytope(str(path))
+    assert p.vertices[1][0] == Fraction("0.12345678901234567890123")
+    assert sio.polytope_to_doc(p)["vertices"] == [
+        ["0"],
+        ["12345678901234567890123/100000000000000000000000"],
+    ]

@@ -124,6 +124,12 @@ class TestFacets:
         canon2 = {(f.normal.entries, f.offset) for f in p2.facets()}
         assert canon1 == canon2
 
+    def test_five_cube(self):
+        p = make_polytope(cube_vertices(5), max_vertices=32)
+        fs = p.facets()
+        assert len(fs) == 10
+        assert all(len(f.incident) == 16 for f in fs)
+
     def test_octahedron(self):
         pts = [qv(*p) for p in [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]]
         p = make_polytope(pts)
