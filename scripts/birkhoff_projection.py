@@ -2,7 +2,7 @@
 """Run the Birkhoff projection pipeline and print the results.
 
 Builds the explicit matrices, checks the determinant identities, lists the
-projected polytope's vertices, and (for n = 3, or n = 4 with --long) verifies
+projected polytope's vertices, and (for n = 3 or 4) verifies
 the volume relation with both sides triangulated independently.
 """
 
@@ -20,7 +20,6 @@ from spinaltri.linalg import format_rational
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("-n", type=int, default=3)
-    ap.add_argument("--long", action="store_true", help="allow the n = 4 volume run")
     args = ap.parse_args()
     n = args.n
 
@@ -42,7 +41,7 @@ def main():
             ]
             print("   [" + " | ".join(rows) + "]")
 
-    if n == 3 or (n == 4 and args.long):
+    if n in (3, 4):
         vol = verify_birkhoff_volume_relation(ctx)
         print(f"vol(B_{n}) = {format_rational(vol.vol_birkhoff)}")
         print(f"vol(projected) = {format_rational(vol.vol_projected)}")

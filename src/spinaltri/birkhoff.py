@@ -323,11 +323,13 @@ def verify_birkhoff_volume_relation(
         raise BirkhoffError("the volume relation is computed for n = 3 or 4 only")
     truncated = make_polytope([ctx.a_map @ v for v in ctx.vertices])
     vol_ab = polytope_volume(truncated).volume
-    assert vol_ab is not None
+    if vol_ab is None:
+        raise BirkhoffError("the truncated polytope is not full-dimensional")
     vol_b = Fraction(n) ** (n - 1) * vol_ab
     projected = projected_birkhoff(ctx)
     vol_hat = polytope_volume(projected).volume
-    assert vol_hat is not None
+    if vol_hat is None:
+        raise BirkhoffError("the projected polytope is not full-dimensional")
     lhs = math.comb(m * m, n - 1) * vol_b
     rhs = vol_hat * Fraction(1, math.factorial(n - 1)) * Fraction(n) ** (n - 1)
     relation_ok = lhs == rhs

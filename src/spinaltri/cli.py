@@ -17,7 +17,8 @@ from .everest import (
     EverestParams,
     c_constant,
     everest_volume,
-    se_matrix,
+    g_eval,
+    se_checks,
     vertex_families,
 )
 from .birkhoff import (
@@ -159,7 +160,7 @@ def cmd_lift(args) -> int:
     sm = shadow(sp)
     with open(args.star) as fh:
         doc = json.load(fh, parse_float=str)
-    simplices = sio.simplices_from_doc(doc)
+    simplices = sio.simplices_from_doc(doc, len(sm.star_points))
     star = Triangulation.make(sm.star_points, simplices, sm.e)
     lifted = lift(star, sm)
     _emit(sio.triangulation_to_doc(lifted), _triangulation_lines(lifted), args)
@@ -231,35 +232,13 @@ def cmd_everest(args) -> int:
 
 
 def _everest_verify(params: EverestParams, args) -> int:
-    from .linalg import rank, QMatrix
-    from .linalg import kernel_basis
-
     checks: list[tuple[str, bool]] = []
     fam = vertex_families(params)  # raises on any cardinality mismatch
     checks.append(("family_cardinalities", True))
-    from .everest import g_eval
-
     checks.append(
         ("vertices_on_unit_level", all(g_eval(params, v) == 1 for v in fam.everest.points))
     )
-    pi = se_matrix(params)
-    up = vertex_families(EverestParams(params.n + 1, params.s))
-    zero_set = {u.entries for u in up.v_zero.points}
-    images = {
-        (pi @ v).entries for v in up.v_minus_one.points if v.entries not in zero_set
-    }
-    checks.append(
-        ("se_image_is_vertex_set", images == {v.entries for v in fam.everest.points})
-    )
-    checks.append(
-        ("se_kills_spine", all((pi @ u).is_zero() for u in up.v_zero.points))
-    )
-    basis = kernel_basis(pi)
-    nonzero = [u for u in up.v_zero.points if not u.is_zero()]
-    stacked = QMatrix([list(v) for v in basis + nonzero], cols=(params.n + 1) * params.s)
-    checks.append(
-        ("kernel_spanned_by_spine", len(basis) == params.s and rank(stacked) == params.s)
-    )
+    checks.extend(se_checks(params).items())
     hull_vol = everest_volume(params, "hull")
     checks.append(("hull_volume_matches_formula", hull_vol == c_constant(params)))
     if args.lifting:
@@ -323,8 +302,6 @@ def cmd_birkhoff(args) -> int:
         lines = [f"identities: {'pass' if rep.all_ok else 'FAIL'}"]
         ok = rep.all_ok
         if args.volume:
-            if args.n == 4 and not args.long:
-                raise ValueError("the n = 4 volume relation needs --long (minutes)")
             vol = verify_birkhoff_volume_relation(ctx)
             doc.update(
                 {
@@ -408,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["context", "project", "verify"])
     p.add_argument("n", type=int)
     p.add_argument("--volume", action="store_true", help="also check the volume relation")
-    p.add_argument("--long", action="store_true", help="allow the minutes-scale n = 4 volume run")
 
     p = add("selftest", cmd_selftest, help="run the acceptance checks minus long items")
     p.add_argument("--only", help="run a single criterion by number")

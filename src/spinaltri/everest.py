@@ -21,6 +21,7 @@ from .linalg import (
     QVector,
     det,
     gram_sq_volume,
+    kernel_basis,
     rank,
     sqrt_rational,
 )
@@ -199,6 +200,28 @@ def se_matrix(params: EverestParams) -> QMatrix:
     return QMatrix(rows, cols=(n + 1) * s)
 
 
+def se_checks(params: EverestParams) -> dict[str, bool]:
+    """The carrier matrix against the (n+1, s) families, by check name: the
+    image of the non-spine V_-1 points is the vertex set of E(n, s), the
+    spine V_0 is killed, and the spine spans the kernel."""
+    n, s = params.n, params.s
+    pi = se_matrix(params)
+    up = vertex_families(EverestParams(n + 1, s))
+    zero_set = {u.entries for u in up.v_zero.points}
+    images = {
+        (pi @ v).entries for v in up.v_minus_one.points if v.entries not in zero_set
+    }
+    expected = {v.entries for v in vertex_families(params).everest.points}
+    basis = kernel_basis(pi)
+    nonzero = [u for u in up.v_zero.points if not u.is_zero()]
+    stacked = QMatrix([list(v) for v in basis + nonzero], cols=(n + 1) * s)
+    return {
+        "se_image_is_vertex_set": images == expected,
+        "se_kills_spine": all((pi @ u).is_zero() for u in up.v_zero.points),
+        "kernel_spanned_by_spine": len(basis) == s and rank(stacked) == s,
+    }
+
+
 def se_square_matrices(params: EverestParams) -> tuple[QMatrix, QMatrix]:
     """Square extension of the carrier matrix and the coordinate projection.
 
@@ -247,7 +270,8 @@ def everest_volume(params: EverestParams, method: str = "formula") -> Fraction:
         return c_constant(params)
     if method == "hull":
         report = polytope_volume(everest_polytope(params))
-        assert report.volume is not None
+        if report.volume is None:
+            raise EverestError("the Everest hull is not full-dimensional")
         return report.volume
     if method == "lifting":
         return _volume_by_lifting(params)
@@ -274,7 +298,8 @@ def _volume_by_lifting(params: EverestParams) -> Fraction:
     spine_idx = [index_of[(pi_tilde @ u).entries] for u in fam_up.v_zero.points]
     sp = spine(p, spine_idx)
     vol_p = polytope_volume(p).volume
-    assert vol_p is not None
+    if vol_p is None:
+        raise EverestError("the transformed simplotope is not full-dimensional")
     vol_u_sq = gram_sq_volume(sp.points(), sp.n - 1)
     vol_u = sqrt_rational(vol_u_sq)
     if vol_u is None:

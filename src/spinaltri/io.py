@@ -64,9 +64,19 @@ def triangulation_to_doc(t: Triangulation) -> dict[str, Any]:
     }
 
 
-def simplices_from_doc(doc: dict[str, Any]) -> list[tuple[int, ...]]:
+def simplices_from_doc(doc: dict[str, Any], n_points: int) -> list[tuple[int, ...]]:
+    """Cells over a table of n_points points: every index in range, no cell
+    given twice."""
     try:
-        raw = doc["simplices"]
+        cells = [tuple(int(i) for i in c) for c in doc["simplices"]]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed triangulation document: {exc}") from None
-    return [tuple(int(i) for i in c) for c in raw]
+    seen = set()
+    for c in cells:
+        bad = [i for i in c if not 0 <= i < n_points]
+        if bad:
+            raise DocumentError(f"cell {list(c)}: index {bad[0]} is outside 0..{n_points - 1}")
+        if frozenset(c) in seen:
+            raise DocumentError(f"cell {list(c)} is given twice")
+        seen.add(frozenset(c))
+    return cells

@@ -178,7 +178,8 @@ def lp_feasible(constraints) -> bool:
             basis[i] = total + k
         cost = [Fraction(0)] * total + [Fraction(1)] * n_art
         obj, status = _simplex_min(tab, basis, cost)
-        assert status == "optimal"  # phase 1 is always bounded below by 0
+        if status != "optimal":
+            raise RuntimeError("phase 1 came out unbounded, but it is bounded below by 0")
         if obj != 0:
             return False
         # Pivot surviving artificials out of the basis; drop redundant rows.

@@ -15,7 +15,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import (
     DimensionError,
@@ -102,12 +102,6 @@ class Polytope:
         self._frame: _Frame | None = None
         self._relvol: Fraction | None = None
 
-    @classmethod
-    def _trusted(cls, vertices: Sequence[QVector], ambient_dim: int) -> "Polytope":
-        # Constructor for vertex subsets already known to be in convex
-        # position (faces of a validated polytope, extreme-point output).
-        return cls(vertices, ambient_dim)
-
     def __repr__(self) -> str:
         return f"Polytope({len(self.vertices)} vertices in R^{self.ambient_dim}, dim {self.dim})"
 
@@ -190,6 +184,20 @@ def extreme_points(points: Sequence[QVector]) -> list[QVector]:
         if not _in_convex_hull(p, unique[:i] + unique[i + 1 :]):
             keep.append(p)
     return keep
+
+
+def vertex_mask(indices: Iterable[int]) -> int:
+    """The vertex index set as an int bitmask."""
+    return sum(1 << i for i in indices)
+
+
+def facets_of_face(face: int, facet_masks: Sequence[int]) -> list[int]:
+    """Facets of a face of P as vertex bitmasks: the inclusion-maximal
+    nonempty proper sets face & g over the facets g of P (Kaibel and Pfetsch,
+    "Computing the face lattice of a polytope from its vertex-facet
+    incidences", Comput. Geom. 2002)."""
+    cands = {face & g for g in facet_masks} - {face, 0}
+    return [c for c in cands if not any(c & o == c and c != o for o in cands)]
 
 
 def _in_convex_hull(x: QVector, hull_points: Sequence[QVector]) -> bool:

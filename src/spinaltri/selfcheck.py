@@ -13,14 +13,14 @@ import random
 import time
 from fractions import Fraction
 
-from .linalg import QMatrix, QVector, det, kernel_basis, rank
+from .linalg import QMatrix, QVector, det
 from .polytope import Polytope, extreme_points, make_polytope
 from .spine import enumerate_spines, spine
 from .everest import (
     EverestParams,
     c_constant,
     everest_polytope,
-    se_matrix,
+    se_checks,
     simplotope_with_spine,
     vertex_families,
 )
@@ -129,9 +129,8 @@ def check_everest_volumes(ws: Workspace):
     ok = True
     for n, s in EVEREST_GRID:
         want = EVEREST_VOLUMES[(n, s)]
-        assert c_constant(EverestParams(n, s)) == want
         got = polytope_volume(ws.everest(n, s)).volume
-        good = got == want
+        good = got == want == c_constant(EverestParams(n, s))
         ok = ok and good
         details.append(f"E({n},{s}): hull={got} formula={want}")
     return ok, "; ".join(details)
@@ -160,22 +159,7 @@ def check_se_transformation(ws: Workspace):
     ok = True
     details = []
     for n, s in EVEREST_GRID:
-        params = EverestParams(n, s)
-        pi = se_matrix(params)
-        up = vertex_families(EverestParams(n + 1, s))
-        zero_set = {u.entries for u in up.v_zero.points}
-        images = {
-            (pi @ v).entries
-            for v in up.v_minus_one.points
-            if v.entries not in zero_set
-        }
-        expected = {v.entries for v in vertex_families(params).everest.points}
-        image_ok = images == expected
-        kills_ok = all((pi @ u).is_zero() for u in up.v_zero.points)
-        basis = kernel_basis(pi)
-        nonzero = [u for u in up.v_zero.points if not u.is_zero()]
-        stacked = QMatrix([list(v) for v in basis + nonzero], cols=(n + 1) * s)
-        span_ok = len(basis) == s and rank(stacked) == s
+        image_ok, kills_ok, span_ok = se_checks(EverestParams(n, s)).values()
         good = image_ok and kills_ok and span_ok
         ok = ok and good
         details.append(
@@ -343,9 +327,9 @@ def check_birkhoff_volume_relation(ws: Workspace):
     return ok, detail
 
 
-def _random_polytope(rng: random.Random) -> Polytope:
+def _random_polytope(rng: random.Random, dims=(2, 2, 3, 3, 3)) -> Polytope:
     while True:
-        d = rng.choice((2, 2, 3, 3, 3))
+        d = rng.choice(dims)
         count = rng.randint(d + 1, 10)
         pts = []
         seen = set()

@@ -15,6 +15,7 @@ from typing import Iterable
 
 from .linalg import gram_sq_volume
 from .polytope import DegeneratePolytope, Facet, Polytope, PolytopeError
+from .polytope import facets_of_face, vertex_mask
 
 
 class SpineError(ValueError):
@@ -86,17 +87,19 @@ def is_spine_geometric(p: Polytope, indices: Iterable[int]) -> bool:
 
 
 def face_spine(s: Spine, face: Facet) -> tuple[int, ...]:
-    """Restriction of a spine to a facet; validated on the face polytope."""
+    """Restriction of a spine to a facet; validated on the facet's ridges."""
     p = s.polytope
     sub = tuple(sorted(set(s.indices) & set(face.incident)))
     if len(sub) < s.n - 1:
         raise SpineError("facet misses too many spine points")  # cannot happen
-    face_poly = Polytope._trusted(
-        [p.vertices[i] for i in face.incident], p.ambient_dim
-    )
-    local = [face.incident.index(i) for i in sub]
-    if not is_spine(face_poly, local):
-        raise SpineError("restriction is not a spine of the face")  # cannot happen
+    if not sub:
+        raise SpineError("a spine must be nonempty")
+    # The facet criterion on the face, whose facets are its ridges in P.
+    sub_mask = vertex_mask(sub)
+    facet_masks = [vertex_mask(f.incident) for f in p.facets()]
+    for ridge in facets_of_face(vertex_mask(face.incident), facet_masks):
+        if (ridge & sub_mask).bit_count() < len(sub) - 1:
+            raise SpineError("restriction is not a spine of the face")  # cannot happen
     return sub
 
 

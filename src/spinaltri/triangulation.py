@@ -21,8 +21,10 @@ from .polytope import (
     Polytope,
     PolytopeError,
     extreme_points,
+    facets_of_face,
     frame_coords,
     make_polytope,
+    vertex_mask,
 )
 from .spine import Spine
 
@@ -59,45 +61,33 @@ class Triangulation:
 
 
 class _PullContext:
-    """Recursive pulling machinery over the faces of one polytope.
+    """Recursive pulling over the face lattice of one polytope.
 
-    Faces are identified by their (global) vertex index sets; each face's
-    pulling triangulation is memoized because neighbouring face chains share
-    lower faces.
+    Faces are int bitmasks over P's vertex indices.  P's facets are
+    enumerated once and every lower face comes from facets_of_face, so the
+    recursion touches no coordinates.  Each face's pulling triangulation is
+    memoized because neighbouring face chains share lower faces.
     """
 
     def __init__(self, p: Polytope, rank: dict[int, int]):
-        self.p = p
         self.rank = rank
-        self.all_indices = frozenset(range(p.n_vertices))
-        self.memo: dict[frozenset, tuple[tuple[int, ...], ...]] = {}
+        self.facet_masks = (
+            [vertex_mask(f.incident) for f in p.facets()] if p.n_vertices > 1 else []
+        )
+        self.memo: dict[int, tuple[tuple[int, ...], ...]] = {}
 
-    def pull(self, face: frozenset) -> tuple[tuple[int, ...], ...]:
-        cached = self.memo.get(face)
-        if cached is not None:
-            return cached
-        if len(face) == 1:
-            result = ((next(iter(face)),),)
-            self.memo[face] = result
-            return result
-        ordered = sorted(face)
-        if face == self.all_indices:
-            poly = self.p
-        else:
-            poly = Polytope._trusted(
-                [self.p.vertices[i] for i in ordered], self.p.ambient_dim
-            )
-        first = min(face, key=self.rank.__getitem__)
-        cells: set[tuple[int, ...]] = set()
-        for facet in poly.facets():
-            inc = frozenset(ordered[j] for j in facet.incident)
-            if first in inc:
-                continue
-            for tau in self.pull(inc):
-                cells.add(tuple(sorted((first,) + tau)))
-        result = tuple(sorted(cells))
-        self.memo[face] = result
-        return result
+    def pull(self, face: int) -> tuple[tuple[int, ...], ...]:
+        if face & (face - 1) == 0:  # a single vertex
+            return ((face.bit_length() - 1,),)
+        if face not in self.memo:
+            members = [i for i in range(face.bit_length()) if face >> i & 1]
+            first = min(members, key=self.rank.__getitem__)
+            cells: set[tuple[int, ...]] = set()
+            for sub in facets_of_face(face, self.facet_masks):
+                if not sub >> first & 1:
+                    cells.update(tuple(sorted((first,) + tau)) for tau in self.pull(sub))
+            self.memo[face] = tuple(sorted(cells))
+        return self.memo[face]
 
 
 def _normalize_order(p: Polytope, order: Sequence[int] | None) -> list[int]:
@@ -114,8 +104,7 @@ def pulling_triangulation(p: Polytope, order: Sequence[int] | None = None) -> Tr
     the pulling triangulations of the face's facets avoiding that vertex."""
     order = _normalize_order(p, order)
     rank = {v: i for i, v in enumerate(order)}
-    ctx = _PullContext(p, rank)
-    cells = ctx.pull(ctx.all_indices)
+    cells = _PullContext(p, rank).pull((1 << p.n_vertices) - 1)
     want = p.dim + 1
     if any(len(c) != want for c in cells):
         raise TriangulationError("pulling produced a cell of the wrong dimension")
@@ -168,7 +157,7 @@ def star_triangulation(
     for facet in hull.facets():
         if facet.normal.dot(pts[z]) == facet.offset:
             continue  # origin lies in this facet's hyperplane; cone is flat
-        for tau in ctx.pull(frozenset(facet.incident)):
+        for tau in ctx.pull(vertex_mask(facet.incident)):
             cells.add(tuple(sorted((z,) + tuple(others[j] for j in tau))))
     tri = Triangulation.make(pts, cells, hull.dim)
     used = set(itertools.chain.from_iterable(tri.simplices))
@@ -248,7 +237,7 @@ def shadow_polytope(sm: ShadowMap) -> Polytope:
     """Convex hull of the projected vertex images (the origin included)."""
     if sm._shadow_poly is None:
         ext = extreme_points(list(sm.shadow_points))
-        sm._shadow_poly = Polytope._trusted(ext, sm.spine.polytope.ambient_dim)
+        sm._shadow_poly = Polytope(ext, sm.spine.polytope.ambient_dim)
     return sm._shadow_poly
 
 

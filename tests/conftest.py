@@ -12,7 +12,7 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="also run tests marked slow (minutes-scale exact computations)",
+        help="also run tests marked slow (the brute-force facet oracle, a few minutes)",
     )
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -160,8 +161,10 @@ class TestVolumeRelation:
         with pytest.raises(BirkhoffError):
             verify_birkhoff_volume_relation(birkhoff_context(5))
 
-    @pytest.mark.slow
     def test_n4(self):
         rep = verify_birkhoff_volume_relation(birkhoff_context(4))
         assert rep.relation_ok
         assert rep.cross_check_ok
+        # Normalized volume 352 of the truncated polytope: Beck and Pixton,
+        # "The Ehrhart polynomial of the Birkhoff polytope" (DCG 2003).
+        assert rep.vol_ab * math.factorial(9) == 352

@@ -137,6 +137,30 @@ def test_lift_rejects_fractional_index(capsys, cube_file, tmp_path):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda cells: [[0, 1, 99]] + cells[1:], "cell [0, 1, 99]: index 99 is outside 0..6"),
+        # -1 would otherwise alias the last shadow point, 6, and lift cleanly.
+        (
+            lambda cells: [[-1 if i == 6 else i for i in c] for c in cells],
+            "cell [0, 2, -1]: index -1 is outside 0..6",
+        ),
+        (lambda cells: cells + [cells[0][::-1]], "cell [3, 1, 0] is given twice"),
+    ],
+    ids=["out-of-range-index", "negative-index", "repeated-cell"],
+)
+def test_lift_rejects_bad_star(capsys, cube_file, tmp_path, edit, message):
+    _, out = run(capsys, "fold", cube_file, "--set", "0,7")
+    star_path = tmp_path / "star.json"
+    star_path.write_text(json.dumps({"simplices": edit(json.loads(out)["simplices"])}))
+    code = main(["lift", cube_file, "--set", "0,7", "--star", str(star_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_birkhoff_context(capsys):
     code, out = run(capsys, "birkhoff", "context", "3")
     assert code == 0
@@ -159,9 +183,12 @@ def test_birkhoff_verify_with_volume(capsys):
     assert doc["vol_birkhoff"] == "9/8"
 
 
-def test_birkhoff_n4_volume_needs_long_flag(capsys):
+def test_birkhoff_n4_volume_relation(capsys):
     code, out = run(capsys, "birkhoff", "verify", "4", "--volume")
-    assert code == 1
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["volume_relation_ok"] is True
+    assert doc["vol_truncated"] == "11/11340"
 
 
 def test_domain_error_exit_code(capsys, cube_file):

@@ -272,7 +272,6 @@ class TestVolume:
         params = EverestParams(n, s)
         assert everest_volume(params, "lifting") == c_constant(params)
 
-    @pytest.mark.slow
     def test_lifting_matches_formula_22(self):
         params = EverestParams(2, 2)
         assert everest_volume(params, "lifting") == Fraction(15, 4)

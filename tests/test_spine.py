@@ -123,7 +123,7 @@ class TestFaceSpine:
         d, n = p.dim, sp.n
         for f in p.facets():
             assert len(set(u) & set(f.incident)) >= n - 1
-            face_poly = Polytope._trusted(
+            face_poly = Polytope(
                 [p.vertices[i] for i in f.incident], p.ambient_dim
             )
             for r in face_poly.facets():
