@@ -7,6 +7,7 @@ hull-triangulation volume.
 """
 
 import argparse
+import sys
 
 from spinaltri.everest import (
     EverestParams,
@@ -37,7 +38,13 @@ def main():
             if params.dim <= args.hull_dim_cap:
                 hull = polytope_volume(everest_polytope(params)).volume
                 hull_str = format_rational(hull)
-                assert hull == formula
+                if hull != formula:
+                    print(
+                        f"error: E({n},{s}) hull volume {hull_str} differs from "
+                        f"the closed form {format_rational(formula)}",
+                        file=sys.stderr,
+                    )
+                    sys.exit(1)
             else:
                 hull_str = "-"
             print(

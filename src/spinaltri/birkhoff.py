@@ -278,20 +278,8 @@ def projected_birkhoff(ctx: BirkhoffContext) -> Polytope:
 
 
 def _strictly_inside(x: QVector, p: Polytope) -> bool:
-    # x is in the relative interior iff it is a strictly positive convex
-    # combination of all vertices.
-    from .lp import EQ, LT, lp_feasible
-
-    nv = p.n_vertices
-    cons = []
-    for i in range(nv):
-        row = [Fraction(0)] * nv
-        row[i] = Fraction(-1)
-        cons.append((row, Fraction(0), LT))
-    cons.append(([1] * nv, Fraction(1), EQ))
-    for c in range(p.ambient_dim):
-        cons.append(([v[c] for v in p.vertices], x[c], EQ))
-    return lp_feasible(cons)
+    # For a full-dimensional p, the interior is strict on every facet.
+    return all(f.normal.dot(x) < f.offset for f in p.facets())
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,13 @@ class DocumentError(ValueError):
     pass
 
 
+def _json_int(value: Any, what: str) -> int:
+    """A JSON integer; booleans, strings and fractions are rejected."""
+    if type(value) is not int:
+        raise DocumentError(f"{what} {json.dumps(value)} is not an integer")
+    return value
+
+
 def vector_to_strings(v: QVector) -> list[str]:
     return [format_rational(x) for x in v]
 
@@ -36,7 +43,7 @@ def polytope_to_doc(p: Polytope) -> dict[str, Any]:
 
 def polytope_from_doc(doc: dict[str, Any]) -> Polytope:
     try:
-        dim = int(doc["ambient_dim"])
+        dim = _json_int(doc["ambient_dim"], "ambient_dim")
         raw = doc["vertices"]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed polytope document: {exc}") from None
@@ -68,7 +75,7 @@ def simplices_from_doc(doc: dict[str, Any], n_points: int) -> list[tuple[int, ..
     """Cells over a table of n_points points: every index in range, no cell
     given twice."""
     try:
-        cells = [tuple(int(i) for i in c) for c in doc["simplices"]]
+        cells = [tuple(_json_int(i, "index") for i in c) for c in doc["simplices"]]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed triangulation document: {exc}") from None
     seen = set()

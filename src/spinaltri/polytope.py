@@ -126,12 +126,19 @@ class Polytope:
         return self._facets
 
     def contains(self, x: QVector) -> bool:
-        """Exact membership test via LP on convex-combination weights."""
+        """Exact membership test: in the affine hull and on the inner side
+        of every facet."""
         if len(x) != self.ambient_dim:
             raise DimensionError(
                 f"point of dim {len(x)} against ambient dim {self.ambient_dim}"
             )
-        return _in_convex_hull(x, self.vertices)
+        if self.n_vertices == 1:
+            return x == self.vertices[0]
+        try:
+            frame_coords(self, x)
+        except PolytopeError:
+            return False
+        return all(f.normal.dot(x) <= f.offset for f in self.facets())
 
 
 def make_polytope(

@@ -10,13 +10,13 @@ two maps are mutually inverse bijections on maximal cells.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import QMatrix, QVector, inverse, kernel_basis
-from .lp import EQ, LT, lp_feasible
 from .polytope import (
     Polytope,
     PolytopeError,
@@ -255,8 +255,12 @@ def fold(t: Triangulation, sm: ShadowMap, *, check: bool = True) -> Triangulatio
             raise TriangulationError("triangulation is not spinal for this spine")
         cells.append(tuple(sorted([0] + [star_of[i] for i in c if i not in uset])))
     result = Triangulation.make(sm.star_points, cells, sm.e)
-    if check and not _is_valid_star(result, sm):
-        raise ShadowInternalError("fold of a spinal triangulation failed validation")
+    if check:
+        ok, reason = validate_detailed(result, shadow_polytope(sm))
+        if not ok:
+            raise ShadowInternalError(
+                f"fold of a spinal triangulation failed validation: {reason}"
+            )
     return result
 
 
@@ -282,15 +286,13 @@ def lift(star: Triangulation, sm: ShadowMap, *, check: bool = True) -> Triangula
             lifted.append(orig)
         cells.append(tuple(sorted(lifted)))
     result = Triangulation.make(p.vertices, cells, p.dim)
-    if check and not validate(result, p):
-        raise TriangulationError("lift is not a triangulation of the polytope")
+    if check:
+        ok, reason = validate_detailed(result, p)
+        if not ok:
+            raise TriangulationError(
+                f"lift is not a triangulation of the polytope: {reason}"
+            )
     return result
-
-
-def _is_valid_star(t: Triangulation, sm: ShadowMap) -> bool:
-    if any(0 not in c for c in t.simplices):
-        return False
-    return validate(t, shadow_polytope(sm))
 
 
 def validate(t: Triangulation, p: Polytope) -> bool:
@@ -299,8 +301,11 @@ def validate(t: Triangulation, p: Polytope) -> bool:
 
 
 def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
-    """Exact triangulation validation: full-dimensional cells, volumes summing
-    to the polytope volume, pairwise disjoint interiors, every point used."""
+    """Exact triangulation validation by the interior-ridge property (De
+    Loera, Rambau and Santos, *Triangulations*, 2010, Ch. 4): full-dimensional
+    cells with volumes summing to the polytope volume, every point used and
+    inside P, each ridge on the boundary of P in exactly one cell, and each
+    other ridge in exactly two cells on opposite sides of it."""
     from .volume import polytope_relative_volume, simplex_relative_volume
 
     k = p.dim
@@ -333,59 +338,34 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
     used = set(itertools.chain.from_iterable(t.simplices))
     if used != set(range(n)):
         return False, "some points are not vertices of any cell"
-    cells = [tuple(coords[i] for i in c) for c in t.simplices]
-    planes = [_simplex_planes(cell) for cell in cells]
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            if _plane_separated(cells[i], cells[j], planes[i], planes[j]):
-                continue
-            if _interiors_meet(cells[i], cells[j]):
-                return False, (
-                    f"cells {t.simplices[i]} and {t.simplices[j]} overlap"
-                )
-    return True, "ok"
-
-
-def _simplex_planes(cell: tuple[QVector, ...]):
-    """Facet hyperplanes of a nondegenerate k-simplex, oriented so the
-    dropped vertex is on the positive side."""
-    k = len(cell) - 1
-    planes = []
-    for drop in range(k + 1):
-        rest = [cell[i] for i in range(k + 1) if i != drop]
-        edges = QMatrix([list(q - rest[0]) for q in rest[1:]], cols=k)
+    # Bit j of on_facet[i] is set iff point i lies on facet j's hyperplane.
+    facets = p.facets()
+    on_facet = []
+    for i, q in enumerate(t.points):
+        mask = 0
+        for j, f in enumerate(facets):
+            side = f.normal.dot(q)
+            if side > f.offset:
+                return False, f"point {i} lies outside the polytope"
+            if side == f.offset:
+                mask |= 1 << j
+        on_facet.append(mask)
+    ridges: dict[tuple[int, ...], list[int]] = {}
+    for c in t.simplices:
+        c = sorted(c)
+        for drop in c:
+            ridges.setdefault(tuple(i for i in c if i != drop), []).append(drop)
+    for ridge, apexes in ridges.items():
+        if functools.reduce(operator.and_, (on_facet[i] for i in ridge)):
+            if len(apexes) != 1:
+                return False, f"boundary ridge {ridge} belongs to {len(apexes)} cells"
+            continue
+        if len(apexes) != 2:
+            return False, f"interior ridge {ridge} belongs to {len(apexes)} cells"
+        base = coords[ridge[0]]
+        edges = QMatrix([list(coords[i] - base) for i in ridge[1:]], cols=k)
         (normal,) = kernel_basis(edges)
-        offset = normal.dot(rest[0])
-        side = normal.dot(cell[drop]) - offset
-        if side < 0:
-            normal, offset, side = -normal, -offset, -side
-        planes.append((normal, offset))
-    return planes
-
-
-def _plane_separated(cell_a, cell_b, planes_a, planes_b) -> bool:
-    for normal, offset in planes_a:
-        if all(normal.dot(q) <= offset for q in cell_b):
-            return True
-    for normal, offset in planes_b:
-        if all(normal.dot(q) <= offset for q in cell_a):
-            return True
-    return False
-
-
-def _interiors_meet(cell_a, cell_b) -> bool:
-    """Exact test for a common interior point of two k-simplices in R^k."""
-    na, nb = len(cell_a), len(cell_b)
-    k = len(cell_a[0])
-    total = na + nb
-    cons = []
-    for i in range(total):
-        coeff = [Fraction(0)] * total
-        coeff[i] = Fraction(-1)
-        cons.append((coeff, Fraction(0), LT))  # strictly positive weights
-    cons.append(([1] * na + [0] * nb, Fraction(1), EQ))
-    cons.append(([0] * na + [1] * nb, Fraction(1), EQ))
-    for c in range(k):
-        row = [q[c] for q in cell_a] + [-q[c] for q in cell_b]
-        cons.append((row, Fraction(0), EQ))
-    return lp_feasible(cons)
+        a, b = (normal.dot(coords[i] - base) for i in apexes)
+        if (a > 0) == (b > 0):
+            return False, f"the cells on ridge {ridge} lie on the same side of it"
+    return True, "ok"

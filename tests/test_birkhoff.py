@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinaltri.linalg import QMatrix, det
-from spinaltri.polytope import make_polytope
+from spinaltri.linalg import QMatrix, QVector, det
+from spinaltri.lp import EQ, LT, lp_feasible
+from spinaltri.polytope import Polytope, make_polytope
 from spinaltri.spine import is_spine
 from spinaltri.birkhoff import (
     BirkhoffError,
+    _strictly_inside,
     birkhoff_context,
     block_matrix,
     determinant_identities,
@@ -116,6 +118,29 @@ class TestProjection:
         for i in ctx.spine_vertex_indices:
             img = ctx.d_map @ (ctx.c_map @ (ctx.a_map @ ctx.vertices[i]) + ctx.b_vec)
             assert img.is_zero()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_strictly_inside_agrees_with_the_lp(self, n):
+        p = projected_birkhoff(birkhoff_context(n))
+        origin = QVector.zero(p.ambient_dim)
+        for x, inside in ((origin, True), (p.vertices[0], False)):
+            assert _strictly_inside(x, p) == lp_strictly_inside(x, p) == inside
+
+
+def lp_strictly_inside(x: QVector, p: Polytope) -> bool:
+    """The former birkhoff._strictly_inside, kept as an oracle."""
+    # x is in the relative interior iff it is a strictly positive convex
+    # combination of all vertices.
+    nv = p.n_vertices
+    cons = []
+    for i in range(nv):
+        row = [Fraction(0)] * nv
+        row[i] = Fraction(-1)
+        cons.append((row, Fraction(0), LT))
+    cons.append(([1] * nv, Fraction(1), EQ))
+    for c in range(p.ambient_dim):
+        cons.append(([v[c] for v in p.vertices], x[c], EQ))
+    return lp_feasible(cons)
 
 
 # The projected polytope for n = 4 lives in R^6; reading each vector as a

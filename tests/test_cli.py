@@ -147,8 +147,23 @@ def test_lift_rejects_fractional_index(capsys, cube_file, tmp_path):
             "cell [0, 2, -1]: index -1 is outside 0..6",
         ),
         (lambda cells: cells + [cells[0][::-1]], "cell [3, 1, 0] is given twice"),
+        (
+            lambda cells: cells[1:],
+            "lift is not a triangulation of the polytope: "
+            "cell volumes sum to 5/6, polytope volume is 1",
+        ),
+        # JSON true and "1" would otherwise be read as the index 1.
+        (lambda cells: [[0, True, 3]] + cells[1:], "index true is not an integer"),
+        (lambda cells: [[0, "1", 3]] + cells[1:], 'index "1" is not an integer'),
     ],
-    ids=["out-of-range-index", "negative-index", "repeated-cell"],
+    ids=[
+        "out-of-range-index",
+        "negative-index",
+        "repeated-cell",
+        "dropped-cell",
+        "boolean-index",
+        "string-index",
+    ],
 )
 def test_lift_rejects_bad_star(capsys, cube_file, tmp_path, edit, message):
     _, out = run(capsys, "fold", cube_file, "--set", "0,7")

@@ -43,6 +43,12 @@ def test_dimension_mismatch():
         sio.polytope_from_doc({"ambient_dim": 2, "vertices": [["1"]]})
 
 
+@pytest.mark.parametrize("dim", [True, "1", 1.0], ids=["boolean", "string", "float"])
+def test_ambient_dim_must_be_a_json_integer(dim):
+    with pytest.raises(sio.DocumentError, match="ambient_dim .* is not an integer"):
+        sio.polytope_from_doc({"ambient_dim": dim, "vertices": [["0"], ["1"]]})
+
+
 def test_triangulation_doc_is_canonical():
     p = make_polytope([QVector(b) for b in itertools.product((0, 1), repeat=2)])
     t = pulling_triangulation(p)

@@ -10,6 +10,7 @@ from spinaltri.polytope import (
     DegeneratePolytope,
     DuplicatePoint,
     NotInConvexPosition,
+    _in_convex_hull,
     extreme_points,
     make_polytope,
 )
@@ -157,10 +158,24 @@ class TestContains:
         )
     )
     def test_halfspace_agreement_on_random_rational_points(self, coords):
+        # contains() reads the facets, so the LP on convex-combination
+        # weights is the independent side of the comparison.
         p = make_polytope(cube_vertices(3))
         x = QVector(coords)
-        by_facets = all(f.normal.dot(x) <= f.offset for f in p.facets())
-        assert by_facets == p.contains(x)
+        assert p.contains(x) == _in_convex_hull(x, p.vertices)
+
+    @pytest.mark.parametrize(
+        "x,inside",
+        [((1, 1), True), ((2, 2), True), ((1, 0), False), ((3, 3), False)],
+    )
+    def test_lower_dimensional(self, x, inside):
+        p = make_polytope([qv(0, 0), qv(2, 2)])
+        assert p.contains(qv(*x)) == inside == _in_convex_hull(qv(*x), p.vertices)
+
+    def test_single_vertex(self):
+        p = make_polytope([qv(1, 2)])
+        assert p.contains(qv(1, 2))
+        assert not p.contains(qv(1, 3))
 
 
 class TestExtremePoints:

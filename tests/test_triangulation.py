@@ -285,12 +285,43 @@ class TestValidate:
 
     def test_detects_volume_preserving_overlap_via_lp(self):
         # Two area-2 triangles overlapping inside an area-4 square: the
-        # volume check passes and no facet plane of either separates them,
-        # so only the exact LP fallback can reject the pair.
+        # volume check passes and no facet plane of either separates them.
+        # The ridge rule rejects them: the diagonal (0, 2) is an interior
+        # ridge of one cell only.
         pts = [qv(0, 0), qv(2, 0), qv(2, 2), qv(0, 2)]
         p = make_polytope(pts)
         t = Triangulation(tuple(pts), ((0, 1, 2), (0, 1, 3)), 2)
         assert not validate(t, p)
+
+    def test_detects_double_cover_by_ridge_sides(self):
+        # Both triangulations of the area-2 diamond inside the area-4
+        # square: every ridge is interior and in exactly two cells, and the
+        # volumes sum to 4, so only the side test rejects the double cover.
+        p = make_polytope([qv(0, 0), qv(2, 0), qv(0, 2), qv(2, 2)])
+        pts = (qv(1, 0), qv(2, 1), qv(1, 2), qv(0, 1))
+        t = Triangulation(pts, ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3)), 2)
+        assert validate_detailed(t, p) == (
+            False,
+            "the cells on ridge (1, 2) lie on the same side of it",
+        )
+
+    @pytest.mark.parametrize(
+        "points,cells,outside",
+        [
+            # The unit square's triangulation, translated off the square.
+            ([(5, 5), (6, 5), (5, 6), (6, 6)], ((0, 1, 3), (0, 2, 3)), 0),
+            # One triangle of the square's area that sticks out of it.
+            ([(0, 0), (2, 0), (0, 1)], ((0, 1, 2),), 1),
+        ],
+        ids=["translated-square", "long-triangle"],
+    )
+    def test_detects_points_outside_the_polytope(self, points, cells, outside):
+        p = make_polytope([qv(0, 0), qv(1, 0), qv(0, 1), qv(1, 1)])
+        t = Triangulation(tuple(QVector(q) for q in points), cells, 2)
+        assert validate_detailed(t, p) == (
+            False,
+            f"point {outside} lies outside the polytope",
+        )
 
     def test_detects_degenerate_cell(self):
         pts = [qv(0, 0), qv(1, 0), qv(1, 1), qv(0, 1)]
