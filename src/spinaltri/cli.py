@@ -56,6 +56,15 @@ def _parse_index_set(raw: str) -> list[int]:
         raise ValueError(f"could not parse index set {raw!r}") from None
 
 
+def _parse_spine_set(raw: str) -> list[int]:
+    """A --set value: each index at most once, never merged silently."""
+    idx = _parse_index_set(raw)
+    for k, i in enumerate(idx):
+        if i in idx[:k]:
+            raise ValueError(f"index {i} is repeated in --set {raw!r}")
+    return idx
+
+
 def _emit(doc, pretty_lines, args) -> None:
     if args.pretty:
         for line in pretty_lines:
@@ -99,7 +108,7 @@ def cmd_facets(args) -> int:
 
 def cmd_spine_check(args) -> int:
     p = sio.load_polytope(args.polytope)
-    idx = _parse_index_set(args.set)
+    idx = _parse_spine_set(args.set)
     ok = is_spine(p, idx)
     _emit({"set": sorted(idx), "is_spine": ok}, ["true" if ok else "false"], args)
     return 0
@@ -124,7 +133,7 @@ def cmd_triangulate(args) -> int:
     if args.spinal:
         if args.set is None:
             raise ValueError("--spinal needs --set with the spine indices")
-        t = spinal_triangulation(spine(p, _parse_index_set(args.set)))
+        t = spinal_triangulation(spine(p, _parse_spine_set(args.set)))
     else:
         order = _parse_index_set(args.order) if args.order else None
         t = pulling_triangulation(p, order)
@@ -134,7 +143,7 @@ def cmd_triangulate(args) -> int:
 
 def cmd_fold(args) -> int:
     p = sio.load_polytope(args.polytope)
-    sp = spine(p, _parse_index_set(args.set))
+    sp = spine(p, _parse_spine_set(args.set))
     sm = shadow(sp)
     order = _parse_index_set(args.order) if args.order else None
     if order is not None:
@@ -156,7 +165,7 @@ def cmd_fold(args) -> int:
 
 def cmd_lift(args) -> int:
     p = sio.load_polytope(args.polytope)
-    sp = spine(p, _parse_index_set(args.set))
+    sp = spine(p, _parse_spine_set(args.set))
     sm = shadow(sp)
     with open(args.star) as fh:
         doc = json.load(fh, parse_float=str)
@@ -181,7 +190,7 @@ def cmd_volume(args) -> int:
 
 def cmd_verify_lifting(args) -> int:
     p = sio.load_polytope(args.polytope)
-    rep = lifting_relation_report(spine(p, _parse_index_set(args.set)))
+    rep = lifting_relation_report(spine(p, _parse_spine_set(args.set)))
     doc = {
         "binom": rep.binom,
         "vol_polytope_sq": format_rational(rep.vol_p_sq),

@@ -47,6 +47,11 @@ def polytope_from_doc(doc: dict[str, Any]) -> Polytope:
         raw = doc["vertices"]
     except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed polytope document: {exc}") from None
+    if type(raw) is not list:
+        raise DocumentError(f"vertices is {json.dumps(raw)}, not a list of coordinate lists")
+    for i, row in enumerate(raw):
+        if type(row) is not list:
+            raise DocumentError(f"vertex {i} is {json.dumps(row)}, not a list of coordinates")
     vertices = [vector_from_strings(row) for row in raw]
     if any(len(v) != dim for v in vertices):
         raise DocumentError("vertex dimension disagrees with ambient_dim")

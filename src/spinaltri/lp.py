@@ -1,15 +1,25 @@
-"""Exact rational LP feasibility via a two-phase simplex with Bland's rule.
+"""Exact LP feasibility via a fraction-free two-phase simplex with Bland's rule.
 
 Only feasibility is offered, no objective.  Strict inequalities are handled
 by a gap variable eps: every strict row ``a.x < b`` becomes ``a.x + eps <= b``
 and the system is strictly feasible iff sup eps > 0 (eps is capped at 1 to
 keep the second phase bounded).  Bland's pivoting rule guarantees
 termination on degenerate instances.
+
+The pivoting is integer-preserving (Edmonds, "Systems of distinct
+representatives and linear algebra", J. Res. NBS 1967; the scheme of Avis's
+lrs).  Each row is scaled to integers once; the tableau, objective row
+included, is then ``int`` entries over one common denominator D > 0, the
+magnitude of the basis determinant, and a pivot on p divides exactly by the
+old D before D becomes p.  Scaling row i by s_i also scales its slack or
+artificial variable by s_i; phase-1 costs of L / s_i undo that, so the pivot
+path is the one of the rational tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import DimensionError
 
@@ -18,60 +28,59 @@ LT = "<"
 EQ = "="
 
 _REL_ALIASES = {"<=": LE, "=<": LE, "≤": LE, "<": LT, "=": EQ, "==": EQ}
+_EXACT = (int, Fraction)  # read as they are: both carry numerator and denominator
 
 
-def _pivot(tab: list[list[Fraction]], row: int, col: int) -> None:
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
+def _pivot(tab: list[list[int]], row: int, col: int, d: int) -> int:
+    """Pivot on (row, col) over denominator d; returns the new denominator.
+
+    T'[i][j] = (T[i][j] p - T[i][col] T[row][j]) / d, exact; the pivot row
+    keeps its entries.  A negative pivot negates the tableau, so D stays > 0.
+    """
+    p = tab[row][col]
     pivoted = tab[row]
     for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tab[i] = [a - f * b for a, b in zip(r, pivoted)]
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            tab[i] = [(a * p - f * b) // d for a, b in zip(r, pivoted)]
+        elif p != d:
+            tab[i] = [a * p // d for a in r]
+    if p < 0:
+        tab[:] = [[-a for a in r] for r in tab]
+        p = -p
+    return p
 
 
-def _simplex_min(
-    tab: list[list[Fraction]], basis: list[int], cost: list[Fraction]
-) -> tuple[Fraction | None, str]:
-    """Minimize cost over {y >= 0, tableau rows}; tableau starts basic-feasible.
+def _simplex_min(tab: list[list[int]], basis: list[int], d: int) -> tuple[int, bool]:
+    """Minimize over {y >= 0, tableau rows}; tableau starts basic-feasible.
 
-    Returns (objective, "optimal") or (None, "unbounded").  Entering rule:
-    smallest index with negative reduced cost; leaving rule: smallest basis
-    index among minimum ratios (Bland).
+    ``tab[-1]`` is the objective row: D times the reduced costs, then D times
+    minus the objective.  Returns (D, bounded).  Entering rule: smallest
+    index with negative reduced cost; leaving rule: smallest basis index
+    among minimum ratios (Bland), compared by cross-multiplication.
     """
-    m = len(tab)
-    n = len(cost)
+    m = len(tab) - 1
     while True:
-        cb = [cost[b] for b in basis]
-        enter = -1
-        for j in range(n):
-            zj = cost[j]
-            for i in range(m):
-                if cb[i] != 0 and tab[i][j] != 0:
-                    zj -= cb[i] * tab[i][j]
-            if zj < 0:
-                enter = j
-                break
+        cost = tab[-1]
+        enter = next((j for j in range(len(cost) - 1) if cost[j] < 0), -1)
         if enter < 0:
-            obj = Fraction(0)
-            for i in range(m):
-                if cb[i] != 0:
-                    obj += cb[i] * tab[i][-1]
-            return obj, "optimal"
+            return d, True
         leave = -1
-        best: Fraction | None = None
         for i in range(m):
             aij = tab[i][enter]
             if aij > 0:
-                ratio = tab[i][-1] / aij
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                lhs = tab[i][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * aij
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
-            return None, "unbounded"
-        _pivot(tab, leave, enter)
+            return d, False
+        d = _pivot(tab, leave, enter, d)
         basis[leave] = enter
 
 
@@ -84,10 +93,11 @@ def lp_feasible(constraints) -> bool:
     ``-x_i <= 0`` are absorbed as sign restrictions so that callers passing
     barycentric-coordinate systems do not pay for split variables.
     """
-    cons: list[tuple[list[Fraction], Fraction, str]] = []
+    cons: list[tuple[list[int], int, int, str]] = []
     dim: int | None = None
     for coeffs, bound, rel in constraints:
-        a = [Fraction(c) for c in coeffs]
+        a = [c if type(c) in _EXACT else Fraction(c) for c in coeffs]
+        b = bound if type(bound) in _EXACT else Fraction(bound)
         try:
             rel = _REL_ALIASES[rel]
         except KeyError:
@@ -96,92 +106,77 @@ def lp_feasible(constraints) -> bool:
             dim = len(a)
         elif len(a) != dim:
             raise DimensionError("constraint vectors of mixed dimension")
-        cons.append((a, Fraction(bound), rel))
+        # Scale the row by s, the lcm of its denominators, to integers.
+        s = lcm(b.denominator, *(x.denominator for x in a))
+        a = [x.numerator * (s // x.denominator) for x in a]
+        cons.append((a, b.numerator * (s // b.denominator), s, rel))
     if dim is None or dim == 0:
         # Empty variable space: constraints degenerate to "0 rel b".
-        for a, b, rel in cons:
-            lhs = Fraction(0)
-            if (rel == EQ and lhs != b) or (rel == LE and lhs > b) or (
-                rel == LT and lhs >= b
-            ):
+        for _, b, _, rel in cons:
+            if (rel == EQ and b != 0) or (rel == LE and b < 0) or (rel == LT and b <= 0):
                 return False
         return True
 
     nonneg = [False] * dim
-    kept: list[tuple[list[Fraction], Fraction, str]] = []
-    for a, b, rel in cons:
-        nz = [j for j, c in enumerate(a) if c != 0]
+    kept: list[tuple[list[int], int, int, str]] = []
+    for a, b, s, rel in cons:
+        nz = [j for j, c in enumerate(a) if c]
         if b == 0 and len(nz) == 1 and a[nz[0]] < 0 and rel in (LE, LT):
             nonneg[nz[0]] = True
             if rel == LE:
                 continue  # pure sign restriction, carried by the variable
-        kept.append((a, b, rel))
+        kept.append((a, b, s, rel))
 
-    has_strict = any(rel == LT for _, _, rel in kept)
+    has_strict = any(rel == LT for *_, rel in kept)
 
     # Column layout: per variable one column (nonneg) or a +/- pair (free),
     # then eps, then slacks.  Artificials are appended by the phase-1 setup.
-    col_count = sum(1 if nonneg[j] else 2 for j in range(dim))
-    eps_col = col_count if has_strict else -1
+    eps_col = sum(1 if nonneg[j] else 2 for j in range(dim))
+    col_count = eps_col + has_strict
     if has_strict:
-        col_count += 1
+        kept.append(([0] * dim, 1, 1, LT))  # the cap: 0.x + eps <= 1
 
-    rows: list[tuple[list[Fraction], Fraction, str]] = []
-    for a, b, rel in kept:
-        base = [Fraction(0)] * col_count
-        pos = 0
-        for j in range(dim):
-            base[pos] = a[j]
-            pos += 1
-            if not nonneg[j]:
-                base[pos] = -a[j]
-                pos += 1
-        if rel == LT:
-            base[eps_col] = Fraction(1)
-        rows.append((base, b, LE if rel == LT else rel))
-    if has_strict:
-        cap = [Fraction(0)] * col_count
-        cap[eps_col] = Fraction(1)
-        rows.append((cap, Fraction(1), LE))
-
-    n_slack = sum(1 for _, _, rel in rows if rel == LE)
+    n_slack = sum(1 for *_, rel in kept if rel != EQ)
     total = col_count + n_slack
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
     basis: list[int] = []
-    pending_artificial: list[int] = []
-    slack_at = 0
-    for base, b, rel in rows:
-        row = base + [Fraction(0)] * n_slack + [b]
-        if rel == LE:
-            row[col_count + slack_at] = Fraction(1)
-            slack_col = col_count + slack_at
+    slack_at = col_count
+    for a, b, s, rel in kept:
+        row = []
+        for j, c in enumerate(a):
+            row.extend((c,) if nonneg[j] else (c, -c))
+        if has_strict:
+            row.append(s if rel == LT else 0)  # eps, times the row's scale
+        row += [0] * n_slack + [b]
+        if rel != EQ:
+            row[slack_at] = 1
             slack_at += 1
-        else:
-            slack_col = -1
-        if row[-1] < 0:
-            row = [-x for x in row]
-            slack_col = -1  # negated slack cannot seed the basis
-        if slack_col >= 0:
-            basis.append(slack_col)
-        else:
-            basis.append(-1)
-            pending_artificial.append(len(tab))
-        tab.append(row)
+        # A negated slack cannot seed the basis.
+        basis.append(slack_at - 1 if rel != EQ and b >= 0 else -1)
+        tab.append(row if b >= 0 else [-x for x in row])
 
-    n_art = len(pending_artificial)
-    if n_art:
-        for i, row in enumerate(tab):
-            art = [Fraction(0)] * n_art
-            row[-1:-1] = art  # insert before rhs
+    d = 1
+    pending_artificial = [i for i, col in enumerate(basis) if col < 0]
+    if pending_artificial:
+        for row in tab:
+            row[-1:-1] = [0] * len(pending_artificial)  # insert before rhs
+        # Phase-1 cost of the artificial of row i is L / s_i: the sum of the
+        # unscaled artificials, times L.
+        big = lcm(*(kept[i][2] for i in pending_artificial))
+        weights = [big // kept[i][2] for i in pending_artificial]
+        cost = [0] * total + weights + [0]
         for k, i in enumerate(pending_artificial):
-            tab[i][total + k] = Fraction(1)
+            tab[i][total + k] = 1
             basis[i] = total + k
-        cost = [Fraction(0)] * total + [Fraction(1)] * n_art
-        obj, status = _simplex_min(tab, basis, cost)
-        if status != "optimal":
+            cost = [c - weights[k] * x for c, x in zip(cost, tab[i])]
+        tab.append(cost)
+        d, bounded = _simplex_min(tab, basis, d)
+        if not bounded:
             raise RuntimeError("phase 1 came out unbounded, but it is bounded below by 0")
-        if obj != 0:
+        if tab.pop()[-1] != 0:
             return False
+        if not has_strict:
+            return True  # no phase 2, so leftover artificials may stay
         # Pivot surviving artificials out of the basis; drop redundant rows.
         for i in range(len(tab) - 1, -1, -1):
             if basis[i] >= total:
@@ -190,16 +185,19 @@ def lp_feasible(constraints) -> bool:
                     del tab[i]
                     del basis[i]
                 else:
-                    _pivot(tab, i, enter)
+                    d = _pivot(tab, i, enter, d)
                     basis[i] = enter
         tab = [row[:total] + row[-1:] for row in tab]
 
     if not has_strict:
         return True
 
-    cost = [Fraction(0)] * total
-    cost[eps_col] = Fraction(-1)  # maximize eps
-    obj, status = _simplex_min(tab, basis, cost)
-    if status == "unbounded":
-        return True
-    return -obj > 0
+    # Maximize eps: cost -1 on eps, so the objective row is -D e_eps plus
+    # the row where eps is basic, if any.
+    cost = [0] * (total + 1)
+    cost[eps_col] = -d
+    if eps_col in basis:
+        cost = [c + x for c, x in zip(cost, tab[basis.index(eps_col)])]
+    tab.append(cost)
+    d, bounded = _simplex_min(tab, basis, d)
+    return not bounded or tab[-1][-1] > 0

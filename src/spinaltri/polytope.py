@@ -213,10 +213,10 @@ def _in_convex_hull(x: QVector, hull_points: Sequence[QVector]) -> bool:
     n = len(hull_points)
     constraints = []
     for i in range(n):
-        coeff = [Fraction(0)] * n
-        coeff[i] = Fraction(-1)
-        constraints.append((coeff, Fraction(0), LE))  # lambda_i >= 0
-    constraints.append(([Fraction(1)] * n, Fraction(1), EQ))  # sum = 1
+        coeff = [0] * n
+        coeff[i] = -1
+        constraints.append((coeff, 0, LE))  # lambda_i >= 0
+    constraints.append(([1] * n, 1, EQ))  # sum = 1
     for c in range(len(x)):
         constraints.append(([p[c] for p in hull_points], x[c], EQ))
     return lp_feasible(constraints)

@@ -390,6 +390,10 @@ CRITERIA = [
 
 
 def run_selftest(only: str | None = None) -> int:
+    valid = [(str(number), name) for number, (name, _) in enumerate(CRITERIA, start=1)]
+    if only is not None and not any(only in pair for pair in valid):
+        listing = ", ".join(f"{number} {name}" for number, name in valid)
+        raise ValueError(f"unknown criterion {only!r}; the criteria are {listing}")
     ws = Workspace()
     failed = []
     for number, (name, fn) in enumerate(CRITERIA, start=1):

@@ -176,6 +176,41 @@ def test_lift_rejects_bad_star(capsys, cube_file, tmp_path, edit, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    ["5", '[5, ["1", "0"], ["0", "1"]]', '["00", "10", "01"]', '{"00": 1, "10": 2, "01": 3}'],
+    ids=["number", "number-row", "string-rows", "mapping"],
+)
+def test_vertices_that_are_not_rows_are_rejected(capsys, tmp_path, vertices):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"ambient_dim": 2, "vertices": {vertices}}}')
+    code = main(["facets", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spine-check", "{cube}", "--set", "0,3,3"],
+        ["fold", "{cube}", "--set", "0,3,3"],
+        ["verify-lifting", "{cube}", "--set", "0,3,3"],
+        ["triangulate", "{cube}", "--spinal", "--set", "0,3,3"],
+        ["lift", "{cube}", "--set", "0,3,3", "--star", "unread.json"],
+    ],
+    ids=["spine-check", "fold", "verify-lifting", "triangulate-spinal", "lift"],
+)
+def test_repeated_spine_index_is_rejected(capsys, cube_file, argv):
+    # The set {0, 3} would otherwise be used in its place.
+    code = main([a.format(cube=cube_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: index 3 is repeated in --set '0,3,3'\n"
+
+
 def test_birkhoff_context(capsys):
     code, out = run(capsys, "birkhoff", "context", "3")
     assert code == 0
@@ -242,3 +277,15 @@ def test_selftest_single_criterion(capsys):
     code, out = run(capsys, "selftest", "--only", "everest-vertex-counts")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("only", ["99", "x"])
+def test_selftest_unknown_criterion(capsys, only):
+    code = main(["selftest", "--only", only])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: unknown criterion {only!r}; the criteria are ")
+    assert "1 everest-volume, 2 everest-vertex-counts," in captured.err
+    assert captured.err.endswith(", 10 validator-suite\n")

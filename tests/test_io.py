@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,24 @@ def test_dimension_mismatch():
 def test_ambient_dim_must_be_a_json_integer(dim):
     with pytest.raises(sio.DocumentError, match="ambient_dim .* is not an integer"):
         sio.polytope_from_doc({"ambient_dim": dim, "vertices": [["0"], ["1"]]})
+
+
+@pytest.mark.parametrize(
+    "vertices,message",
+    [
+        (5, "vertices is 5, not a list of coordinate lists"),
+        ([5, ["1", "0"], ["0", "1"]], "vertex 0 is 5, not a list of coordinates"),
+        # Strings would otherwise be split into characters: the triangle
+        # (0,0), (1,0), (0,1).
+        (["00", "10", "01"], 'vertex 0 is "00", not a list of coordinates'),
+        # A mapping would otherwise be read by its keys.
+        ({"00": 1, "10": 2, "01": 3}, 'vertices is {"00": 1, "10": 2, "01": 3}, not a list'),
+    ],
+    ids=["number", "number-row", "string-rows", "mapping"],
+)
+def test_vertices_must_be_a_list_of_lists(vertices, message):
+    with pytest.raises(sio.DocumentError, match=re.escape(message)):
+        sio.polytope_from_doc({"ambient_dim": 2, "vertices": vertices})
 
 
 def test_triangulation_doc_is_canonical():
