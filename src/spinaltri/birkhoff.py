@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import QMatrix, QVector, det
+from .linalg import QMatrix, QVector, det, int_dot
 from .polytope import Polytope, extreme_points, make_polytope
 from .spine import spine
 from .volume import lifting_relation_report, polytope_volume
@@ -25,13 +25,17 @@ class BirkhoffError(ValueError):
     pass
 
 
-def permutation_vector(perm: Sequence[int]) -> QVector:
-    """Flatten the permutation matrix with rows concatenated."""
+def _permutation_ints(perm: Sequence[int]) -> list[int]:
     n = len(perm)
     entries = [0] * (n * n)
     for i, j in enumerate(perm):
         entries[i * n + j] = 1
-    return QVector(entries)
+    return entries
+
+
+def permutation_vector(perm: Sequence[int]) -> QVector:
+    """Flatten the permutation matrix with rows concatenated."""
+    return QVector(_permutation_ints(perm))
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class BirkhoffContext:
     j_mat: QMatrix
 
 
-def _build_a(n: int) -> QMatrix:
+def _build_a(n: int) -> list[list[int]]:
     m = n - 1
     rows = []
     for r in range(m):
@@ -69,10 +73,10 @@ def _build_a(n: int) -> QMatrix:
             row = [0] * (n * n)
             row[r * n + i] = 1
             rows.append(row)
-    return QMatrix(rows, cols=n * n)
+    return rows
 
 
-def _build_b(n: int) -> QMatrix:
+def _build_b(n: int) -> list[list[int]]:
     m = n - 1
     rows = []
     for r in range(m):  # diagonal blocks: identity over minus-ones row
@@ -91,24 +95,24 @@ def _build_b(n: int) -> QMatrix:
         rows.append(row)
     row = [1] * (m * m)
     rows.append(row)
-    return QMatrix(rows, cols=m * m)
+    return rows
 
 
-def _build_a_vec(n: int) -> QVector:
+def _build_a_vec(n: int) -> list[int]:
     entries = []
     for _ in range(n - 1):
         entries.extend([0] * (n - 1) + [1])
     entries.extend([1] * (n - 1) + [-(n - 2)])
-    return QVector(entries)
+    return entries
 
 
-def _build_c(n: int) -> QMatrix:
+def _build_c(n: int) -> list[list[int]]:
     m = n - 1
     size = m * m
     if n == 2:
         # The generic row pattern starts at n = 3; for n = 2 the affine map
         # z -> -z + 1 swaps the two spine images 1 and 0 into 0 and 1.
-        return QMatrix([[-1]])
+        return [[-1]]
     rows = []
     for r in range(n - 1):
         row = [0] * size
@@ -123,25 +127,29 @@ def _build_c(n: int) -> QMatrix:
         row[r - n] = -1
         row[r] = 1
         rows.append(row)
-    return QMatrix(rows, cols=size)
+    return rows
 
 
-def _build_b_vec(n: int) -> QVector:
+def _build_b_vec(n: int) -> list[int]:
     m = n - 1
     size = m * m
     if n == 2:
-        return QVector([1])
-    return QVector([-1 if i == n - 1 else 0 for i in range(size)])
+        return [1]
+    return [-1 if i == n - 1 else 0 for i in range(size)]
 
 
-def _build_d(n: int) -> QMatrix:
+def _build_d(n: int) -> list[list[int]]:
     m = n - 1
     rows = []
     for i in range(m * (m - 1)):
         row = [0] * (m * m)
         row[m + i] = 1
         rows.append(row)
-    return QMatrix(rows, cols=m * m)
+    return rows
+
+
+def _imatvec(rows: list[list[int]], v: list[int]) -> list[int]:
+    return [int_dot(row, v) for row in rows]
 
 
 def birkhoff_context(n: int, *, allow_large: bool = False) -> BirkhoffContext:
@@ -165,26 +173,28 @@ def birkhoff_context(n: int, *, allow_large: bool = False) -> BirkhoffContext:
     index_of = {p: i for i, p in enumerate(perms)}
     spine_idx = tuple(index_of[p] for p in spine_perms)
 
-    a_map = _build_a(n)
-    b_map = _build_b(n)
-    c_map = _build_c(n)
-    d_map = _build_d(n)
-    a_vec = _build_a_vec(n)
-    b_vec = _build_b_vec(n)
+    a_int, b_int, c_int = _build_a(n), _build_b(n), _build_c(n)
+    a_off, b_off = _build_a_vec(n), _build_b_vec(n)
     j_mat = QMatrix(
         [[2 if i == j else 1 for j in range(m)] for i in range(m)], cols=m
     )
 
-    ident = permutation_vector(tuple(range(n)))
-    if a_map @ ident != permutation_vector(tuple(range(m))):
+    # The self-checks run on the maps' integer rows.
+    ident = _permutation_ints(tuple(range(n)))
+    if _imatvec(a_int, ident) != _permutation_ints(tuple(range(m))):
         raise BirkhoffError("dropping the last row and column broke on the identity")
-    for v in vertices:
-        if b_map @ (a_map @ v) + a_vec != v:
+    for p in perms:
+        v = _permutation_ints(p)
+        rebuilt = _imatvec(b_int, _imatvec(a_int, v))
+        if [x + y for x, y in zip(rebuilt, a_off)] != v:
             raise BirkhoffError("reconstruction from the truncated matrix failed")
-    targets = {QVector.zero(m * m).entries} | {
-        QVector.unit(m * m, i).entries for i in range(n - 1)
+    targets = {(0,) * (m * m)} | {
+        tuple(int(j == i) for j in range(m * m)) for i in range(n - 1)
     }
-    images = {(c_map @ (a_map @ u) + b_vec).entries for u in spine_vectors}
+    images = set()
+    for p in spine_perms:
+        moved = _imatvec(c_int, _imatvec(a_int, _permutation_ints(p)))
+        images.add(tuple(x + y for x, y in zip(moved, b_off)))
     if images != targets:
         raise BirkhoffError("spine did not land on the coordinate vectors")
 
@@ -196,12 +206,12 @@ def birkhoff_context(n: int, *, allow_large: bool = False) -> BirkhoffContext:
         tuple(spine_perms),
         spine_vectors,
         spine_idx,
-        a_map,
-        b_map,
-        c_map,
-        d_map,
-        a_vec,
-        b_vec,
+        QMatrix(a_int, cols=n * n),
+        QMatrix(b_int, cols=m * m),
+        QMatrix(c_int, cols=m * m),
+        QMatrix(_build_d(n), cols=m * m),
+        QVector(a_off),
+        QVector(b_off),
         j_mat,
     )
 

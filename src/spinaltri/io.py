@@ -34,6 +34,16 @@ def vector_from_strings(raw) -> QVector:
     return QVector([parse_rational(str(x)) for x in raw])
 
 
+def _json_object(doc: Any, what: str, keys: tuple[str, ...]) -> list[Any]:
+    """The values of keys in a JSON object, in order."""
+    if type(doc) is not dict:
+        raise DocumentError(f"{what} document is {json.dumps(doc)}, not an object")
+    for key in keys:
+        if key not in doc:
+            raise DocumentError(f'{what} document has no "{key}"')
+    return [doc[key] for key in keys]
+
+
 def polytope_to_doc(p: Polytope) -> dict[str, Any]:
     return {
         "ambient_dim": p.ambient_dim,
@@ -42,16 +52,20 @@ def polytope_to_doc(p: Polytope) -> dict[str, Any]:
 
 
 def polytope_from_doc(doc: dict[str, Any]) -> Polytope:
-    try:
-        dim = _json_int(doc["ambient_dim"], "ambient_dim")
-        raw = doc["vertices"]
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"malformed polytope document: {exc}") from None
+    dim, raw = _json_object(doc, "polytope", ("ambient_dim", "vertices"))
+    dim = _json_int(dim, "ambient_dim")
     if type(raw) is not list:
         raise DocumentError(f"vertices is {json.dumps(raw)}, not a list of coordinate lists")
     for i, row in enumerate(raw):
         if type(row) is not list:
             raise DocumentError(f"vertex {i} is {json.dumps(row)}, not a list of coordinates")
+        for j, x in enumerate(row):
+            # JSON strings and numbers only; floats arrive as strings from
+            # load_polytope, so they are read exactly.
+            if type(x) not in (str, int, float):
+                raise DocumentError(
+                    f"vertex {i} coordinate {j} is {json.dumps(x)}, not a rational"
+                )
     vertices = [vector_from_strings(row) for row in raw]
     if any(len(v) != dim for v in vertices):
         raise DocumentError("vertex dimension disagrees with ambient_dim")
@@ -79,10 +93,13 @@ def triangulation_to_doc(t: Triangulation) -> dict[str, Any]:
 def simplices_from_doc(doc: dict[str, Any], n_points: int) -> list[tuple[int, ...]]:
     """Cells over a table of n_points points: every index in range, no cell
     given twice."""
-    try:
-        cells = [tuple(_json_int(i, "index") for i in c) for c in doc["simplices"]]
-    except (KeyError, TypeError) as exc:
-        raise DocumentError(f"malformed triangulation document: {exc}") from None
+    (raw,) = _json_object(doc, "triangulation", ("simplices",))
+    if type(raw) is not list:
+        raise DocumentError(f"simplices is {json.dumps(raw)}, not a list of cells")
+    for k, c in enumerate(raw):
+        if type(c) is not list:
+            raise DocumentError(f"cell {k} is {json.dumps(c)}, not a list of indices")
+    cells = [tuple(_json_int(i, "index") for i in c) for c in raw]
     seen = set()
     for c in cells:
         bad = [i for i in c if not 0 <= i < n_points]

@@ -8,6 +8,7 @@ floating point never enters the core.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -56,7 +57,7 @@ class QVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable) -> None:
-        self.entries = tuple(Fraction(x) for x in entries)
+        self.entries = tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
     @classmethod
     def zero(cls, dim: int) -> "QVector":
@@ -132,7 +133,10 @@ class QMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows_data: Iterable[Iterable], cols: int | None = None) -> None:
-        grid = tuple(tuple(Fraction(x) for x in row) for row in rows_data)
+        grid = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            for row in rows_data
+        )
         self.rows = len(grid)
         if grid:
             widths = {len(r) for r in grid}
@@ -264,18 +268,19 @@ def _int_rows(m: QMatrix) -> tuple[list[list[int]], Fraction]:
     return rows, factor
 
 
-def det(m: QMatrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def int_dot(u: Iterable[int], v: Iterable[int]) -> int:
+    return sum(map(operator.mul, u, v))
 
-    Rows are pre-scaled to integers so every intermediate stays an integer;
-    this bounds coefficient growth compared to naive rational elimination.
-    """
-    if m.rows != m.cols:
-        raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    n = m.rows
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 1968): every intermediate is a minor
+    of the input, so every division is exact and nothing leaves ``int``."""
+    n = len(rows)
     if n == 0:
-        return Fraction(1)
-    mat, factor = _int_rows(m)
+        return 1
+    mat = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -286,17 +291,53 @@ def det(m: QMatrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = mat[k][k]
+        row_k = mat[k]
         for i in range(k + 1, n):
-            mik = mat[i][k]
             row_i = mat[i]
-            row_k = mat[k]
+            mik = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (row_i[j] * pivot - mik * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
-    return Fraction(sign * mat[n - 1][n - 1]) / factor
+    return sign * mat[n - 1][n - 1]
+
+
+def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant of a nonsingular integer matrix M.
+
+    Fraction-free Gauss-Jordan elimination on [M | I]: each step updates
+    every other row by (pivot * row - f * pivot_row) // previous pivot, which
+    is exact for the same reason as in `int_det`.  The left block ends as
+    det(M) I (up to the sign of the row swaps) and the right block as adj(M).
+    """
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if aug[i][k]), None)
+        if p is None:
+            raise DimensionError("matrix is singular")
+        if p != k:
+            aug[k], aug[p] = aug[p], aug[k]
+            sign = -sign
+        pivot = aug[k][k]
+        row_k = aug[k]
+        for i in range(n):
+            if i != k:
+                f = aug[i][k]
+                aug[i] = [(a * pivot - f * b) // prev for a, b in zip(aug[i], row_k)]
+        prev = pivot
+    return [[sign * x for x in row[n:]] for row in aug], sign * prev
+
+
+def det(m: QMatrix) -> Fraction:
+    """Exact determinant: rows are scaled to integers, then `int_det`."""
+    if m.rows != m.cols:
+        raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
+    mat, factor = _int_rows(m)
+    return Fraction(int_det(mat)) / factor
 
 
 def rank(m: QMatrix) -> int:

@@ -10,20 +10,14 @@ to exact coordinates in a basis of the hull first.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import (
-    DimensionError,
-    QMatrix,
-    QVector,
-    det,
-    inverse,
-)
+from .linalg import DimensionError, QVector, int_adjugate, int_dot
 from .lp import EQ, LE, lp_feasible
 
 DEFAULT_MAX_AMBIENT_DIM = 16
@@ -58,9 +52,11 @@ class DegeneratePolytope(PolytopeError):
 def max_ambient_dim() -> int:
     """Desk-scale ambient dimension cap; override via SPINALTRI_MAX_DIM."""
     raw = os.environ.get(ENV_MAX_DIM)
-    if raw:
-        return int(raw)
-    return DEFAULT_MAX_AMBIENT_DIM
+    if not raw:
+        return DEFAULT_MAX_AMBIENT_DIM
+    if not (raw.isascii() and raw.isdigit()) or int(raw) == 0:
+        raise PolytopeError(f"{ENV_MAX_DIM} is {raw!r}, not a positive integer")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -79,16 +75,46 @@ class Facet:
 
 @dataclass(frozen=True)
 class _Frame:
-    """Exact coordinates of the vertices in a basis of the affine hull."""
+    """A basis of the affine hull of the vertices, held as integers.
+
+    Every rational quantity is an integer tuple times one positive scale.
+    ``ivertices`` are the vertices times ``vscale``, the lcm of their
+    denominators.  The origin is vertex 0 and the basis B the edges from it
+    to the first maximal affinely independent run of vertices, so B~ =
+    vscale * B is an integer d x k matrix; ``ibasis`` holds its rows.
+    ``icoords`` are the hull coordinates c of the vertices (B c = v - v_0)
+    times ``scale``, the lcm of their denominators.  A full-dimensional hull
+    (``identity``) uses the ambient coordinates themselves, so there
+    ``icoords`` is ``ivertices``.
+
+    A lower-dimensional hull also keeps ``lead``, the k ambient rows at the
+    leads of the echelon that found the basis, where B~ is invertible, with
+    ``lead_adj`` / ``lead_det`` (> 0) the inverse of those rows: the hull
+    coordinates of a point are one integer solve on its lead entries plus an
+    integer check of the other rows.  ``normal_map`` = B~ adj(B~^T B~) sends
+    a normal in hull coordinates to a positive multiple of the ambient normal
+    that lies in the direction space.  ``gram_det`` = det(B^T B) and
+    ``coords`` are the same data over Q.
+    """
 
     dim: int
-    origin: QVector
-    basis: tuple[QVector, ...]
-    coords: tuple[QVector, ...]
-    gram_det: Fraction
     identity: bool
-    bmat: QMatrix | None = None
-    gram_inv: QMatrix | None = None
+    ivertices: tuple[tuple[int, ...], ...]
+    vscale: int
+    icoords: tuple[tuple[int, ...], ...]
+    scale: int
+    gram_det: Fraction
+    ibasis: tuple[tuple[int, ...], ...] = ()
+    lead: tuple[int, ...] = ()
+    lead_adj: tuple[tuple[int, ...], ...] = ()
+    lead_det: int = 1
+    normal_map: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def coords(self) -> tuple[QVector, ...]:
+        return tuple(
+            QVector([Fraction(x, self.scale) for x in q]) for q in self.icoords
+        )
 
 
 class Polytope:
@@ -222,56 +248,94 @@ def _in_convex_hull(x: QVector, hull_points: Sequence[QVector]) -> bool:
     return lp_feasible(constraints)
 
 
+def scaled_ints(points: Sequence[QVector]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The points times the lcm q of all their denominators, and q."""
+    q = math.lcm(*(x.denominator for v in points for x in v))
+    return tuple(tuple(x.numerator * (q // x.denominator) for x in v) for v in points), q
+
+
+def hull_ints(
+    fr: _Frame, amb: Sequence[tuple[int, ...]], q: int
+) -> tuple[Sequence[tuple[int, ...]], int]:
+    """Hull coordinates of the ambient points amb / q, times one positive
+    scale, and the scale; PolytopeError if a point is off the affine hull."""
+    if fr.identity:
+        return amb, q
+    s, origin, lead, det_l = fr.vscale, fr.ivertices[0], fr.lead, fr.lead_det
+    out = []
+    for a in amb:
+        # t = vscale * q * (point - origin), so B~ c = t / q.
+        t = [s * x - q * o for x, o in zip(a, origin)]
+        t_lead = [t[r] for r in lead]
+        u = tuple(int_dot(row, t_lead) for row in fr.lead_adj)
+        if any(int_dot(row, u) != det_l * x for row, x in zip(fr.ibasis, t)):
+            raise PolytopeError("point outside the affine hull")
+        out.append(u)
+    return out, det_l * q
+
+
 def _build_frame(vertices: tuple[QVector, ...], ambient_dim: int) -> _Frame:
-    if len(vertices) == 1:
-        return _Frame(0, vertices[0], (), (QVector([]),), Fraction(1), False)
+    ivertices, vscale = scaled_ints(vertices)
+    origin = ivertices[0]
+    edges = [[a - o for a, o in zip(v, origin)] for v in ivertices]
     # Greedy: scan edge vectors from vertices[0] for a maximal independent set.
-    origin = vertices[0]
-    basis: list[QVector] = []
-    echelon: list[list[Fraction]] = []
-    for v in vertices[1:]:
-        e = v - origin
-        red = _reduce_against(list(e.entries), echelon)
+    echelon: list[tuple[int, list[int]]] = []
+    chosen: list[int] = []
+    for i in range(1, len(edges)):
+        if len(chosen) == ambient_dim:
+            break
+        red = _reduce_against(edges[i], echelon)
         if red is not None:
             echelon.append(red)
-            basis.append(e)
-        if len(basis) == ambient_dim:
-            break
-    k = len(basis)
+            chosen.append(i)
+    k = len(chosen)
     if k == ambient_dim:
-        return _Frame(
-            k, QVector.zero(ambient_dim), tuple(basis), vertices, Fraction(1), True
-        )
-    bmat = QMatrix.from_cols(basis, dim=ambient_dim)
-    gram = bmat.transpose() @ bmat
-    gram_inv = inverse(gram)
-    gram_det = det(gram)
-    coords = []
-    for v in vertices:
-        rhs = bmat.transpose() @ (v - origin)
-        c = gram_inv @ rhs
-        # Consistency: v must lie in the affine hull of the chosen basis.
-        if bmat @ c != v - origin:
-            raise PolytopeError("point outside the affine hull of the basis")
-        coords.append(c)
-    return _Frame(
-        k, origin, tuple(basis), tuple(coords), gram_det, False, bmat, gram_inv
+        return _Frame(k, True, ivertices, vscale, ivertices, vscale, Fraction(1))
+    ibasis = tuple(tuple(edges[i][r] for i in chosen) for r in range(ambient_dim))
+    lead = tuple(lead for lead, _ in echelon)
+    lead_adj, lead_det = int_adjugate([ibasis[r] for r in lead])
+    if lead_det < 0:
+        lead_adj, lead_det = [[-x for x in row] for row in lead_adj], -lead_det
+    gram_adj, gram_det = int_adjugate(
+        [[int_dot(a, b) for b in zip(*ibasis)] for a in zip(*ibasis)]
     )
+    fr = _Frame(
+        k,
+        False,
+        ivertices,
+        vscale,
+        (),
+        1,
+        Fraction(gram_det, vscale ** (2 * k)),
+        ibasis,
+        lead,
+        tuple(map(tuple, lead_adj)),
+        lead_det,
+        tuple(tuple(int_dot(row, col) for col in zip(*gram_adj)) for row in ibasis),
+    )
+    # Consistency: every vertex must lie in the affine hull of the basis.
+    raw, scale = hull_ints(fr, ivertices, vscale)
+    g = math.gcd(scale, *(x for u in raw for x in u))
+    icoords = tuple(tuple(x // g for x in u) for u in raw)
+    return dataclasses.replace(fr, icoords=icoords, scale=scale // g)
 
 
 def _reduce_against(
-    vec: list[Fraction], echelon: list[list[Fraction]]
-) -> list[Fraction] | None:
-    """Reduce vec by echelon rows; return the reduced row or None if dependent."""
-    v = list(vec)
-    for row in echelon:
-        lead = next(i for i, x in enumerate(row) if x != 0)
-        if v[lead] != 0:
-            f = v[lead] / row[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    if all(x == 0 for x in v):
+    vec: list[int], echelon: list[tuple[int, list[int]]]
+) -> tuple[int, list[int]] | None:
+    """Reduce an integer row by the (lead, row) echelon rows, fraction-free;
+    return its lead and primitive reduced row, or None if it is dependent."""
+    v = vec
+    for lead, row in echelon:
+        f = v[lead]
+        if f:
+            p = row[lead]
+            v = [a * p - f * b for a, b in zip(v, row)]
+    g = math.gcd(*v)
+    if g == 0:
         return None
-    return v
+    v = [a // g for a in v]
+    return next(i for i, a in enumerate(v) if a), v
 
 
 def frame_coords(p: Polytope, point: QVector) -> QVector:
@@ -279,20 +343,9 @@ def frame_coords(p: Polytope, point: QVector) -> QVector:
     fr = p.frame()
     if fr.identity:
         return point
-    if not fr.basis:
-        if point != fr.origin:
-            raise PolytopeError("point outside the affine hull")
-        return QVector([])
-    c = fr.gram_inv @ (fr.bmat.transpose() @ (point - fr.origin))
-    if fr.bmat @ c != point - fr.origin:
-        raise PolytopeError("point outside the affine hull")
-    return c
-
-
-def _scaled_int_coords(coords: Sequence[QVector]) -> list[tuple[int, ...]]:
-    denoms = [x.denominator for q in coords for x in q]
-    mult = math.lcm(*denoms) if denoms else 1
-    return [tuple(int(x * mult) for x in q) for q in coords]
+    amb, q = scaled_ints([point])
+    (u,), scale = hull_ints(fr, amb, q)
+    return QVector([Fraction(x, scale) for x in u])
 
 
 def _enumerate_facets(p: Polytope) -> list[Facet]:
@@ -300,45 +353,34 @@ def _enumerate_facets(p: Polytope) -> list[Facet]:
     if k == 0:
         raise DegeneratePolytope("a single point has no facets")
     fr = p.frame()
-    int_pts = _scaled_int_coords(fr.coords)
-    raw = _supporting_hyperplanes(int_pts, k)
+    raw = _supporting_hyperplanes(fr.icoords, k)
     facets = []
     n = len(p.vertices)
-    for normal_ints, offset_int, mask in raw:
+    for normal_ints, _, mask in raw:
         incident = tuple(i for i in range(n) if mask >> i & 1)
-        normal_amb, offset = _lift_normal(p, fr, normal_ints, offset_int, incident)
+        normal_amb, offset = _lift_normal(fr, normal_ints, incident)
         facets.append(Facet(normal_amb, offset, incident))
     facets.sort(key=lambda f: (f.normal.entries, f.offset))
     return facets
 
 
 def _lift_normal(
-    p: Polytope,
-    fr: _Frame,
-    normal_ints: Sequence[int],
-    offset_int: int,
-    incident: tuple[int, ...],
+    fr: _Frame, normal_ints: Sequence[int], incident: tuple[int, ...]
 ) -> tuple[QVector, Fraction]:
-    """Turn a hull-coordinate hyperplane into canonical ambient form."""
+    """Turn a hull-coordinate hyperplane into canonical ambient form.
+
+    The double description orients every normal outward, and B G^-1 keeps
+    that orientation (n.(v - v_0) = g.c for the lifted n), so the canonical
+    normal is the primitive vector along normal_map . g.
+    """
     if fr.identity:
-        n_amb = QVector(normal_ints)
-        # Undo the integer scaling of the coordinates via any incident vertex.
-        offset = n_amb.dot(p.vertices[incident[0]])
+        ints = list(normal_ints)
     else:
-        g = QVector(normal_ints)
-        n_amb = fr.bmat @ (fr.gram_inv @ g)
-        offset = n_amb.dot(p.vertices[incident[0]])
-    mult = math.lcm(*(x.denominator for x in n_amb))
-    ints = [int(x * mult) for x in n_amb]
-    g0 = math.gcd(*(abs(v) for v in ints))
-    ints = [v // g0 for v in ints]
-    normal = QVector(ints)
-    offset = offset * mult / g0
-    # Outward orientation: every vertex satisfies normal.v <= offset.
-    if any(normal.dot(v) > offset for v in p.vertices):
-        normal = -normal
-        offset = -offset
-    return normal, offset
+        ints = [int_dot(row, normal_ints) for row in fr.normal_map]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    offset = Fraction(int_dot(ints, fr.ivertices[incident[0]]), fr.vscale)
+    return QVector(ints), offset
 
 
 def _supporting_hyperplanes(
@@ -364,7 +406,7 @@ def _supporting_hyperplanes(
     start_mask = 0
     rest: list[int] = []
     for i, h in enumerate(rows):
-        dots = [_idot(h, l) for l in lineal]
+        dots = [int_dot(h, l) for l in lineal]
         j = next((j for j, d in enumerate(dots) if d), None)
         if j is None:
             rest.append(i)
@@ -372,7 +414,7 @@ def _supporting_hyperplanes(
         l0, d0 = lineal.pop(j), dots.pop(j)
         if d0 < 0:
             l0, d0 = tuple(-b for b in l0), -d0
-        rays = [(_combine(d0, r, _idot(h, r), l0), z | 1 << i) for r, z in rays]
+        rays = [(_combine(d0, r, int_dot(h, r), l0), z | 1 << i) for r, z in rays]
         rays.append((l0, start_mask))
         start_mask |= 1 << i
         lineal = [_combine(d0, l, d, l0) for l, d in zip(lineal, dots)]
@@ -380,7 +422,7 @@ def _supporting_hyperplanes(
         h, bit = rows[i], 1 << i
         pos, neg, new = [], [], []
         for r, z in rays:
-            s = _idot(h, r)
+            s = int_dot(h, r)
             if s > 0:
                 pos.append((r, z, s))
                 new.append((r, z))
@@ -399,10 +441,6 @@ def _supporting_hyperplanes(
                 new.append((_combine(sp, rm, sm, rp), common | bit))
         rays = new
     return [(r[:k], r[k], z) for r, z in rays]
-
-
-def _idot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(operator.mul, u, v))
 
 
 def _combine(c: int, u: Sequence[int], e: int, v: Sequence[int]) -> tuple[int, ...]:

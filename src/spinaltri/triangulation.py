@@ -12,18 +12,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import QMatrix, QVector, inverse, kernel_basis
+from .linalg import QMatrix, QVector, int_adjugate, int_dot
 from .polytope import (
     Polytope,
     PolytopeError,
     extreme_points,
     facets_of_face,
-    frame_coords,
+    hull_ints,
     make_polytope,
+    scaled_ints,
     vertex_mask,
 )
 from .spine import Spine
@@ -181,45 +184,68 @@ def spinal_triangulation(s: Spine) -> Triangulation:
 class ShadowMap:
     """Projection data for a spine: the orthogonal projector onto the
     complement of the spine's span, the projected vertex images, and the
-    bijection from nonzero images back to original vertices."""
+    bijection from nonzero images back to original vertices.
+
+    With A~ the integer spine directions (columns vscale * (u_j - u_0)) and
+    G = A~^T A~, the projector is P'/det G for the integer numerator
+    P' = det(G) I - A~ adj(G) A~^T, and the image of a vertex v is
+    P'(v - u_0) / (det G vscale).
+    """
 
     def __init__(self, sp: Spine):
         p = sp.polytope
         d = p.ambient_dim
+        fr = p.frame()
         self.spine = sp
         self.translation = p.vertices[sp.indices[0]]
-        directions = [p.vertices[i] - self.translation for i in sp.indices[1:]]
-        if directions:
-            a = QMatrix.from_cols(directions, dim=d)
-            gram_inv = inverse(a.transpose() @ a)
-            proj = QMatrix.identity(d) - a @ gram_inv @ a.transpose()
-        else:
-            proj = QMatrix.identity(d)
-        if proj.transpose() != proj or proj @ proj != proj:
+        t = fr.ivertices[sp.indices[0]]
+        diffs = [[a - b for a, b in zip(v, t)] for v in fr.ivertices]
+        a_cols = [diffs[i] for i in sp.indices[1:]]
+        a_rows = [[c[r] for c in a_cols] for r in range(d)]
+        adj, den = int_adjugate([[int_dot(u, w) for w in a_cols] for u in a_cols])
+        a_adj = [[int_dot(row, col) for col in zip(*adj)] for row in a_rows]
+        num = [
+            [den * (r == c) - int_dot(a_adj[r], a_rows[c]) for c in range(d)]
+            for r in range(d)
+        ]
+        # Symmetric, then (P'^2)[r][c] = P'[r] . P'[c].
+        if any(
+            num[r][c] != num[c][r] or int_dot(num[r], num[c]) != den * num[r][c]
+            for r in range(d)
+            for c in range(d)
+        ):
             raise ShadowInternalError("projector is not symmetric idempotent")
-        self.projection = proj
-        images = tuple(proj @ (v - self.translation) for v in p.vertices)
+        self._num, self._den = num, den
+        inum = [tuple(int_dot(row, w) for row in num) for w in diffs]
         uset = set(sp.indices)
         for i in sp.indices:
-            if not images[i].is_zero():
+            if any(inum[i]):
                 raise ShadowInternalError("a spine point escaped the kernel")
         seen: dict[tuple, int] = {}
-        for i, img in enumerate(images):
+        for i, w in enumerate(inum):
             if i in uset:
                 continue
-            if img.is_zero():
+            if not any(w):
                 raise ShadowInternalError(f"non-spine vertex {i} projected to zero")
-            if img.entries in seen:
-                raise ShadowInternalError(
-                    f"vertices {seen[img.entries]} and {i} share a projection"
-                )
-            seen[img.entries] = i
+            if w in seen:
+                raise ShadowInternalError(f"vertices {seen[w]} and {i} share a projection")
+            seen[w] = i
+        scale = den * fr.vscale
+        images = tuple(QVector([Fraction(x, scale) for x in w]) for w in inum)
         self.shadow_points = images
         nonspine = [i for i in range(p.n_vertices) if i not in uset]
         self.star_points = (QVector.zero(d),) + tuple(images[i] for i in nonspine)
         self.lift_indices = (-1,) + tuple(nonspine)
         self.e = p.dim - sp.n + 1
         self._shadow_poly: Polytope | None = None
+
+    @property
+    def projection(self) -> QMatrix:
+        """The orthogonal projector P'/det G over Q."""
+        return QMatrix(
+            [[Fraction(x, self._den) for x in row] for row in self._num],
+            cols=len(self._num),
+        )
 
     @property
     def lift_table(self) -> dict[QVector, int]:
@@ -305,8 +331,15 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
     Loera, Rambau and Santos, *Triangulations*, 2010, Ch. 4): full-dimensional
     cells with volumes summing to the polytope volume, every point used and
     inside P, each ridge on the boundary of P in exactly one cell, and each
-    other ridge in exactly two cells on opposite sides of it."""
-    from .volume import polytope_relative_volume, simplex_relative_volume
+    other ridge in exactly two cells on opposite sides of it.
+
+    Everything runs on integer hull coordinates at one scale.  The side of a
+    ridge comes from the cell determinants: for a cell with sorted vertices
+    c_0 < ... < c_k and signed edge determinant D, moving row c_j last takes
+    k - j transpositions, so the apex c_j lies on the side (-1)^(k-j) sign D
+    of the ridge c minus c_j, oriented by its own sorted order.
+    """
+    from .volume import cell_det, polytope_relative_volume
 
     k = p.dim
     n = len(t.points)
@@ -314,10 +347,16 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
         if tuple(t.simplices) == ((0,),) and n == 1:
             return True, "ok"
         return False, "a point polytope is triangulated by itself only"
-    try:
-        coords = [frame_coords(p, q) for q in t.points]
-    except PolytopeError:
-        return False, "a point lies outside the affine hull of the polytope"
+    fr = p.frame()
+    on_vertices = t.points is p.vertices
+    if on_vertices:
+        coords, scale = fr.icoords, fr.scale
+    else:
+        amb, q = scaled_ints(t.points)
+        try:
+            coords, scale = hull_ints(fr, amb, q)
+        except PolytopeError:
+            return False, "a point lies outside the affine hull of the polytope"
     if not t.simplices:
         return False, "no maximal simplices"
     for c in t.simplices:
@@ -325,13 +364,17 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
             return False, f"cell {c} does not have {k + 1} distinct vertices"
         if any(not 0 <= i < n for i in c):
             return False, f"cell {c} references a missing point"
-    rel = []
+    # Cells stay a list: a repeated cell repeats its ridges and is caught.
+    cells = []
+    abs_total = 0
     for c in t.simplices:
-        v = simplex_relative_volume([coords[i] for i in c])
-        if v == 0:
+        s = sorted(c)
+        d = cell_det(coords, s)
+        if d == 0:
             return False, f"cell {c} is degenerate"
-        rel.append(v)
-    total = sum(rel)
+        cells.append((s, d > 0))
+        abs_total += abs(d)
+    total = Fraction(abs_total, scale**k * math.factorial(k))
     expected = polytope_relative_volume(p)
     if total != expected:
         return False, f"cell volumes sum to {total}, polytope volume is {expected}"
@@ -340,32 +383,36 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
         return False, "some points are not vertices of any cell"
     # Bit j of on_facet[i] is set iff point i lies on facet j's hyperplane.
     facets = p.facets()
-    on_facet = []
-    for i, q in enumerate(t.points):
-        mask = 0
+    on_facet = [0] * n
+    if on_vertices:
         for j, f in enumerate(facets):
-            side = f.normal.dot(q)
-            if side > f.offset:
-                return False, f"point {i} lies outside the polytope"
-            if side == f.offset:
-                mask |= 1 << j
-        on_facet.append(mask)
-    ridges: dict[tuple[int, ...], list[int]] = {}
-    for c in t.simplices:
-        c = sorted(c)
-        for drop in c:
-            ridges.setdefault(tuple(i for i in c if i != drop), []).append(drop)
-    for ridge, apexes in ridges.items():
+            for i in f.incident:
+                on_facet[i] |= 1 << j
+    else:
+        planes = [
+            ([x.numerator for x in f.normal], f.offset.numerator, f.offset.denominator)
+            for f in facets
+        ]
+        for i, a in enumerate(amb):
+            for j, (normal, num, den) in enumerate(planes):
+                # normal . (a / q) against num / den, cross-multiplied.
+                side = int_dot(normal, a) * den - num * q
+                if side > 0:
+                    return False, f"point {i} lies outside the polytope"
+                if side == 0:
+                    on_facet[i] |= 1 << j
+    ridges: dict[tuple[int, ...], list[bool]] = {}
+    for c, positive in cells:
+        for j, drop in enumerate(c):
+            side = positive != bool((k - j) & 1)
+            ridges.setdefault(tuple(i for i in c if i != drop), []).append(side)
+    for ridge, sides in ridges.items():
         if functools.reduce(operator.and_, (on_facet[i] for i in ridge)):
-            if len(apexes) != 1:
-                return False, f"boundary ridge {ridge} belongs to {len(apexes)} cells"
+            if len(sides) != 1:
+                return False, f"boundary ridge {ridge} belongs to {len(sides)} cells"
             continue
-        if len(apexes) != 2:
-            return False, f"interior ridge {ridge} belongs to {len(apexes)} cells"
-        base = coords[ridge[0]]
-        edges = QMatrix([list(coords[i] - base) for i in ridge[1:]], cols=k)
-        (normal,) = kernel_basis(edges)
-        a, b = (normal.dot(coords[i] - base) for i in apexes)
-        if (a > 0) == (b > 0):
+        if len(sides) != 2:
+            return False, f"interior ridge {ridge} belongs to {len(sides)} cells"
+        if sides[0] == sides[1]:
             return False, f"the cells on ridge {ridge} lie on the same side of it"
     return True, "ok"

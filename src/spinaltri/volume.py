@@ -1,10 +1,15 @@
 """Exact polytope volumes via triangulation, and the projection volume law.
 
-Full-dimensional volumes are rational and reported directly.  For a polytope
-whose affine hull is a proper subspace, each cell volume carries the same
-irrational factor sqrt(det G) of the hull basis Gram matrix G, so the
-rational "relative" volumes are summed first and only the square of the
-total is reported.
+Volumes are computed on the integer hull coordinates of the polytope's frame:
+the hull coordinates of the vertices are ``icoords / scale``, so a cell with
+signed integer determinant D has relative volume |D| / (scale^k k!), and a
+triangulation's relative volume is one division of the summed |D|.  For a
+full-dimensional polytope the relative volume is the volume.  For one whose
+affine hull is a proper subspace, with hull basis B, every cell's volume
+carries the same irrational factor sqrt(det G), G = B^T B the Gram matrix of
+the basis (``gram_det``; the integer basis vscale * B has Gram determinant
+vscale^(2k) det G), so the rational relative volumes are summed first and
+only the square of the total, relvol^2 det G, is reported.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import QVector, det, gram_sq_volume, QMatrix
+from .linalg import QVector, det, gram_sq_volume, int_det, QMatrix
 from .polytope import Polytope
 from .spine import Spine, SpineError
 from .triangulation import pulling_triangulation, shadow, shadow_polytope
@@ -38,12 +43,17 @@ def simplex_relative_volume(coords: Sequence[QVector]) -> Fraction:
     return abs(d) / math.factorial(k)
 
 
+def cell_det(icoords: Sequence[Sequence[int]], cell: Sequence[int]) -> int:
+    """Signed determinant of the edge vectors from a cell's first vertex,
+    on integer coordinates."""
+    base = icoords[cell[0]]
+    return int_det([[a - b for a, b in zip(icoords[i], base)] for i in cell[1:]])
+
+
 def triangulation_relative_volume(p: Polytope, simplices) -> Fraction:
-    coords = p.frame().coords
-    return sum(
-        (simplex_relative_volume([coords[i] for i in c]) for c in simplices),
-        Fraction(0),
-    )
+    fr = p.frame()
+    total = sum(abs(cell_det(fr.icoords, c)) for c in simplices)
+    return Fraction(total, fr.scale**fr.dim * math.factorial(fr.dim))
 
 
 def polytope_relative_volume(p: Polytope) -> Fraction:

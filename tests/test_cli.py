@@ -192,6 +192,60 @@ def test_vertices_that_are_not_rows_are_rejected(capsys, tmp_path, vertices):
 
 
 @pytest.mark.parametrize(
+    "text,message",
+    [
+        ('"hello"', 'polytope document is "hello", not an object'),
+        ("null", "polytope document is null, not an object"),
+        ('{"vertices": [["0"], ["1"]]}', 'polytope document has no "ambient_dim"'),
+        (
+            '{"ambient_dim": 2, "vertices": [["0", "0"], [null, "1"]]}',
+            "vertex 1 coordinate 0 is null, not a rational",
+        ),
+    ],
+    ids=["string", "null", "no-ambient-dim", "null-coordinate"],
+)
+def test_malformed_polytope_document_is_named(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["facets", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('"hello"', 'triangulation document is "hello", not an object'),
+        ("null", "triangulation document is null, not an object"),
+        ('{"dim": 2}', 'triangulation document has no "simplices"'),
+        ('{"simplices": 5}', "simplices is 5, not a list of cells"),
+        ('{"simplices": [[0, 1, 2], "012"]}', 'cell 1 is "012", not a list of indices'),
+    ],
+    ids=["string", "null", "no-simplices", "number-simplices", "string-cell"],
+)
+def test_malformed_star_document_is_named(capsys, cube_file, tmp_path, text, message):
+    star_path = tmp_path / "star.json"
+    star_path.write_text(text)
+    code = main(["lift", cube_file, "--set", "0,7", "--star", str(star_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_bad_max_dim_env_is_one_error_line(capsys, monkeypatch, square_file, raw):
+    monkeypatch.setenv("SPINALTRI_MAX_DIM", raw)
+    code = main(["facets", square_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: SPINALTRI_MAX_DIM is '{raw}', not a positive integer\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["spine-check", "{cube}", "--set", "0,3,3"],

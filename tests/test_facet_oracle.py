@@ -124,7 +124,7 @@ def brute_force_hyperplanes(
 
 def assert_matches_brute_force(p):
     """Same hyperplanes as the brute-force search, hence the same facets."""
-    pts = polytope._scaled_int_coords(p.frame().coords)
+    pts = list(p.frame().icoords)
     got = polytope._supporting_hyperplanes(pts, p.dim)
     assert sorted(got) == sorted(brute_force_hyperplanes(pts, p.dim))
     with mock.patch.object(

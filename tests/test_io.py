@@ -87,3 +87,50 @@ def test_json_numbers_parse_exactly(tmp_path):
         ["0"],
         ["12345678901234567890123/100000000000000000000000"],
     ]
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ("hello", 'polytope document is "hello", not an object'),
+        (None, "polytope document is null, not an object"),
+        ([["0"], ["1"]], 'polytope document is [["0"], ["1"]], not an object'),
+        ({"vertices": [["0"], ["1"]]}, 'polytope document has no "ambient_dim"'),
+        ({"ambient_dim": 1}, 'polytope document has no "vertices"'),
+        (
+            {"ambient_dim": 2, "vertices": [["0", "0"], [None, "1"]]},
+            "vertex 1 coordinate 0 is null, not a rational",
+        ),
+        (
+            {"ambient_dim": 2, "vertices": [["0", "0"], ["1", True]]},
+            "vertex 1 coordinate 1 is true, not a rational",
+        ),
+        (
+            {"ambient_dim": 2, "vertices": [["0", ["1"]], ["1", "1"]]},
+            'vertex 0 coordinate 1 is ["1"], not a rational',
+        ),
+    ],
+    ids=["string", "null", "list", "no-ambient-dim", "no-vertices", "null-coordinate",
+         "boolean-coordinate", "list-coordinate"],
+)
+def test_malformed_polytope_documents_are_named(doc, message):
+    with pytest.raises(sio.DocumentError) as exc:
+        sio.polytope_from_doc(doc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ("hello", 'triangulation document is "hello", not an object'),
+        (None, "triangulation document is null, not an object"),
+        ({"dim": 2}, 'triangulation document has no "simplices"'),
+        ({"simplices": 5}, "simplices is 5, not a list of cells"),
+        ({"simplices": [[0, 1, 2], "012"]}, 'cell 1 is "012", not a list of indices'),
+    ],
+    ids=["string", "null", "no-simplices", "number-simplices", "string-cell"],
+)
+def test_malformed_triangulation_documents_are_named(doc, message):
+    with pytest.raises(sio.DocumentError) as exc:
+        sio.simplices_from_doc(doc, 3)
+    assert str(exc.value) == message

@@ -11,6 +11,8 @@ from spinaltri.linalg import (
     det,
     format_rational,
     gram_sq_volume,
+    int_adjugate,
+    int_det,
     inverse,
     kernel_basis,
     parse_rational,
@@ -165,6 +167,45 @@ class TestInverse:
     def test_singular_raises(self):
         with pytest.raises(DimensionError):
             inverse(QMatrix([[1, 2], [2, 4]]))
+
+
+class TestIntKernels:
+    @given(square_matrix(4))
+    def test_int_det_is_det_of_integer_rows(self, m):
+        rows = [[int(x * 420) for x in row] for row in m.entries]
+        assert int_det(rows) == det(m) * 420**4
+
+    @given(square_matrix(3))
+    def test_adjugate(self, m):
+        rows = [[int(x * 60) for x in row] for row in m.entries]
+        if int_det(rows) == 0:
+            with pytest.raises(DimensionError):
+                int_adjugate(rows)
+            return
+        adj, d = int_adjugate(rows)
+        assert d == int_det(rows)
+        assert QMatrix(rows) @ QMatrix(adj) == QMatrix.identity(3).scale(d)
+
+    def test_empty(self):
+        assert int_det([]) == 1
+        assert int_adjugate([]) == ([], 1)
+
+
+class TestConstruction:
+    def test_entries_coerce_as_before(self):
+        # int, str and bool entries become Fractions exactly as
+        # Fraction(x) makes them; Fraction entries are kept as they are.
+        half = Fraction(1, 2)
+        raw = [3, "-3/4", True, False, half, "2"]
+        want = (Fraction(3), Fraction(-3, 4), Fraction(1), Fraction(0), half, Fraction(2))
+        v = QVector(raw)
+        m = QMatrix([raw, raw])
+        for entries in (v.entries, m.entries[0], m.entries[1]):
+            assert entries == want
+            assert all(type(x) is Fraction for x in entries)
+            assert entries[4] is half
+        with pytest.raises(ValueError):
+            QVector(["x"])
 
 
 class TestSerialization:

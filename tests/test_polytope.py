@@ -66,6 +66,19 @@ class TestMakePolytope:
         monkeypatch.setenv("SPINALTRI_MAX_DIM", "20")
         assert make_polytope(pts).dim == 1
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_bad_max_dim_env_is_rejected(self, monkeypatch, raw):
+        from spinaltri.polytope import PolytopeError, max_ambient_dim
+
+        monkeypatch.setenv("SPINALTRI_MAX_DIM", raw)
+        message = f"SPINALTRI_MAX_DIM is '{raw}', not a positive integer"
+        with pytest.raises(PolytopeError) as exc:
+            max_ambient_dim()
+        assert str(exc.value) == message
+        with pytest.raises(PolytopeError) as exc:
+            make_polytope([QVector([0]), QVector([1])])
+        assert str(exc.value) == message
+
     def test_vertex_count_guard(self):
         from spinaltri.polytope import PolytopeError
 

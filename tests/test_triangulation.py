@@ -305,6 +305,20 @@ class TestValidate:
             "the cells on ridge (1, 2) lie on the same side of it",
         )
 
+    def test_names_the_first_same_side_ridge_after_relabelling(self):
+        # The same double cover with two diamond points swapped.  Here the
+        # apexes of the first ridges sit at sorted positions of different
+        # parity, so a side rule without the (-1)^(k-j) factor names another
+        # ridge; the ridges on the boundary of the diamond are all
+        # same-sided, so only the reason tells the two rules apart.
+        p = make_polytope([qv(0, 0), qv(2, 0), qv(0, 2), qv(2, 2)])
+        pts = (qv(1, 0), qv(2, 1), qv(0, 1), qv(1, 2))
+        t = Triangulation(pts, ((0, 1, 3), (0, 2, 3), (0, 1, 2), (1, 2, 3)), 2)
+        assert validate_detailed(t, p) == (
+            False,
+            "the cells on ridge (1, 3) lie on the same side of it",
+        )
+
     @pytest.mark.parametrize(
         "points,cells,outside",
         [
