@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import QMatrix, QVector, det, int_dot
+from .linalg import QMatrix, QVector, det, int_det, int_dot
 from .polytope import Polytope, extreme_points, make_polytope
 from .spine import spine
 from .volume import lifting_relation_report, polytope_volume
@@ -152,6 +152,11 @@ def _imatvec(rows: list[list[int]], v: list[int]) -> list[int]:
     return [int_dot(row, v) for row in rows]
 
 
+def _int_rows(m: QMatrix) -> list[list[int]]:
+    """The rows of a context map, which is an integer matrix."""
+    return [[x.numerator for x in row] for row in m.entries]
+
+
 def birkhoff_context(n: int, *, allow_large: bool = False) -> BirkhoffContext:
     """Build and self-check the context; transcription bugs surface here."""
     limit = 6 if allow_large else 5
@@ -249,7 +254,8 @@ def determinant_identities(ctx: BirkhoffContext) -> DeterminantReport:
     """det(B^T B) = n^(2m), |det C| = 1, det J = n, and the block identity
     det(block(J, m)) = (m+1)^m det(J)^m realized by B^T B itself."""
     n, m = ctx.n, ctx.m
-    det_btb = det(ctx.b_map.transpose() @ ctx.b_map)
+    cols = list(zip(*_int_rows(ctx.b_map)))
+    det_btb = Fraction(int_det([[int_dot(u, w) for w in cols] for u in cols]))
     det_c = abs(det(ctx.c_map))
     det_j = det(ctx.j_mat)
     blk = det(block_matrix(ctx.j_mat, m))
@@ -272,9 +278,7 @@ def projected_birkhoff(ctx: BirkhoffContext) -> Polytope:
         raise BirkhoffError(
             f"projection target has dimension {m * (m - 1)}; nothing to build for n = {n}"
         )
-    images = [
-        ctx.d_map @ (ctx.c_map @ (ctx.a_map @ v) + ctx.b_vec) for v in ctx.vertices
-    ]
+    images = _projected_images(ctx)
     for i in ctx.spine_vertex_indices:
         if not images[i].is_zero():
             raise BirkhoffError("a spine vertex has a nonzero projected image")
@@ -285,6 +289,17 @@ def projected_birkhoff(ctx: BirkhoffContext) -> Polytope:
     ):
         raise BirkhoffError("origin should be interior to the projected polytope")
     return p
+
+
+def _projected_images(ctx: BirkhoffContext) -> list[QVector]:
+    """D(C(A v) + b) for every vertex v, on the maps' integer rows."""
+    a, c, d = _int_rows(ctx.a_map), _int_rows(ctx.c_map), _int_rows(ctx.d_map)
+    b = [x.numerator for x in ctx.b_vec]
+    images = []
+    for v in ctx.vertices:
+        moved = _imatvec(c, _imatvec(a, [x.numerator for x in v]))
+        images.append(QVector(_imatvec(d, [x + y for x, y in zip(moved, b)])))
+    return images
 
 
 def _strictly_inside(x: QVector, p: Polytope) -> bool:

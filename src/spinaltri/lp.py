@@ -13,7 +13,8 @@ included, is then ``int`` entries over one common denominator D > 0, the
 magnitude of the basis determinant, and a pivot on p divides exactly by the
 old D before D becomes p.  Scaling row i by s_i also scales its slack or
 artificial variable by s_i; phase-1 costs of L / s_i undo that, so the pivot
-path is the one of the rational tableau.
+path is the one of the rational tableau.  A row whose bound and coefficients
+are all ``int`` is read as it is, with scale 1.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EQ = "="
 
 _REL_ALIASES = {"<=": LE, "=<": LE, "≤": LE, "<": LT, "=": EQ, "==": EQ}
 _EXACT = (int, Fraction)  # read as they are: both carry numerator and denominator
+_INT = {int}
 
 
 def _pivot(tab: list[list[int]], row: int, col: int, d: int) -> int:
@@ -91,13 +93,24 @@ def lp_feasible(constraints) -> bool:
     with relation one of ``<=``, ``<``, ``=``.  Returns True iff some
     rational point satisfies every constraint.  Rows of the shape
     ``-x_i <= 0`` are absorbed as sign restrictions so that callers passing
-    barycentric-coordinate systems do not pay for split variables.
+    barycentric-coordinate systems do not pay for split variables.  A row
+    whose bound and coefficients are all ``int`` (not ``bool``) is read as
+    it is, with scale 1; any other row is scaled to integers by the lcm of
+    its denominators.
     """
     cons: list[tuple[list[int], int, int, str]] = []
     dim: int | None = None
     for coeffs, bound, rel in constraints:
-        a = [c if type(c) in _EXACT else Fraction(c) for c in coeffs]
-        b = bound if type(bound) in _EXACT else Fraction(bound)
+        a = list(coeffs)
+        if type(bound) is int and set(map(type, a)) <= _INT:
+            b, s = bound, 1
+        else:
+            a = [c if type(c) in _EXACT else Fraction(c) for c in a]
+            b = bound if type(bound) in _EXACT else Fraction(bound)
+            # Scale the row by s, the lcm of its denominators, to integers.
+            s = lcm(b.denominator, *(x.denominator for x in a))
+            a = [x.numerator * (s // x.denominator) for x in a]
+            b = b.numerator * (s // b.denominator)
         try:
             rel = _REL_ALIASES[rel]
         except KeyError:
@@ -106,10 +119,7 @@ def lp_feasible(constraints) -> bool:
             dim = len(a)
         elif len(a) != dim:
             raise DimensionError("constraint vectors of mixed dimension")
-        # Scale the row by s, the lcm of its denominators, to integers.
-        s = lcm(b.denominator, *(x.denominator for x in a))
-        a = [x.numerator * (s // x.denominator) for x in a]
-        cons.append((a, b.numerator * (s // b.denominator), s, rel))
+        cons.append((a, b, s, rel))
     if dim is None or dim == 0:
         # Empty variable space: constraints degenerate to "0 rel b".
         for _, b, _, rel in cons:
@@ -120,9 +130,9 @@ def lp_feasible(constraints) -> bool:
     nonneg = [False] * dim
     kept: list[tuple[list[int], int, int, str]] = []
     for a, b, s, rel in cons:
-        nz = [j for j, c in enumerate(a) if c]
-        if b == 0 and len(nz) == 1 and a[nz[0]] < 0 and rel in (LE, LT):
-            nonneg[nz[0]] = True
+        # A sign row: one nonzero coefficient, negative, against bound 0.
+        if b == 0 and rel != EQ and a.count(0) == dim - 1 and (low := min(a)) < 0:
+            nonneg[a.index(low)] = True
             if rel == LE:
                 continue  # pure sign restriction, carried by the variable
         kept.append((a, b, s, rel))
@@ -141,10 +151,14 @@ def lp_feasible(constraints) -> bool:
     tab: list[list[int]] = []
     basis: list[int] = []
     slack_at = col_count
+    split = not all(nonneg)
     for a, b, s, rel in kept:
-        row = []
-        for j, c in enumerate(a):
-            row.extend((c,) if nonneg[j] else (c, -c))
+        if split:
+            row = []
+            for j, c in enumerate(a):
+                row.extend((c,) if nonneg[j] else (c, -c))
+        else:
+            row = a.copy()
         if has_strict:
             row.append(s if rel == LT else 0)  # eps, times the row's scale
         row += [0] * n_slack + [b]

@@ -153,18 +153,20 @@ class Polytope:
 
     def contains(self, x: QVector) -> bool:
         """Exact membership test: in the affine hull and on the inner side
-        of every facet."""
+        of every facet, both on integers as in the validator."""
         if len(x) != self.ambient_dim:
             raise DimensionError(
                 f"point of dim {len(x)} against ambient dim {self.ambient_dim}"
             )
         if self.n_vertices == 1:
             return x == self.vertices[0]
+        amb, q = scaled_ints([x])
         try:
-            frame_coords(self, x)
+            hull_ints(self.frame(), amb, q)
+            facet_masks(self.facets(), amb, q)
         except PolytopeError:
             return False
-        return all(f.normal.dot(x) <= f.offset for f in self.facets())
+        return True
 
 
 def make_polytope(
@@ -190,13 +192,14 @@ def make_polytope(
         raise PolytopeError(
             f"{len(pts)} vertices exceed the desk-scale cap {max_vertices}"
         )
-    seen: dict[tuple, int] = {}
-    for i, p in enumerate(pts):
-        if p.entries in seen:
-            raise DuplicatePoint(i, seen[p.entries])
-        seen[p.entries] = i
+    ints, _ = scaled_ints(pts)
+    seen: dict[tuple[int, ...], int] = {}
+    for i, p in enumerate(ints):
+        if p in seen:
+            raise DuplicatePoint(i, seen[p])
+        seen[p] = i
     for i in range(len(pts)):
-        if len(pts) > 1 and _in_convex_hull(pts[i], pts[:i] + pts[i + 1 :]):
+        if len(pts) > 1 and _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
             raise NotInConvexPosition(i)
     return Polytope(pts, dim)
 
@@ -205,16 +208,20 @@ def extreme_points(points: Sequence[QVector]) -> list[QVector]:
     """Sublist of points that are vertices of the hull; duplicates collapsed."""
     pts = [p if isinstance(p, QVector) else QVector(p) for p in points]
     unique: list[QVector] = []
-    seen: set[tuple] = set()
-    for p in pts:
-        if p.entries not in seen:
-            seen.add(p.entries)
+    ints: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for p, key in zip(pts, scaled_ints(pts)[0]):
+        if key not in seen:
+            seen.add(key)
             unique.append(p)
+            ints.append(key)
     if len(unique) <= 1:
         return unique
+    if any(len(p) != len(unique[0]) for p in unique):
+        raise DimensionError("points of mixed dimension")
     keep = []
     for i, p in enumerate(unique):
-        if not _in_convex_hull(p, unique[:i] + unique[i + 1 :]):
+        if not _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
             keep.append(p)
     return keep
 
@@ -233,7 +240,15 @@ def facets_of_face(face: int, facet_masks: Sequence[int]) -> list[int]:
     return [c for c in cands if not any(c & o == c and c != o for o in cands)]
 
 
-def _in_convex_hull(x: QVector, hull_points: Sequence[QVector]) -> bool:
+def _in_convex_hull(x: Sequence, hull_points: Sequence[Sequence]) -> bool:
+    """Whether x is a convex combination of hull_points, by one LP call on
+    the weights: n sign rows -w_i <= 0, the sum row, then one row per
+    coordinate, in that order.  The perfbench tracer pins this layout (4
+    calls of 6 rows each for a square), so keep one call per tested point
+    and every row.  Integer coordinates, as make_polytope and extreme_points
+    pass them after scaled_ints, reach the LP as they are; QVectors are
+    scaled there row by row.
+    """
     if not hull_points:
         return False
     n = len(hull_points)
@@ -252,6 +267,29 @@ def scaled_ints(points: Sequence[QVector]) -> tuple[tuple[tuple[int, ...], ...],
     """The points times the lcm q of all their denominators, and q."""
     q = math.lcm(*(x.denominator for v in points for x in v))
     return tuple(tuple(x.numerator * (q // x.denominator) for x in v) for v in points), q
+
+
+def facet_masks(
+    facets: Sequence[Facet], amb: Sequence[Sequence[int]], q: int
+) -> list[int]:
+    """For each ambient point a / q of amb (q > 0), the bitmask of the facets
+    whose hyperplane holds it; PolytopeError naming the first point beyond a
+    facet.  Each normal . x <= offset is tested cross-multiplied, on int."""
+    planes = [
+        ([x.numerator for x in f.normal], f.offset.numerator, f.offset.denominator)
+        for f in facets
+    ]
+    masks = []
+    for i, a in enumerate(amb):
+        mask = 0
+        for j, (normal, num, den) in enumerate(planes):
+            side = int_dot(normal, a) * den - num * q
+            if side > 0:
+                raise PolytopeError(f"point {i} lies outside the polytope")
+            if side == 0:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
 
 
 def hull_ints(

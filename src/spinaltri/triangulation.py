@@ -23,6 +23,7 @@ from .polytope import (
     Polytope,
     PolytopeError,
     extreme_points,
+    facet_masks,
     facets_of_face,
     hull_ints,
     make_polytope,
@@ -383,24 +384,16 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
         return False, "some points are not vertices of any cell"
     # Bit j of on_facet[i] is set iff point i lies on facet j's hyperplane.
     facets = p.facets()
-    on_facet = [0] * n
     if on_vertices:
+        on_facet = [0] * n
         for j, f in enumerate(facets):
             for i in f.incident:
                 on_facet[i] |= 1 << j
     else:
-        planes = [
-            ([x.numerator for x in f.normal], f.offset.numerator, f.offset.denominator)
-            for f in facets
-        ]
-        for i, a in enumerate(amb):
-            for j, (normal, num, den) in enumerate(planes):
-                # normal . (a / q) against num / den, cross-multiplied.
-                side = int_dot(normal, a) * den - num * q
-                if side > 0:
-                    return False, f"point {i} lies outside the polytope"
-                if side == 0:
-                    on_facet[i] |= 1 << j
+        try:
+            on_facet = facet_masks(facets, amb, q)
+        except PolytopeError as exc:
+            return False, str(exc)
     ridges: dict[tuple[int, ...], list[bool]] = {}
     for c, positive in cells:
         for j, drop in enumerate(c):

@@ -10,7 +10,10 @@ The library's former Fraction code is kept here verbatim as the oracle:
 - `fraction_projector`: the body of the former `ShadowMap` up to the images;
 - `kernel_validate_detailed`: the former `validate_detailed`, which put a
   `kernel_basis` normal on every interior ridge;
-- `fraction_birkhoff_checks`: the former self-checks of `birkhoff_context`.
+- `fraction_birkhoff_checks`: the former self-checks of `birkhoff_context`;
+- `fraction_projected_images` and `fraction_determinant_identities`: the
+  former images D(C(A v) + b) of `projected_birkhoff` and the former
+  `determinant_identities`, both on the context's `QMatrix` maps.
 
 The library must give equal coordinates, Gram determinants, facets (normal,
 offset and incidence), projectors, images and accept/reject answers with
@@ -300,6 +303,32 @@ def fraction_birkhoff_checks(n, vertices, spine_vectors, a_map, b_map, c_map, a_
         raise birkhoff.BirkhoffError("spine did not land on the coordinate vectors")
 
 
+def fraction_projected_images(ctx) -> list[QVector]:
+    return [
+        ctx.d_map @ (ctx.c_map @ (ctx.a_map @ v) + ctx.b_vec) for v in ctx.vertices
+    ]
+
+
+def fraction_determinant_identities(ctx) -> birkhoff.DeterminantReport:
+    """det(B^T B) = n^(2m), |det C| = 1, det J = n, and the block identity
+    det(block(J, m)) = (m+1)^m det(J)^m realized by B^T B itself."""
+    n, m = ctx.n, ctx.m
+    det_btb = det(ctx.b_map.transpose() @ ctx.b_map)
+    det_c = abs(det(ctx.c_map))
+    det_j = det(ctx.j_mat)
+    blk = det(birkhoff.block_matrix(ctx.j_mat, m))
+    block_ok = blk == (m + 1) ** m * det_j**m and blk == det_btb
+    return birkhoff.DeterminantReport(
+        det_btb,
+        det_c,
+        det_j,
+        det_btb == Fraction(n) ** (2 * m),
+        det_c == 1,
+        det_j == n,
+        block_ok,
+    )
+
+
 # --- instances ----------------------------------------------------------------
 
 
@@ -494,6 +523,15 @@ def test_birkhoff_checks_match(n):
     fraction_birkhoff_checks(
         n, ctx.vertices, ctx.spine_vectors, ctx.a_map, ctx.b_map, ctx.c_map, ctx.a_vec, ctx.b_vec
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_birkhoff_images_and_determinants_match(n):
+    ctx = birkhoff.birkhoff_context(n)
+    assert birkhoff._projected_images(ctx) == fraction_projected_images(ctx)
+    report = birkhoff.determinant_identities(ctx)
+    assert report == fraction_determinant_identities(ctx)
+    assert type(report.det_btb) is Fraction and report.all_ok
 
 
 @pytest.mark.parametrize("n", [3, 4])

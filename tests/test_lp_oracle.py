@@ -9,6 +9,7 @@ leftover artificials when no strict row needs a second phase.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -408,3 +409,101 @@ def test_errors_match_the_oracle():
         for fn in (lp.lp_feasible, fraction_lp_feasible):
             with pytest.raises(exc):
                 fn(cons)
+
+
+# --- integer rows, read as they are -------------------------------------------
+
+
+def prescaled(cons) -> list:
+    """Each row times the lcm of its denominators, as plain ints."""
+    out = []
+    for a, b, rel in cons:
+        a, b = [Fraction(c) for c in a], Fraction(b)
+        s = math.lcm(b.denominator, *(c.denominator for c in a))
+        out.append(([int(c * s) for c in a], int(b * s), rel))
+    return out
+
+
+def as_tuples(cons) -> list:
+    return [(tuple(a), b, rel) for a, b, rel in cons]
+
+
+def as_generators(cons):
+    """The system and each of its rows as one-shot generators."""
+    return (((c for c in a), b, rel) for a, b, rel in cons)
+
+
+def mixed(cons, rng: random.Random) -> list:
+    """The same integer rows with some entries given as equal Fractions or,
+    where they are 0 or 1, as bools."""
+
+    def respell(c):
+        r = rng.random()
+        if r < 0.2:
+            return Fraction(c)
+        if r < 0.4 and c in (0, 1):
+            return bool(c)
+        return c
+
+    return [([respell(c) for c in a], respell(b), rel) for a, b, rel in cons]
+
+
+def pivot_path(cons) -> tuple[bool, list]:
+    """The answer of lp_feasible and its (row, column) pivots; every pivot
+    must find a tableau of plain ints."""
+    path: list = []
+    real_pivot = lp._pivot
+
+    def record(tab, row, col, d):
+        assert all(type(x) is int for r in tab for x in r)
+        path.append((row, col))
+        return real_pivot(tab, row, col, d)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "_pivot", record)
+        answer = lp.lp_feasible(cons)
+    return answer, path
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_integer_rows_take_the_oracle_pivots(seed, monkeypatch):
+    """Random and convex-hull systems with every row pre-scaled to ints,
+    given as lists, tuples and generators, and respelled with Fraction and
+    bool entries: the oracle's answer and pivots on that system."""
+    rng = random.Random(400 + seed)
+    systems = [random_system(rng) for _ in range(200)]
+    systems += [random_hull_system(rng) for _ in range(200)]
+    answers = []
+    for cons in systems:
+        ints = prescaled(cons)
+        answer = _check_against_oracle(ints, monkeypatch)
+        assert _check_against_oracle(as_tuples(ints), monkeypatch) == answer
+        want = pivot_path(ints)
+        assert want[0] == answer
+        assert pivot_path(as_generators(ints)) == want
+        respelled = mixed(ints, rng)
+        assert _check_against_oracle(respelled, monkeypatch) == answer
+        assert pivot_path(respelled) == want
+        answers.append(answer)
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_rows_mixing_int_with_fractions_and_bools():
+    """Rows that mix int with non-integer Fractions or bools go through the
+    scaled intake: exact answers and an all-int tableau."""
+    cases = [
+        # x >= 0, y >= 0 given with a bool and a Fraction; x/2 + y = 1, x = 1.
+        ([([-1, False], 0, LE), ([Fraction(0), -1], False, LE),
+          ([Fraction(1, 2), 1], 1, EQ), ([True, 0], 1, EQ)], True),
+        # The same, but x = 3 makes y = -1/2 < 0.
+        ([([-1, False], 0, LE), ([Fraction(0), -1], False, LE),
+          ([Fraction(1, 2), 1], 1, EQ), ([True, 0], 3, EQ)], False),
+        # x < 1/3 with x > 1/4, bounds mixing Fraction and int rows.
+        ([([3, 0], 1, LT), ([Fraction(-4), True], Fraction(-1), LT),
+          ([0, 1], 0, EQ)], True),
+        ([([3, 0], 1, LT), ([Fraction(-3), True], Fraction(-1), LT),
+          ([0, 1], 0, EQ)], False),
+    ]
+    for cons, expected in cases:
+        assert fraction_lp_feasible(cons) is expected
+        assert pivot_path(cons)[0] is expected

@@ -1,0 +1,269 @@
+"""Cross-check the integer membership tests against their Fraction predecessors.
+
+The library's former code is kept here verbatim as the oracle:
+
+- `fraction_in_convex_hull`: the former `polytope._in_convex_hull`, which
+  hands the LP the points' `Fraction` coordinates row by row;
+- `fraction_make_polytope` and `fraction_extreme_points`: the former
+  `make_polytope` and `extreme_points`, calling it on the points as given;
+- `fraction_contains`: the former `Polytope.contains`, which checks the
+  affine hull through `frame_coords` and then takes a `Fraction` dot product
+  with every facet normal.
+
+The library now scales each point set to integers once and answers both
+questions on `int`.  On seeded random point sets in dimensions 1 to 4, with
+integer and rational coordinates, repeated points, points inside the hull
+and skew rational embeddings of lower dimension, both sides must build the
+same vertices or name the same offending point, keep the same extreme
+points, and agree on membership of points inside, on the boundary, outside
+and off the affine hull.
+"""
+
+import random
+from fractions import Fraction
+from typing import Sequence
+
+import pytest
+
+from spinaltri.linalg import DimensionError, QMatrix, QVector, rank
+from spinaltri.lp import EQ, LE, lp_feasible
+from spinaltri.polytope import (
+    DEFAULT_MAX_VERTICES,
+    ENV_MAX_DIM,
+    DuplicatePoint,
+    NotInConvexPosition,
+    Polytope,
+    PolytopeError,
+    extreme_points,
+    frame_coords,
+    make_polytope,
+    max_ambient_dim,
+)
+
+
+# --- the former Fraction membership tests --------------------------------------
+
+
+def fraction_in_convex_hull(x: QVector, hull_points: Sequence[QVector]) -> bool:
+    if not hull_points:
+        return False
+    n = len(hull_points)
+    constraints = []
+    for i in range(n):
+        coeff = [0] * n
+        coeff[i] = -1
+        constraints.append((coeff, 0, LE))  # lambda_i >= 0
+    constraints.append(([1] * n, 1, EQ))  # sum = 1
+    for c in range(len(x)):
+        constraints.append(([p[c] for p in hull_points], x[c], EQ))
+    return lp_feasible(constraints)
+
+
+def fraction_make_polytope(
+    points: Sequence[QVector], *, max_vertices: int = DEFAULT_MAX_VERTICES
+) -> Polytope:
+    """Validate convex position and pairwise distinctness, then build.
+
+    Points inside the hull of the others are rejected rather than filtered;
+    use extreme_points() for explicit filtering.
+    """
+    pts = [p if isinstance(p, QVector) else QVector(p) for p in points]
+    if not pts:
+        raise PolytopeError("empty point list")
+    dim = len(pts[0])
+    if any(len(p) != dim for p in pts):
+        raise DimensionError("points of mixed dimension")
+    if dim > max_ambient_dim():
+        raise PolytopeError(
+            f"ambient dimension {dim} exceeds the desk-scale cap "
+            f"{max_ambient_dim()}; set {ENV_MAX_DIM} to override"
+        )
+    if len(pts) > max_vertices:
+        raise PolytopeError(
+            f"{len(pts)} vertices exceed the desk-scale cap {max_vertices}"
+        )
+    seen: dict[tuple, int] = {}
+    for i, p in enumerate(pts):
+        if p.entries in seen:
+            raise DuplicatePoint(i, seen[p.entries])
+        seen[p.entries] = i
+    for i in range(len(pts)):
+        if len(pts) > 1 and fraction_in_convex_hull(pts[i], pts[:i] + pts[i + 1 :]):
+            raise NotInConvexPosition(i)
+    return Polytope(pts, dim)
+
+
+def fraction_extreme_points(points: Sequence[QVector]) -> list[QVector]:
+    """Sublist of points that are vertices of the hull; duplicates collapsed."""
+    pts = [p if isinstance(p, QVector) else QVector(p) for p in points]
+    unique: list[QVector] = []
+    seen: set[tuple] = set()
+    for p in pts:
+        if p.entries not in seen:
+            seen.add(p.entries)
+            unique.append(p)
+    if len(unique) <= 1:
+        return unique
+    keep = []
+    for i, p in enumerate(unique):
+        if not fraction_in_convex_hull(p, unique[:i] + unique[i + 1 :]):
+            keep.append(p)
+    return keep
+
+
+def fraction_contains(self: Polytope, x: QVector) -> bool:
+    """Exact membership test: in the affine hull and on the inner side
+    of every facet."""
+    if len(x) != self.ambient_dim:
+        raise DimensionError(
+            f"point of dim {len(x)} against ambient dim {self.ambient_dim}"
+        )
+    if self.n_vertices == 1:
+        return x == self.vertices[0]
+    try:
+        frame_coords(self, x)
+    except PolytopeError:
+        return False
+    return all(f.normal.dot(x) <= f.offset for f in self.facets())
+
+
+# --- instances ----------------------------------------------------------------
+
+
+def _coord(rng: random.Random, rational: bool):
+    if rational:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return rng.randint(-3, 3)
+
+
+def point_sets(seed: int, count: int):
+    """Random point lists in R^1 to R^4: a k-dimensional cloud, sometimes
+    with a repeated point and a convex combination of two or three of its
+    points inserted, then (for k < 4, half the time) mapped by a random
+    injective rational affine map into R^(k + extra)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 4)
+        rational = rng.random() < 0.5
+        pts = [
+            QVector([_coord(rng, rational) for _ in range(k)])
+            for _ in range(rng.randint(1, 8))
+        ]
+        if rng.random() < 0.3:
+            pts.insert(rng.randrange(len(pts) + 1), rng.choice(pts))
+        if rng.random() < 0.4 and len(pts) > 1:
+            picks = rng.sample(pts, min(len(pts), rng.randint(2, 3)))
+            w = [Fraction(rng.randint(1, 3)) for _ in picks]
+            combo = sum((c * v for c, v in zip(w, picks)), QVector.zero(k))
+            pts.insert(rng.randrange(len(pts) + 1), combo * Fraction(1, sum(w)))
+        extra = rng.randint(1, 4 - k) if k < 4 and rng.random() < 0.5 else 0
+        if extra or rng.random() < 0.3:
+            while True:
+                a = QMatrix(
+                    [[_coord(rng, True) for _ in range(k)] for _ in range(k + extra)]
+                )
+                if rank(a) == k:
+                    break
+            shift = QVector([_coord(rng, True) for _ in range(k + extra)])
+            pts = [a @ v + shift for v in pts]
+        yield pts
+
+
+def outcome(build, pts):
+    """The vertices built, or the error with its offending indices."""
+    try:
+        return build(pts).vertices
+    except PolytopeError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "first", None)
+
+
+def probe_points(p: Polytope, rng: random.Random):
+    """(kind, point): the vertices, the centroid, the centroid of every
+    facet, points beyond each vertex, rational affine combinations of the
+    vertices, random ambient points, and the centroid moved along each unit
+    vector that leaves the affine hull."""
+    n, amb = p.n_vertices, p.ambient_dim
+    centroid = sum(p.vertices, QVector.zero(amb)) * Fraction(1, n)
+    for v in p.vertices:
+        yield "vertex", v
+        if n > 1:
+            yield "beyond", v + (v - centroid)
+    yield "centroid", centroid
+    edges = [v - p.vertices[0] for v in p.vertices]
+    for i in range(amb):
+        e = QVector.unit(amb, i)
+        if rank(QMatrix(edges + [e])) > p.dim:
+            yield "off-hull", centroid + e * Fraction(1, 3)
+    if p.dim > 0:
+        for f in p.facets():
+            pts = [p.vertices[i] for i in f.incident]
+            yield "facet", sum(pts, QVector.zero(amb)) * Fraction(1, len(pts))
+    for _ in range(3):
+        w = [Fraction(rng.randint(-2, 4), rng.randint(1, 3)) for _ in p.vertices]
+        w[0] += 1 - sum(w)
+        yield "combination", sum((c * v for c, v in zip(w, p.vertices)), QVector.zero(amb))
+        yield "random", QVector([_coord(rng, True) for _ in range(amb)])
+
+
+# --- tests --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_make_polytope_and_extreme_points_agree(seed):
+    seen = set()
+    for pts in point_sets(seed, 120):
+        got = outcome(make_polytope, pts)
+        assert got == outcome(fraction_make_polytope, pts), pts
+        assert extreme_points(pts) == fraction_extreme_points(pts), pts
+        seen.add(got[0] if isinstance(got[0], type) else len(pts[0]))
+    assert {NotInConvexPosition, DuplicatePoint, 1, 2, 3, 4} <= seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_contains_agrees(seed):
+    rng = random.Random(50 + seed)
+    answers = {}
+    for pts in point_sets(seed, 60):
+        ext = extreme_points(pts)
+        if not ext:
+            continue
+        p = make_polytope(ext)
+        for kind, x in probe_points(p, rng):
+            got = p.contains(x)
+            assert got == fraction_contains(p, x), (ext, x)
+            answers.setdefault(kind, set()).add(got)
+    for kind in ("vertex", "centroid", "facet"):
+        assert answers[kind] == {True}, kind
+    assert answers["beyond"] == {False}
+    assert answers["combination"] == answers["random"] == {True, False}
+    assert answers["off-hull"] == {False}
+
+
+def test_contains_on_a_skew_rational_square():
+    """A square spanning a rational plane in R^4: points of the plane inside
+    and outside it, and each of them moved off the plane along every
+    coordinate axis (none of which lies in the plane)."""
+    a = QMatrix([[1, 0], [0, 1], [Fraction(1, 3), 2], [-1, Fraction(1, 2)]])
+    shift = QVector([Fraction(1, 2), 0, 1, Fraction(-2, 3)])
+    p = make_polytope([a @ QVector(v) + shift for v in [(0, 0), (2, 0), (0, 2), (2, 2)]])
+    for u, inside in [((1, 1), True), ((2, Fraction(1, 2)), True), ((Fraction(15, 7), 1), False)]:
+        x = a @ QVector(u) + shift
+        assert p.contains(x) == fraction_contains(p, x) == inside
+        for i in range(4):
+            off = x + QVector.unit(4, i) * Fraction(1, 7)
+            assert not p.contains(off) and not fraction_contains(p, off)
+
+
+SQUARE = [QVector(v) for v in [(0, 0), (1, 0), (0, 1), (1, 1)]]
+CENTRE = QVector([Fraction(1, 2), Fraction(1, 2)])
+
+
+@pytest.mark.parametrize("pos", range(5))
+def test_square_plus_centre_in_every_position(pos):
+    pts = SQUARE[:pos] + [CENTRE] + SQUARE[pos:]
+    for build in (make_polytope, fraction_make_polytope):
+        with pytest.raises(NotInConvexPosition) as exc:
+            build(pts)
+        assert exc.value.index == pos
+    assert extreme_points(pts) == fraction_extreme_points(pts) == SQUARE
+    assert make_polytope(SQUARE).vertices == tuple(SQUARE)

@@ -207,6 +207,21 @@ class TestExtremePoints:
         pts = [qv(0), qv(2), qv(1)]
         assert extreme_points(pts) == [qv(0), qv(2)]
 
+    @pytest.mark.parametrize(
+        "raw", [[(0, 0), (1, 0), (0, 1, 5)], [(0, 1, 5), (0, 0), (1, 0)]]
+    )
+    def test_mixed_dimension_rejected_before_any_lp(self, raw, monkeypatch):
+        from spinaltri import polytope
+        from spinaltri.linalg import DimensionError
+
+        def no_lp(constraints):
+            raise AssertionError("an LP was built")
+
+        monkeypatch.setattr(polytope, "lp_feasible", no_lp)
+        for build in (extreme_points, make_polytope):
+            with pytest.raises(DimensionError, match="points of mixed dimension"):
+                build([QVector(t) for t in raw])
+
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                     min_size=1, max_size=12))
     def test_extreme_points_are_in_convex_position(self, raw):
