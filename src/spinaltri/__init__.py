@@ -28,7 +28,7 @@ from .polytope import (
     extreme_points,
     make_polytope,
 )
-from .spine import Spine, SpineError, enumerate_spines, face_spine, is_spine, is_spine_geometric, spine
+from .spine import Spine, SpineError, enumerate_spines, is_spine, spine
 from .triangulation import (
     ShadowMap,
     Triangulation,

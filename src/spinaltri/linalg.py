@@ -268,6 +268,12 @@ def _int_rows(m: QMatrix) -> tuple[list[list[int]], Fraction]:
     return rows, factor
 
 
+def scaled_ints(points: Sequence[QVector]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The points times the lcm q of all their denominators, and q."""
+    q = math.lcm(*(x.denominator for v in points for x in v))
+    return tuple(tuple(x.numerator * (q // x.denominator) for x in v) for v in points), q
+
+
 def int_dot(u: Iterable[int], v: Iterable[int]) -> int:
     return sum(map(operator.mul, u, v))
 
@@ -442,16 +448,20 @@ def gram_sq_volume(points: Sequence[QVector], k: int) -> Fraction:
     points[0]; zero iff the points are affinely dependent.  The square is the
     quantity of interest because k-volumes of simplices sitting inside a
     higher-dimensional space are generally irrational while their squares
-    stay rational.
+    stay rational.  The points are scaled once to integers by the lcm q of
+    their denominators; the integer Gram matrix is q^2 G, so one division by
+    q^(2k) (k!)^2 of its determinant gives the answer.
     """
-    if len(points) != k + 1:
+    if k < 0 or len(points) != k + 1:
         raise DimensionError(f"need {k + 1} points for a {k}-simplex, got {len(points)}")
     dims = {len(p) for p in points}
     if len(dims) > 1:
         raise DimensionError("points of mixed dimension")
     if k == 0:
         return Fraction(1)
-    edges = [p - points[0] for p in points[1:]]
-    gram = QMatrix([[e1.dot(e2) for e2 in edges] for e1 in edges], cols=k)
+    ints, q = scaled_ints(points)
+    edges = [[a - b for a, b in zip(v, ints[0])] for v in ints[1:]]
     f = math.factorial(k)
-    return det(gram) / (f * f)
+    return Fraction(
+        int_det([[int_dot(e1, e2) for e2 in edges] for e1 in edges]), q ** (2 * k) * f * f
+    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import DimensionError, QVector, int_adjugate, int_dot
+from .linalg import DimensionError, QVector, int_adjugate, int_dot, scaled_ints
 from .lp import EQ, LE, lp_feasible
 
 DEFAULT_MAX_AMBIENT_DIM = 16
@@ -261,12 +261,6 @@ def _in_convex_hull(x: Sequence, hull_points: Sequence[Sequence]) -> bool:
     for c in range(len(x)):
         constraints.append(([p[c] for p in hull_points], x[c], EQ))
     return lp_feasible(constraints)
-
-
-def scaled_ints(points: Sequence[QVector]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The points times the lcm q of all their denominators, and q."""
-    q = math.lcm(*(x.denominator for v in points for x in v))
-    return tuple(tuple(x.numerator * (q // x.denominator) for x in v) for v in points), q
 
 
 def facet_masks(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import QMatrix, QVector, int_adjugate, int_dot
+from .linalg import QMatrix, QVector, int_adjugate, int_dot, scaled_ints
 from .polytope import (
     Polytope,
     PolytopeError,
@@ -27,7 +27,6 @@ from .polytope import (
     facets_of_face,
     hull_ints,
     make_polytope,
-    scaled_ints,
     vertex_mask,
 )
 from .spine import Spine
@@ -159,7 +158,7 @@ def star_triangulation(
     ctx = _PullContext(hull, local_rank)
     cells: set[tuple[int, ...]] = set()
     for facet in hull.facets():
-        if facet.normal.dot(pts[z]) == facet.offset:
+        if facet.offset == 0:
             continue  # origin lies in this facet's hyperplane; cone is flat
         for tau in ctx.pull(vertex_mask(facet.incident)):
             cells.add(tuple(sorted((z,) + tuple(others[j] for j in tau))))

@@ -113,16 +113,21 @@ def lifting_relation_report(s: Spine) -> LiftingRelationReport:
         raise SpineError("the volume relation needs a spine with at least 2 points")
     p = s.polytope
     d = p.dim
-    vol_p_sq = polytope_volume(p).sq_volume
+    vol_p_sq = _sq_volume(p)
     vol_u_sq = gram_sq_volume(s.points(), s.n - 1)
     sm = shadow(s)
     if sm.e == 0:
         vol_shadow_sq = Fraction(1)  # the shadow is a single point
     else:
-        vol_shadow_sq = polytope_volume(shadow_polytope(sm)).sq_volume
+        vol_shadow_sq = _sq_volume(shadow_polytope(sm))
     return LiftingRelationReport(
         math.comb(d, s.n - 1), vol_p_sq, vol_u_sq, vol_shadow_sq
     )
+
+
+def _sq_volume(p: Polytope) -> Fraction:
+    """vol(p)^2 from the polytope's cached relative volume and its frame."""
+    return polytope_relative_volume(p) ** 2 * p.frame().gram_det
 
 
 def verify_lifting_relation(s: Spine) -> bool:

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,6 +136,90 @@ class TestGramSqVolume:
         pts = [QVector([0, 0, 0]), QVector([1, 2, 0]), QVector([0, 1, 5])]
         swapped = [QVector([p[2], p[0], -p[1]]) for p in pts]
         assert gram_sq_volume(pts, 2) == gram_sq_volume(swapped, 2)
+
+
+def gram_sq_volume_fraction(points, k):
+    """Oracle: the former Gram squared volume, with the Gram matrix built
+    from Fraction dot products and its determinant taken by `det`."""
+    if len(points) != k + 1:
+        raise DimensionError(f"need {k + 1} points for a {k}-simplex, got {len(points)}")
+    dims = {len(p) for p in points}
+    if len(dims) > 1:
+        raise DimensionError("points of mixed dimension")
+    if k == 0:
+        return Fraction(1)
+    edges = [p - points[0] for p in points[1:]]
+    gram = QMatrix([[e1.dot(e2) for e2 in edges] for e1 in edges], cols=k)
+    f = math.factorial(k)
+    return det(gram) / (f * f)
+
+
+def random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7)))
+
+
+class TestGramSqVolumeOracle:
+    def test_random_rational_simplices(self):
+        rng = random.Random(7718)
+        nonzero = 0
+        for _ in range(400):
+            k = rng.randint(0, 4)
+            d = rng.randint(max(k, 1), k + 3)
+            pts = [QVector([random_rational(rng) for _ in range(d)]) for _ in range(k + 1)]
+            got = gram_sq_volume(pts, k)
+            assert got == gram_sq_volume_fraction(pts, k)
+            nonzero += got != 0
+        assert nonzero > 300
+
+    def test_ambient_dimension_above_k(self):
+        rng = random.Random(7719)
+        for _ in range(200):
+            k = rng.randint(1, 3)
+            d = rng.randint(k + 1, k + 4)
+            pts = [QVector([random_rational(rng) for _ in range(d)]) for _ in range(k + 1)]
+            assert gram_sq_volume(pts, k) == gram_sq_volume_fraction(pts, k)
+
+    def test_affinely_dependent_sets_give_zero(self):
+        rng = random.Random(7720)
+        for _ in range(200):
+            k = rng.randint(1, 4)
+            d = rng.randint(1, k + 2)
+            pts = [QVector([random_rational(rng) for _ in range(d)]) for _ in range(k)]
+            # The last point is an affine combination of the others (or a
+            # repeat of one of them when there is only one).
+            weights = [random_rational(rng) for _ in range(k - 1)]
+            last = pts[0] + sum(
+                (w * (q - pts[0]) for w, q in zip(weights, pts[1:])), QVector.zero(d)
+            )
+            pts.insert(rng.randint(0, k), last)
+            assert gram_sq_volume(pts, k) == 0 == gram_sq_volume_fraction(pts, k)
+
+    @pytest.mark.parametrize(
+        "points,k",
+        [
+            ([QVector([0]), QVector([1])], 2),
+            ([QVector([0, 1])], 1),
+            ([QVector([0, 0]), QVector([1, 0]), QVector([0, 1])], 1),
+            ([QVector([0, 0]), QVector([1, 0, 0])], 1),
+            ([QVector([0, 0]), QVector([1, 0]), QVector([1, 2, 3])], 2),
+            ([], -2),
+        ],
+    )
+    def test_same_dimension_errors(self, points, k):
+        with pytest.raises(DimensionError) as want:
+            gram_sq_volume_fraction(points, k)
+        with pytest.raises(DimensionError) as got:
+            gram_sq_volume(points, k)
+        assert str(got.value) == str(want.value)
+
+    def test_empty_set_is_no_simplex(self):
+        # k = -1 with no points passed the count check; the oracle then
+        # failed in math.factorial(-1) with a bare ValueError.  The integer
+        # version rejects it up front with a DimensionError (a ValueError).
+        with pytest.raises(ValueError):
+            gram_sq_volume_fraction([], -1)
+        with pytest.raises(DimensionError, match="need 0 points for a -1-simplex"):
+            gram_sq_volume([], -1)
 
 
 def assemble_block_matrix(a: QMatrix, t: int) -> QMatrix:

@@ -1,20 +1,26 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from spinaltri.linalg import QVector
+import spinaltri.triangulation
+import spinaltri.volume
+from spinaltri.linalg import QVector, gram_sq_volume
 from spinaltri.polytope import make_polytope
 from spinaltri.spine import SpineError, enumerate_spines, spine
 from spinaltri.everest import EverestParams, everest_polytope, simplotope_with_spine
-from spinaltri.triangulation import pulling_triangulation
+from spinaltri.triangulation import pulling_triangulation, shadow, shadow_polytope
 from spinaltri.volume import (
+    LiftingRelationReport,
     lifting_relation_report,
+    polytope_relative_volume,
     polytope_volume,
     triangulation_relative_volume,
     verify_lifting_relation,
 )
+from test_facet_oracle import random_polytope
 
 
 def cube(d):
@@ -109,3 +115,69 @@ class TestLiftingRelation:
         rep = lifting_relation_report(spine(simplex(3), range(4)))
         assert rep.vol_shadow_sq == 1
         assert rep.holds
+
+
+def lifting_relation_report_by_volumes(s):
+    """Oracle: the former volume law, which took vol(P)^2 and vol(shadow)^2
+    from fresh `polytope_volume` calls."""
+    if s.n < 2:
+        raise SpineError("the volume relation needs a spine with at least 2 points")
+    p = s.polytope
+    d = p.dim
+    vol_p_sq = polytope_volume(p).sq_volume
+    vol_u_sq = gram_sq_volume(s.points(), s.n - 1)
+    sm = shadow(s)
+    if sm.e == 0:
+        vol_shadow_sq = Fraction(1)  # the shadow is a single point
+    else:
+        vol_shadow_sq = polytope_volume(shadow_polytope(sm)).sq_volume
+    return LiftingRelationReport(
+        math.comb(d, s.n - 1), vol_p_sq, vol_u_sq, vol_shadow_sq
+    )
+
+
+def skew_cube():
+    """The 3-cube embedded in R^4 by a rational map, so that P and its
+    shadows carry a Gram factor."""
+    rows = [(1, 0, Fraction(1, 2)), (0, 2, 1), (Fraction(1, 3), 1, 0), (1, 1, 1)]
+    return make_polytope(
+        [
+            QVector([sum(r * x for r, x in zip(row, b)) for row in rows])
+            for b in itertools.product((0, 1), repeat=3)
+        ]
+    )
+
+
+class TestVolumeLawOracle:
+    def test_fields_on_every_spine(self):
+        rng = random.Random(5150)
+        polys = [random_polytope(rng) for _ in range(25)]
+        polys += [simplotope_with_spine(2, 2)[0], cube(4), skew_cube()]
+        checked = 0
+        for p in polys:
+            for idx in enumerate_spines(p, 2):
+                got = lifting_relation_report(spine(p, idx))
+                want = lifting_relation_report_by_volumes(spine(p, idx))
+                assert got == want, (p, idx)
+                assert got.holds
+                checked += 1
+        assert checked > 100
+
+    def test_no_pulling_of_p_once_its_volume_is_known(self, monkeypatch):
+        p = cube(3)
+        polytope_relative_volume(p)
+        pulled = []
+        real = pulling_triangulation
+
+        def counting(q, *args, **kwargs):
+            pulled.append(q)
+            return real(q, *args, **kwargs)
+
+        monkeypatch.setattr(spinaltri.volume, "pulling_triangulation", counting)
+        monkeypatch.setattr(spinaltri.triangulation, "pulling_triangulation", counting)
+        spines = enumerate_spines(p, 2)
+        assert spines
+        for idx in spines:
+            assert lifting_relation_report(spine(p, idx)).holds
+        assert pulled, "the shadows are still triangulated"
+        assert not any(q is p for q in pulled)
