@@ -9,11 +9,14 @@ some facet misses both; both tests here work on vertex bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable
 
 from .linalg import gram_sq_volume
 from .polytope import Polytope, PolytopeError, vertex_mask
+
+if TYPE_CHECKING:
+    from .triangulation import ShadowMap
 
 
 class SpineError(ValueError):
@@ -22,10 +25,17 @@ class SpineError(ValueError):
 
 @dataclass(frozen=True)
 class Spine:
-    """A validated spine: vertex indices into the owning polytope."""
+    """A validated spine: vertex indices into the owning polytope.
+
+    ``_shadow`` is the spine's `ShadowMap`, set by `triangulation.shadow` on
+    its first call; it lives and dies with this object.
+    """
 
     polytope: Polytope
     indices: tuple[int, ...]
+    _shadow: ShadowMap | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def n(self) -> int:

@@ -248,6 +248,14 @@ class ShadowMap:
         )
 
     @property
+    def spine_sq_volume(self) -> Fraction:
+        """vol(U)^2 of the spine simplex: det G / (vscale^(2k) (k!)^2) with
+        k = |U| - 1, as `gram_sq_volume` would give on the spine's points."""
+        k = self.spine.n - 1
+        scale = self.spine.polytope.frame().vscale
+        return Fraction(self._den, scale ** (2 * k) * math.factorial(k) ** 2)
+
+    @property
     def lift_table(self) -> dict[QVector, int]:
         return {
             self.star_points[k]: self.lift_indices[k]
@@ -256,7 +264,12 @@ class ShadowMap:
 
 
 def shadow(sp: Spine) -> ShadowMap:
-    return ShadowMap(sp)
+    """The spine's shadow map, built on the first call and kept on the spine,
+    so the volume law, fold and lift of one spine share its projection and
+    the shadow polytope it caches."""
+    if sp._shadow is None:
+        object.__setattr__(sp, "_shadow", ShadowMap(sp))
+    return sp._shadow
 
 
 def shadow_polytope(sm: ShadowMap) -> Polytope:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import QVector, det, gram_sq_volume, int_det, QMatrix
+from .linalg import int_det
 from .polytope import Polytope
 from .spine import Spine, SpineError
 from .triangulation import pulling_triangulation, shadow, shadow_polytope
@@ -31,16 +31,6 @@ class VolumeReport:
     n_simplices: int
     sq_volume: Fraction
     volume: Fraction | None
-
-
-def simplex_relative_volume(coords: Sequence[QVector]) -> Fraction:
-    """|det of edge matrix| / k! for k+1 points given in hull coordinates."""
-    k = len(coords) - 1
-    if k == 0:
-        return Fraction(1)
-    edges = QMatrix([list(q - coords[0]) for q in coords[1:]], cols=k)
-    d = det(edges)
-    return abs(d) / math.factorial(k)
 
 
 def cell_det(icoords: Sequence[Sequence[int]], cell: Sequence[int]) -> int:
@@ -114,8 +104,8 @@ def lifting_relation_report(s: Spine) -> LiftingRelationReport:
     p = s.polytope
     d = p.dim
     vol_p_sq = _sq_volume(p)
-    vol_u_sq = gram_sq_volume(s.points(), s.n - 1)
     sm = shadow(s)
+    vol_u_sq = sm.spine_sq_volume
     if sm.e == 0:
         vol_shadow_sq = Fraction(1)  # the shadow is a single point
     else:

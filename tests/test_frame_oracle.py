@@ -50,7 +50,8 @@ from spinaltri.triangulation import (
     star_triangulation,
     validate_detailed,
 )
-from spinaltri.volume import polytope_relative_volume, simplex_relative_volume
+from spinaltri.volume import polytope_relative_volume
+from test_validate_oracle import simplex_relative_volume
 
 
 # --- the former Fraction frame ------------------------------------------------

@@ -1,9 +1,13 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 
+import spinaltri.triangulation
+import spinaltri.volume
 from spinaltri.linalg import QVector, gram_sq_volume
 from spinaltri.polytope import NotInConvexPosition, make_polytope
 from spinaltri.spine import spine
@@ -21,6 +25,7 @@ from spinaltri.triangulation import (
     validate,
     validate_detailed,
 )
+from spinaltri.volume import lifting_relation_report
 
 def qv(*xs):
     return QVector(xs)
@@ -166,6 +171,57 @@ class TestShadow:
         assert sm.e == 2
         assert hull.n_vertices == e12.n_vertices == 6
         assert len(hull.facets()) == len(e12.facets()) == 6
+
+
+class TestShadowMemo:
+    def test_same_map_on_every_call(self):
+        sp = spine(cube(3), [0, 7])
+        assert shadow(sp) is shadow(sp)
+        assert shadow(sp).spine is sp
+
+    def test_each_spine_object_has_its_own_map(self):
+        p = cube(3)
+        a, b = spine(p, [0, 7]), spine(p, [0, 7])
+        assert a == b
+        assert shadow(a) is not shadow(b)
+        assert shadow(b).spine is b
+
+    def test_law_fold_and_lift_project_once(self, monkeypatch):
+        sp = spine(cube(3), [0, 7])
+        hulls, pulled = [], []
+        real_extreme = spinaltri.triangulation.extreme_points
+        real_pull = pulling_triangulation
+
+        def counting_extreme(points):
+            hulls.append(list(points))
+            return real_extreme(points)
+
+        def counting_pull(q, *args, **kwargs):
+            pulled.append(q)
+            return real_pull(q, *args, **kwargs)
+
+        monkeypatch.setattr(spinaltri.triangulation, "extreme_points", counting_extreme)
+        monkeypatch.setattr(spinaltri.volume, "pulling_triangulation", counting_pull)
+        monkeypatch.setattr(spinaltri.triangulation, "pulling_triangulation", counting_pull)
+        assert lifting_relation_report(sp).holds
+        sm = shadow(sp)
+        t = spinal_triangulation(sp)
+        assert lift(fold(t, sm), sm).simplices == t.simplices
+        images = list(sm.shadow_points)
+        assert [h for h in hulls if h == images] == [images]
+        assert [q for q in pulled if q is shadow_polytope(sm)] == [shadow_polytope(sm)]
+
+    def test_memo_does_not_keep_the_polytope_alive(self):
+        p = cube(3)
+        ref = weakref.ref(p)
+        sp = spine(p, [0, 7])
+        sm = shadow(sp)
+        assert lifting_relation_report(sp).holds
+        t = spinal_triangulation(sp)
+        assert lift(fold(t, sm), sm).simplices == t.simplices
+        del p, sp, sm, t
+        gc.collect()
+        assert ref() is None
 
 
 class TestFoldLift:

@@ -1,21 +1,24 @@
 """Cross-check the interior-ridge validator against the former pairwise one.
 
 `pairwise_validate_detailed` is the library's former `validate_detailed`,
-kept verbatim with its helpers: after the same shape, volume and usage
-checks it compares every pair of cells, first by the facet planes of each
-and then by an exact LP for a common interior point.  It never checks that
-the points lie in the polytope, so a point set outside P is the one case on
-which the two validators may disagree; everywhere else they must accept and
-reject the same triangulations.
+kept verbatim with its helpers (among them `simplex_relative_volume`, the
+former `volume` function that `test_frame_oracle` also uses): after the
+same shape, volume and usage checks it compares every pair of cells, first
+by the facet planes of each and then by an exact LP for a common interior
+point.  It never checks that the points lie in the polytope, so a point set
+outside P is the one case on which the two validators may disagree;
+everywhere else they must accept and reject the same triangulations.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
-from spinaltri.linalg import QMatrix, QVector, kernel_basis
+from spinaltri.linalg import QMatrix, QVector, det, kernel_basis
 from spinaltri.lp import EQ, LT, lp_feasible
 from spinaltri.polytope import Polytope, PolytopeError, frame_coords, make_polytope
 from spinaltri.selfcheck import _random_polytope
@@ -24,7 +27,17 @@ from spinaltri.triangulation import (
     pulling_triangulation,
     validate_detailed,
 )
-from spinaltri.volume import polytope_relative_volume, simplex_relative_volume
+from spinaltri.volume import polytope_relative_volume
+
+
+def simplex_relative_volume(coords: Sequence[QVector]) -> Fraction:
+    """|det of edge matrix| / k! for k+1 points given in hull coordinates."""
+    k = len(coords) - 1
+    if k == 0:
+        return Fraction(1)
+    edges = QMatrix([list(q - coords[0]) for q in coords[1:]], cols=k)
+    d = det(edges)
+    return abs(d) / math.factorial(k)
 
 
 def pairwise_validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:

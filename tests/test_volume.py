@@ -11,7 +11,15 @@ from spinaltri.linalg import QVector, gram_sq_volume
 from spinaltri.polytope import make_polytope
 from spinaltri.spine import SpineError, enumerate_spines, spine
 from spinaltri.everest import EverestParams, everest_polytope, simplotope_with_spine
-from spinaltri.triangulation import pulling_triangulation, shadow, shadow_polytope
+from spinaltri.triangulation import (
+    ShadowMap,
+    fold,
+    lift,
+    pulling_triangulation,
+    shadow,
+    shadow_polytope,
+    spinal_triangulation,
+)
 from spinaltri.volume import (
     LiftingRelationReport,
     lifting_relation_report,
@@ -119,14 +127,15 @@ class TestLiftingRelation:
 
 def lifting_relation_report_by_volumes(s):
     """Oracle: the former volume law, which took vol(P)^2 and vol(shadow)^2
-    from fresh `polytope_volume` calls."""
+    from fresh `polytope_volume` calls, vol(U)^2 from `gram_sq_volume` and
+    the shadow from a fresh `ShadowMap`, never the one kept on the spine."""
     if s.n < 2:
         raise SpineError("the volume relation needs a spine with at least 2 points")
     p = s.polytope
     d = p.dim
     vol_p_sq = polytope_volume(p).sq_volume
     vol_u_sq = gram_sq_volume(s.points(), s.n - 1)
-    sm = shadow(s)
+    sm = ShadowMap(s)
     if sm.e == 0:
         vol_shadow_sq = Fraction(1)  # the shadow is a single point
     else:
@@ -149,6 +158,29 @@ def skew_cube():
 
 
 class TestVolumeLawOracle:
+    def test_memoised_shadow_matches_a_fresh_map(self):
+        rng = random.Random(5150)
+        polys = [random_polytope(rng) for _ in range(25)] + [cube(4), skew_cube()]
+        checked = 0
+        for p in polys:
+            for idx in enumerate_spines(p, 2):
+                sp = spine(p, idx)
+                assert lifting_relation_report(sp).holds
+                sm = shadow(sp)
+                t = spinal_triangulation(sp)
+                assert lift(fold(t, sm), sm).simplices == t.simplices
+                assert shadow(sp) is sm
+                fresh = ShadowMap(sp)
+                assert fresh is not sm
+                for name in ("shadow_points", "star_points", "lift_indices", "e", "projection"):
+                    assert getattr(sm, name) == getattr(fresh, name), (p, idx, name)
+                got, want = shadow_polytope(sm), shadow_polytope(fresh)
+                assert got.vertices == want.vertices
+                if sm.e:  # a single point has no facets
+                    assert got.facets() == want.facets()
+                checked += 1
+        assert checked > 100
+
     def test_fields_on_every_spine(self):
         rng = random.Random(5150)
         polys = [random_polytope(rng) for _ in range(25)]
