@@ -49,16 +49,25 @@ DOMAIN_ERRORS = (
 )
 
 
-def _parse_index_set(raw: str) -> list[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"could not parse index set {raw!r}") from None
+def _parse_index_set(raw: str, option: str) -> list[int]:
+    """Comma-separated indices; empty tokens are skipped.  A token, stripped
+    of whitespace, must be ASCII -?[0-9]+: what else int() reads (0_7, +7,
+    non-ASCII digits) would alias an index silently."""
+    idx = []
+    for tok in raw.split(","):
+        tok = tok.strip()
+        if tok == "":
+            continue
+        digits = tok[1:] if tok.startswith("-") else tok
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"index {tok!r} in {option} {raw!r} is not an integer")
+        idx.append(int(tok))
+    return idx
 
 
 def _parse_spine_set(raw: str) -> list[int]:
     """A --set value: each index at most once, never merged silently."""
-    idx = _parse_index_set(raw)
+    idx = _parse_index_set(raw, "--set")
     for k, i in enumerate(idx):
         if i in idx[:k]:
             raise ValueError(f"index {i} is repeated in --set {raw!r}")
@@ -135,7 +144,7 @@ def cmd_triangulate(args) -> int:
             raise ValueError("--spinal needs --set with the spine indices")
         t = spinal_triangulation(spine(p, _parse_spine_set(args.set)))
     else:
-        order = _parse_index_set(args.order) if args.order else None
+        order = _parse_index_set(args.order, "--order") if args.order else None
         t = pulling_triangulation(p, order)
     _emit(sio.triangulation_to_doc(t), _triangulation_lines(t), args)
     return 0
@@ -145,7 +154,7 @@ def cmd_fold(args) -> int:
     p = sio.load_polytope(args.polytope)
     sp = spine(p, _parse_spine_set(args.set))
     sm = shadow(sp)
-    order = _parse_index_set(args.order) if args.order else None
+    order = _parse_index_set(args.order, "--order") if args.order else None
     if order is not None:
         t = pulling_triangulation(p, order)
     else:
@@ -178,7 +187,7 @@ def cmd_lift(args) -> int:
 
 def cmd_volume(args) -> int:
     p = sio.load_polytope(args.polytope)
-    order = _parse_index_set(args.order) if args.order else None
+    order = _parse_index_set(args.order, "--order") if args.order else None
     rep = polytope_volume(p, order)
     if rep.volume is not None:
         lines = [format_rational(rep.volume)]

@@ -68,8 +68,11 @@ class _PullContext:
 
     Faces are int bitmasks over P's vertex indices.  P's facets are
     enumerated once and every lower face comes from facets_of_face, so the
-    recursion touches no coordinates.  Each face's pulling triangulation is
-    memoized because neighbouring face chains share lower faces.
+    recursion touches no coordinates.  facets_of_face keeps the maximal
+    candidates by popcount, largest first, so a face's facets arrive in that
+    order; the cells are gathered in a set and sorted, so the order does not
+    reach the result.  Each face's pulling triangulation is memoized because
+    neighbouring face chains share lower faces.
     """
 
     def __init__(self, p: Polytope, rank: dict[int, int]):

@@ -265,6 +265,73 @@ def test_repeated_spine_index_is_rejected(capsys, cube_file, argv):
     assert captured.err == "error: index 3 is repeated in --set '0,3,3'\n"
 
 
+@pytest.mark.parametrize("token", ["0_7", "+7", "\u0667", "7x", "--7", "1.0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spine-check", "{cube}", "--set", "0,{tok}"],
+        ["fold", "{cube}", "--set", "0,{tok}"],
+        ["verify-lifting", "{cube}", "--set", "0,{tok}"],
+        ["triangulate", "{cube}", "--spinal", "--set", "0,{tok}"],
+        ["lift", "{cube}", "--set", "0,{tok}", "--star", "unread.json"],
+        ["triangulate", "{cube}", "--order", "0,1,2,3,4,5,6,{tok}"],
+        ["volume", "{cube}", "--order", "0,1,2,3,4,5,6,{tok}"],
+        ["fold", "{cube}", "--set", "0,7", "--order", "0,1,2,3,4,5,6,{tok}"],
+    ],
+    ids=[
+        "spine-check",
+        "fold",
+        "verify-lifting",
+        "triangulate-spinal",
+        "lift",
+        "triangulate-order",
+        "volume-order",
+        "fold-order",
+    ],
+)
+def test_non_ascii_integer_index_is_rejected(capsys, cube_file, argv, token):
+    # int() reads the first three tokens as 7, so the index set was aliased;
+    # it rejects the other three, but the message did not name the token.
+    at = next(i for i, a in enumerate(argv) if "{tok}" in a)
+    argv = [a.format(cube=cube_file, tok=token) for a in argv]
+    option, raw = argv[at - 1], argv[at]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: index {token!r} in {option} {raw!r} is not an integer\n"
+    )
+
+
+def test_index_tokens_may_carry_spaces(capsys, cube_file):
+    code, out = run(capsys, "spine-check", cube_file, "--set", " 0, 7 ,")
+    assert code == 0
+    assert json.loads(out) == {"is_spine": True, "set": [0, 7]}
+    code, out = run(capsys, "volume", cube_file, "--order", "7, 6,5,4,3,2,1, 0")
+    assert code == 0
+    assert json.loads(out)["volume"] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["spine-check", "{cube}", "--set", "0,-1"], "spine indices out of range"),
+        (
+            ["volume", "{cube}", "--order", "0,1,2,3,4,5,6,-1"],
+            "order must be a permutation of all vertex indices",
+        ),
+    ],
+    ids=["set", "order"],
+)
+def test_negative_index_keeps_range_error(capsys, cube_file, argv, err):
+    code = main([a.format(cube=cube_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_birkhoff_context(capsys):
     code, out = run(capsys, "birkhoff", "context", "3")
     assert code == 0

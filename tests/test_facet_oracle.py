@@ -6,7 +6,9 @@ hyperplanes (normal, offset and incidence) as `_supporting_hyperplanes`,
 and the facets built from its output must equal `Polytope.facets()`.
 `naive_facets` recomputes the incidences independently with plain rational
 row reduction over every vertex subset, with no prefix sharing, no pruning
-and no integer scaling.
+and no integer scaling.  `former_order` is the library's former facet sort
+key on `Fraction` entries; the facets behind `facets` JSON and pulling must
+come in that order.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from spinaltri.birkhoff import birkhoff_context
 from spinaltri.everest import simplotope
 from spinaltri.linalg import QMatrix, QVector, kernel_basis
 from spinaltri.polytope import extreme_points, frame_coords, make_polytope
+from test_frame_oracle import instances
 
 
 def brute_force_hyperplanes(
@@ -186,13 +189,16 @@ def test_agrees_with_naive_oracle_on_random_instances():
         assert_matches_brute_force(p)
 
 
-def test_agrees_on_lower_dimensional_embedding():
-    # A 2-polytope embedded in R^4 via an affine map with a skew basis.
-    rng = random.Random(5)
+def skew_square():
+    """A 2-polytope embedded in R^4 via an affine map with a skew basis."""
     square = [QVector(b) for b in itertools.product((0, 1), repeat=2)]
     a = QMatrix([[1, 2], [0, 1], [3, -1], [1, 1]])
     shift = QVector([1, -1, 0, 2])
-    p = make_polytope([(a @ v) + shift for v in square])
+    return make_polytope([(a @ v) + shift for v in square])
+
+
+def test_agrees_on_lower_dimensional_embedding():
+    p = skew_square()
     assert p.dim == 2
     got = {f.incident for f in p.facets()}
     assert got == naive_facets(p)
@@ -205,8 +211,7 @@ def truncated_b4():
     return make_polytope([ctx.a_map @ v for v in ctx.vertices])
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize(
+LARGE_INSTANCES = pytest.mark.parametrize(
     "build",
     [
         lambda: simplotope(3, 2),
@@ -218,6 +223,41 @@ def truncated_b4():
     ],
     ids=["S(3,2)", "5-cube", "truncated-B4"],
 )
+
+
+@pytest.mark.slow
+@LARGE_INSTANCES
 def test_agrees_with_brute_force_on_large_instances(build):
     # The brute-force search takes 11-107 s on each of these.
     assert_matches_brute_force(build())
+
+
+def former_order(facets):
+    """The former sort key: the normal's `Fraction` entries, then the offset."""
+    return sorted(facets, key=lambda f: (f.normal.entries, f.offset))
+
+
+def test_former_order_on_random_instances():
+    rng = random.Random(31337)
+    for _ in range(25):
+        facets = random_polytope(rng).facets()
+        assert facets == former_order(facets)
+
+
+def test_former_order_on_lower_dimensional_embedding():
+    facets = skew_square().facets()
+    assert facets == former_order(facets)
+
+
+@LARGE_INSTANCES
+def test_former_order_on_large_instances(build):
+    facets = build().facets()
+    assert facets == former_order(facets)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_former_order_on_skew_rational_embeddings(seed):
+    # Each random polytope, then its images under a full-dimensional and a
+    # lower-dimensional random rational affine map.
+    for p in instances(seed, 12):
+        assert p.facets() == former_order(p.facets())

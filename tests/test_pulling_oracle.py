@@ -1,22 +1,35 @@
-"""Cross-check pulling on the face lattice against the former geometric
-recursion.
+"""Cross-check pulling on the face lattice against two oracles.
 
 `GeometricPullContext` is the library's former `_PullContext`, kept verbatim
 except that faces are built with `Polytope(...)`: it builds a polytope for
 every face and enumerates that face's facets from coordinates.  Swapped in
 for `triangulation._PullContext`, it must give the same cells as the bitmask
 recursion for every pulling order, in pulling and star triangulations alike.
+
+`quadratic_facets_of_face` is the library's former face step, kept verbatim:
+it keeps a candidate face & g unless another candidate contains it.  The
+popcount-ordered `facets_of_face` must give the same set on every face the
+pulling recursion visits, and on arbitrary mask families.
 """
 
+import itertools
 import random
 from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinaltri import triangulation
 from spinaltri.birkhoff import birkhoff_context, projected_birkhoff
+from spinaltri.everest import simplotope
 from spinaltri.linalg import QVector
-from spinaltri.polytope import DegeneratePolytope, Polytope, make_polytope
+from spinaltri.polytope import (
+    DegeneratePolytope,
+    Polytope,
+    facets_of_face,
+    make_polytope,
+)
 from spinaltri.selfcheck import _random_polytope
 from spinaltri.spine import enumerate_spines, spine
 from spinaltri.triangulation import (
@@ -140,3 +153,94 @@ def test_pulling_enumerates_facets_once():
     ) as facets:
         pulling_triangulation(p, list(reversed(range(p.n_vertices))))
     assert facets.call_count == 1
+
+
+def quadratic_facets_of_face(face: int, facet_masks) -> list[int]:
+    """Facets of a face of P as vertex bitmasks: the inclusion-maximal
+    nonempty proper sets face & g over the facets g of P (Kaibel and Pfetsch,
+    "Computing the face lattice of a polytope from its vertex-facet
+    incidences", Comput. Geom. 2002)."""
+    cands = {face & g for g in facet_masks} - {face, 0}
+    return [c for c in cands if not any(c & o == c and c != o for o in cands)]
+
+
+def assert_face_steps_match(p: Polytope, orders) -> int:
+    """On every face the recursion memoizes, for every order, both face
+    steps give the same facet set, the new one without repeats; pulling
+    with the old step gives the same cells.  Returns the faces checked."""
+    checked = 0
+    for order in orders:
+        ctx = triangulation._PullContext(p, {v: i for i, v in enumerate(order)})
+        ctx.pull((1 << p.n_vertices) - 1)
+        for face in ctx.memo:
+            got = facets_of_face(face, ctx.facet_masks)
+            assert len(set(got)) == len(got)
+            assert set(got) == set(quadratic_facets_of_face(face, ctx.facet_masks))
+        checked += len(ctx.memo)
+        new = pulling_triangulation(p, order).simplices
+        with mock.patch.object(
+            triangulation, "facets_of_face", quadratic_facets_of_face
+        ):
+            assert pulling_triangulation(p, order).simplices == new
+    return checked
+
+
+def cube(d: int) -> Polytope:
+    return make_polytope(
+        [QVector(b) for b in itertools.product((0, 1), repeat=d)], max_vertices=32
+    )
+
+
+def truncated_b4() -> Polytope:
+    ctx = birkhoff_context(4)
+    return make_polytope([ctx.a_map @ v for v in ctx.vertices])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_random_face_steps_match_oracle(d):
+    rng = random.Random(3000 + d)
+    checked = 0
+    for _ in range(5):
+        p = _random_polytope(rng, (d,))
+        checked += assert_face_steps_match(p, _orders(rng, p.n_vertices, 3))
+    assert checked >= 15
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cube(4),
+        lambda: cube(5),
+        lambda: simplotope(3, 2),
+        truncated_b4,
+        lambda: projected_birkhoff(birkhoff_context(4)),
+    ],
+    ids=["4-cube", "5-cube", "S(3,2)", "truncated-B4", "projected-B4"],
+)
+def test_named_face_steps_match_oracle(build):
+    p = build()
+    assert assert_face_steps_match(p, _orders(random.Random(7), p.n_vertices, 3))
+
+
+@st.composite
+def mask_families(draw):
+    """A face and a family of masks over at most 12 vertices, with some
+    masks nested inside others and some repeated."""
+    n = draw(st.integers(1, 12))
+    mask = st.integers(0, (1 << n) - 1)
+    family = draw(st.lists(mask, max_size=10))
+    for g in list(family):
+        family.append(g & draw(mask))  # nested
+        if draw(st.booleans()):
+            family.append(g)  # repeated
+    family = draw(st.permutations(family))
+    face = draw(st.one_of(st.just((1 << n) - 1), mask))
+    return face, family
+
+
+@given(mask_families())
+def test_face_step_matches_oracle_on_mask_families(case):
+    face, family = case
+    got = facets_of_face(face, family)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(quadratic_facets_of_face(face, family))
