@@ -49,19 +49,23 @@ DOMAIN_ERRORS = (
 )
 
 
+def _parse_int(tok: str, what: str) -> int:
+    """Every integer on the command line goes through here.  The token,
+    stripped of whitespace, must be ASCII -?[0-9]+: what else int() reads
+    (0_7, +7, non-ASCII digits) would alias a value silently."""
+    digits = tok.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what} is not an integer")
+    return int(tok)
+
+
 def _parse_index_set(raw: str, option: str) -> list[int]:
-    """Comma-separated indices; empty tokens are skipped.  A token, stripped
-    of whitespace, must be ASCII -?[0-9]+: what else int() reads (0_7, +7,
-    non-ASCII digits) would alias an index silently."""
+    """Comma-separated indices; empty tokens are skipped."""
     idx = []
     for tok in raw.split(","):
         tok = tok.strip()
-        if tok == "":
-            continue
-        digits = tok[1:] if tok.startswith("-") else tok
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"index {tok!r} in {option} {raw!r} is not an integer")
-        idx.append(int(tok))
+        if tok:
+            idx.append(_parse_int(tok, f"index {tok!r} in {option} {raw!r}"))
     return idx
 
 
@@ -124,9 +128,10 @@ def cmd_spine_check(args) -> int:
 
 
 def cmd_spine_enum(args) -> int:
+    min_size = _parse_int(args.min_size, f"--min-size {args.min_size!r}")
     p = sio.load_polytope(args.polytope)
-    spines = enumerate_spines(p, args.min_size)
-    doc = {"min_size": args.min_size, "spines": [list(s) for s in spines]}
+    spines = enumerate_spines(p, min_size)
+    doc = {"min_size": min_size, "spines": [list(s) for s in spines]}
     _emit(doc, [str(list(s)) for s in spines], args)
     return 0
 
@@ -219,12 +224,14 @@ def cmd_verify_lifting(args) -> int:
 
 
 def cmd_everest(args) -> int:
-    params = EverestParams(args.n, args.s)
+    params = EverestParams(
+        _parse_int(args.n, f"n {args.n!r}"), _parse_int(args.s, f"s {args.s!r}")
+    )
     if args.action == "vertices":
         fam = vertex_families(params)
         doc = {
-            "n": args.n,
-            "s": args.s,
+            "n": params.n,
+            "s": params.s,
             "vertices": [sio.vector_to_strings(v) for v in fam.everest.points],
         }
         lines = [f"{len(fam.everest.points)} vertices"]
@@ -237,8 +244,8 @@ def cmd_everest(args) -> int:
     if args.action == "volume":
         value = everest_volume(params, args.method)
         doc = {
-            "n": args.n,
-            "s": args.s,
+            "n": params.n,
+            "s": params.s,
             "method": args.method,
             "volume": format_rational(value),
         }
@@ -278,11 +285,12 @@ def _everest_verify(params: EverestParams, args) -> int:
 
 
 def cmd_birkhoff(args) -> int:
+    n = _parse_int(args.n, f"n {args.n!r}")
     if args.action == "context":
-        ctx = birkhoff_context(args.n)
+        ctx = birkhoff_context(n)
         rep = determinant_identities(ctx)
         doc = {
-            "n": args.n,
+            "n": n,
             "n_vertices": len(ctx.vertices),
             "spine_size": len(ctx.spine_vectors),
             "det_btb": format_rational(rep.det_btb),
@@ -291,7 +299,7 @@ def cmd_birkhoff(args) -> int:
             "identities_ok": rep.all_ok,
         }
         lines = [
-            f"n = {args.n}: {len(ctx.vertices)} vertices, spine of {len(ctx.spine_vectors)}",
+            f"n = {n}: {len(ctx.vertices)} vertices, spine of {len(ctx.spine_vectors)}",
             f"det(B^T B) = {format_rational(rep.det_btb)}",
             f"|det C| = {format_rational(rep.det_c_abs)}",
             f"det J = {format_rational(rep.det_j)}",
@@ -300,9 +308,9 @@ def cmd_birkhoff(args) -> int:
         _emit(doc, lines, args)
         return 0 if rep.all_ok else 1
     if args.action == "project":
-        p = projected_birkhoff(birkhoff_context(args.n))
+        p = projected_birkhoff(birkhoff_context(n))
         doc = {
-            "n": args.n,
+            "n": n,
             "ambient_dim": p.ambient_dim,
             "vertices": [sio.vector_to_strings(v) for v in p.vertices],
         }
@@ -311,10 +319,10 @@ def cmd_birkhoff(args) -> int:
         _emit(doc, lines, args)
         return 0
     if args.action == "verify":
-        ctx = birkhoff_context(args.n)
+        ctx = birkhoff_context(n)
         rep = determinant_identities(ctx)
         doc = {
-            "n": args.n,
+            "n": n,
             "identities_ok": rep.all_ok,
         }
         lines = [f"identities: {'pass' if rep.all_ok else 'FAIL'}"]
@@ -329,7 +337,7 @@ def cmd_birkhoff(args) -> int:
                     "volume_relation_ok": vol.all_ok,
                 }
             )
-            lines.append(f"vol(B_{args.n}) = {format_rational(vol.vol_birkhoff)}")
+            lines.append(f"vol(B_{n}) = {format_rational(vol.vol_birkhoff)}")
             lines.append(f"vol(projected) = {format_rational(vol.vol_projected)}")
             lines.append(f"volume relation: {'pass' if vol.all_ok else 'FAIL'}")
             ok = ok and vol.all_ok
@@ -366,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("spine-enum", cmd_spine_enum, help="enumerate all spines")
     p.add_argument("polytope")
-    p.add_argument("--min-size", type=int, default=2)
+    p.add_argument("--min-size", default="2")
 
     p = add("triangulate", cmd_triangulate, help="pulling or spinal triangulation")
     p.add_argument("polytope")
@@ -394,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("everest", cmd_everest, help="Everest polytope operations")
     p.add_argument("action", choices=["vertices", "volume", "verify"])
-    p.add_argument("n", type=int)
-    p.add_argument("s", type=int)
+    p.add_argument("n")
+    p.add_argument("s")
     p.add_argument("--method", choices=["formula", "hull", "lifting"], default="formula")
     p.add_argument("--lifting", action="store_true", help="include the lifting route in verify")
 
     p = add("birkhoff", cmd_birkhoff, help="Birkhoff projection pipeline")
     p.add_argument("action", choices=["context", "project", "verify"])
-    p.add_argument("n", type=int)
+    p.add_argument("n")
     p.add_argument("--volume", action="store_true", help="also check the volume relation")
 
     p = add("selftest", cmd_selftest, help="run the acceptance checks minus long items")

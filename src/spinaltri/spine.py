@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from .linalg import gram_sq_volume
 from .polytope import Polytope, PolytopeError, vertex_mask
 
 if TYPE_CHECKING:
@@ -46,13 +45,11 @@ class Spine:
 
 
 def spine(p: Polytope, indices: Iterable[int]) -> Spine:
-    """Validate the facet criterion and affine independence, then build."""
+    """Validate the facet criterion, then build.  A spine lies in every cell
+    of a spinal triangulation, so it is affinely independent."""
     idx = tuple(sorted(set(indices)))
     if not is_spine(p, idx):
         raise SpineError(f"{idx} is not a spine: some facet misses too many points")
-    pts = [p.vertices[i] for i in idx]
-    if gram_sq_volume(pts, len(idx) - 1) == 0:
-        raise SpineError(f"{idx} is affinely dependent")  # cannot happen for true spines
     return Spine(p, idx)
 
 

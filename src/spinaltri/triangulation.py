@@ -22,14 +22,13 @@ from .linalg import QMatrix, QVector, int_adjugate, int_dot, scaled_ints
 from .polytope import (
     Polytope,
     PolytopeError,
-    extreme_points,
     facet_masks,
     facets_of_face,
     hull_ints,
     make_polytope,
     vertex_mask,
 )
-from .spine import Spine
+from .spine import Spine, _incidence_masks
 
 
 class TriangulationError(ValueError):
@@ -276,10 +275,44 @@ def shadow(sp: Spine) -> ShadowMap:
 
 
 def shadow_polytope(sm: ShadowMap) -> Polytope:
-    """Convex hull of the projected vertex images (the origin included)."""
+    """Convex hull of the projected vertex images (the origin included).
+
+    Its vertices come from the spine's facet masks, with no vertex test.  Let
+    L be the span of the differences u - u_0 over the spine U and pi the
+    projection along L.
+
+    (i) For every vertex v not in U, pi(v) is a vertex of the shadow.  Were
+    pi(v) a convex combination of the other images, v = sum lambda_w w + l
+    with l = sum nu_j u_j, sum nu_j = 0 and l != 0, since v is a vertex of P.
+    Every facet F through v has a_F . l >= 0 and misses at most one point of
+    U, so F contains every u_j with nu_j > 0, and at least one such j exists.
+    The facets through v meet only in v, so u_j = v, a contradiction.
+
+    (ii) The origin, the image of U, is a vertex of the shadow iff conv(U)
+    is a face of P: a functional that exposes a face containing U is
+    constant on U, so it is orthogonal to L.  conv(U) is a face iff the AND
+    of the masks of the facets that contain U is U's mask; an empty AND is
+    the full mask.
+
+    So the vertices are the non-spine images in vertex order, with the
+    origin at position U[0] iff (ii) holds.  `ShadowMap` has already
+    rejected two vertices with one image.
+    """
     if sm._shadow_poly is None:
-        ext = extreme_points(list(sm.shadow_points))
-        sm._shadow_poly = Polytope(ext, sm.spine.polytope.ambient_dim)
+        sp = sm.spine
+        p = sp.polytope
+        u = vertex_mask(sp.indices)
+        least_face = functools.reduce(
+            operator.and_,
+            (f for f in _incidence_masks(p) if f & u == u),
+            (1 << p.n_vertices) - 1,
+        )
+        keep = [
+            q
+            for i, q in enumerate(sm.shadow_points)
+            if not u >> i & 1 or (i == sp.indices[0] and least_face == u)
+        ]
+        sm._shadow_poly = Polytope(keep, p.ambient_dim)
     return sm._shadow_poly
 
 

@@ -304,6 +304,39 @@ def test_non_ascii_integer_index_is_rejected(capsys, cube_file, argv, token):
     )
 
 
+@pytest.mark.parametrize("token", ["0_2", "+2", "\u0662", "2x", "x"])
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["spine-enum", "{cube}", "--min-size", "{tok}"], "--min-size"),
+        (["everest", "volume", "{tok}", "2"], "n"),
+        (["everest", "verify", "1", "{tok}"], "s"),
+        (["birkhoff", "context", "{tok}"], "n"),
+    ],
+    ids=["spine-enum-min-size", "everest-n", "everest-s", "birkhoff-n"],
+)
+def test_non_ascii_integer_argument_is_rejected(capsys, cube_file, argv, name, token):
+    # int() reads the first three tokens as 2, so the command ran with a
+    # value it was not given; argparse rejected the others as usage errors.
+    code = main([a.format(cube=cube_file, tok=token) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {name} {token!r} is not an integer\n"
+
+
+def test_integer_arguments_may_carry_spaces_and_signs(capsys, cube_file):
+    code, out = run(capsys, "spine-enum", cube_file, "--min-size", " 3 ")
+    assert code == 0
+    assert json.loads(out)["min_size"] == 3
+    code, out = run(capsys, "everest", "volume", " 2", "2 ")
+    assert code == 0
+    assert json.loads(out) == {"method": "formula", "n": 2, "s": 2, "volume": "15/4"}
+    code = main(["everest", "volume", "-1", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: both parameters must be positive\n"
+
+
 def test_index_tokens_may_carry_spaces(capsys, cube_file):
     code, out = run(capsys, "spine-check", cube_file, "--set", " 0, 7 ,")
     assert code == 0

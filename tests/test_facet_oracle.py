@@ -162,9 +162,9 @@ def naive_facets(p):
     return set(found)
 
 
-def random_polytope(rng):
+def random_polytope(rng, dims=(2, 3, 4)):
     while True:
-        d = rng.choice((2, 3, 4))
+        d = rng.choice(dims)
         count = rng.randint(d + 1, 8 if d < 4 else 7)
         pts = []
         seen = set()

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import spinaltri.lp
+import spinaltri.polytope
 import spinaltri.triangulation
 import spinaltri.volume
 from spinaltri.linalg import QVector, gram_sq_volume
@@ -187,29 +189,40 @@ class TestShadowMemo:
         assert shadow(b).spine is b
 
     def test_law_fold_and_lift_project_once(self, monkeypatch):
-        sp = spine(cube(3), [0, 7])
-        hulls, pulled = [], []
-        real_extreme = spinaltri.triangulation.extreme_points
+        # Once P is built, law + fold + lift solve no LP: the shadow's
+        # vertices come from the spine theorem.  The shadow polytope is built
+        # once and pulled once.
+        p = cube(3)
+        sp = spine(p, [0, 7])
+        lps, built, pulled = [], [], []
+        real_lp = spinaltri.lp.lp_feasible
+        real_polytope = spinaltri.triangulation.Polytope
         real_pull = pulling_triangulation
 
-        def counting_extreme(points):
-            hulls.append(list(points))
-            return real_extreme(points)
+        def counting_lp(*args, **kwargs):
+            lps.append(args)
+            return real_lp(*args, **kwargs)
+
+        def counting_polytope(*args, **kwargs):
+            built.append(real_polytope(*args, **kwargs))
+            return built[-1]
 
         def counting_pull(q, *args, **kwargs):
             pulled.append(q)
             return real_pull(q, *args, **kwargs)
 
-        monkeypatch.setattr(spinaltri.triangulation, "extreme_points", counting_extreme)
+        monkeypatch.setattr(spinaltri.lp, "lp_feasible", counting_lp)
+        monkeypatch.setattr(spinaltri.polytope, "lp_feasible", counting_lp)
+        monkeypatch.setattr(spinaltri.triangulation, "Polytope", counting_polytope)
         monkeypatch.setattr(spinaltri.volume, "pulling_triangulation", counting_pull)
         monkeypatch.setattr(spinaltri.triangulation, "pulling_triangulation", counting_pull)
         assert lifting_relation_report(sp).holds
         sm = shadow(sp)
         t = spinal_triangulation(sp)
         assert lift(fold(t, sm), sm).simplices == t.simplices
-        images = list(sm.shadow_points)
-        assert [h for h in hulls if h == images] == [images]
-        assert [q for q in pulled if q is shadow_polytope(sm)] == [shadow_polytope(sm)]
+        assert lps == []
+        assert len(built) == 1 and built[0] is shadow_polytope(sm)
+        assert [q for q in pulled if q is not p] == [shadow_polytope(sm)]
 
     def test_memo_does_not_keep_the_polytope_alive(self):
         p = cube(3)
