@@ -157,14 +157,10 @@ def _int_rows(m: QMatrix) -> list[list[int]]:
     return [[x.numerator for x in row] for row in m.entries]
 
 
-def birkhoff_context(n: int, *, allow_large: bool = False) -> BirkhoffContext:
+def birkhoff_context(n: int) -> BirkhoffContext:
     """Build and self-check the context; transcription bugs surface here."""
-    limit = 6 if allow_large else 5
-    if not 2 <= n <= limit:
-        raise BirkhoffError(
-            f"n = {n} outside the supported range 2..{limit}"
-            + ("" if allow_large else " (pass allow_large=True for n = 6)")
-        )
+    if not 2 <= n <= 5:
+        raise BirkhoffError(f"n = {n} outside the supported range 2..5")
     m = n - 1
     perms = tuple(itertools.permutations(range(n)))
     vertices = tuple(permutation_vector(p) for p in perms)

@@ -309,33 +309,57 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * mat[n - 1][n - 1]
 
 
-def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Adjugate and determinant of a nonsingular integer matrix M.
+def int_echelon(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan echelon of an integer matrix of any shape
+    (Bareiss 1968; Nakos, Turner and Williams, "Fraction-free algorithms for
+    linear and polynomial equations", SIGSAM Bull. 1997).
 
-    Fraction-free Gauss-Jordan elimination on [M | I]: each step updates
-    every other row by (pivot * row - f * pivot_row) // previous pivot, which
-    is exact for the same reason as in `int_det`.  The left block ends as
-    det(M) I (up to the sign of the row swaps) and the right block as adj(M).
+    Columns are taken left to right, and one with no nonzero entry at or
+    below the next pivot row is skipped.  Each pivot step updates every other
+    row to (pivot * row - f * pivot_row) // previous pivot, which is exact
+    for the same reason as in `int_det`: every entry stays a minor of the
+    input.  Returns the rows, the pivot columns, the sign of the row swaps
+    and the last pivot d (1 if there is none).  Every pivot entry ends equal
+    to d, the rows past the rank are zero, and a square nonsingular M has
+    det M = sign * d.
     """
-    n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if aug[i][k]), None)
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if p is None:
-            raise DimensionError("matrix is singular")
-        if p != k:
-            aug[k], aug[p] = aug[p], aug[k]
+            continue
+        if p != r:
+            mat[r], mat[p] = mat[p], mat[r]
             sign = -sign
-        pivot = aug[k][k]
-        row_k = aug[k]
-        for i in range(n):
-            if i != k:
-                f = aug[i][k]
-                aug[i] = [(a * pivot - f * b) // prev for a, b in zip(aug[i], row_k)]
+        row_r = mat[r]
+        pivot = row_r[c]
+        for i, row in enumerate(mat):
+            if i != r:
+                f = row[c]
+                mat[i] = [(a * pivot - f * b) // prev for a, b in zip(row, row_r)]
+        pivots.append(c)
         prev = pivot
-    return [[sign * x for x in row[n:]] for row in aug], sign * prev
+    return mat, pivots, sign, prev
+
+
+def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant of a nonsingular integer matrix M: the
+    echelon of [M | I] ends as [d I | sign adj(M)] with det M = sign * d."""
+    n = len(rows)
+    aug, pivots, sign, d = int_echelon(
+        [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    )
+    if pivots[:n] != list(range(n)):
+        raise DimensionError("matrix is singular")
+    return [[sign * x for x in row[n:]] for row in aug], sign * d
 
 
 def det(m: QMatrix) -> Fraction:
@@ -347,98 +371,35 @@ def det(m: QMatrix) -> Fraction:
 
 
 def rank(m: QMatrix) -> int:
-    """Exact rank over Q by integer row echelon with cross-multiplication."""
-    mat, _ = _int_rows(m)
-    rows, cols = m.rows, m.cols
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, rows):
-            f = mat[i][c]
-            if f == 0:
-                continue
-            row_i = mat[i]
-            row_r = mat[r]
-            for j in range(c, cols):
-                row_i[j] = row_i[j] * piv - f * row_r[j]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _rref(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    mat = [list(row) for row in m.entries]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if mat[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        piv = mat[r][c]
-        mat[r] = [x / piv for x in mat[r]]
-        for i in range(m.rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return mat, pivots
+    """Exact rank over Q: the number of pivots of the integer echelon."""
+    return len(int_echelon(_int_rows(m)[0])[1])
 
 
 def kernel_basis(m: QMatrix) -> list[QVector]:
-    """Rational basis of the null space; empty iff the kernel is trivial."""
-    rref, pivots = _rref(m)
-    pivot_set = set(pivots)
+    """Rational basis of the null space, one vector per non-pivot column in
+    increasing order; empty iff the kernel is trivial.  Pivot row r has d at
+    its pivot column, so the vector of a free column reads -row[free] / d."""
+    rows, pivots, _, d = int_echelon(_int_rows(m)[0])
     basis = []
     for free in range(m.cols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [Fraction(0)] * m.cols
         v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][free]
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[free], d)
         basis.append(QVector(v))
     return basis
 
 
 def inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse by Gauss-Jordan; raises on singular input."""
+    """Exact inverse; raises on singular input.  With R = q m the integer
+    rows, m^-1 = q adj(R) / det R."""
     if m.rows != m.cols:
         raise DimensionError("inverse of non-square matrix")
-    n = m.rows
-    aug = [list(row) + [Fraction(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            raise DimensionError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        piv = aug[c][c]
-        aug[c] = [x / piv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return QMatrix([row[n:] for row in aug], cols=n)
+    ints, q = scaled_ints(m.entries)
+    adj, d = int_adjugate(ints)
+    return QMatrix([[Fraction(a * q, d) for a in row] for row in adj], cols=m.cols)
 
 
 def gram_sq_volume(points: Sequence[QVector], k: int) -> Fraction:

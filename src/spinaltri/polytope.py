@@ -125,6 +125,7 @@ class Polytope:
         self.ambient_dim = ambient_dim
         self._dim: int | None = None
         self._facets: list[Facet] | None = None
+        self._masks: list[int] | None = None
         self._frame: _Frame | None = None
         self._relvol: Fraction | None = None
 
@@ -150,6 +151,17 @@ class Polytope:
         if self._facets is None:
             self._facets = _enumerate_facets(self)
         return self._facets
+
+    def incidence_masks(self) -> list[int]:
+        """The facets' vertex sets as bitmasks, in facet order; none for a
+        single point."""
+        if self._masks is None:
+            self._masks = (
+                [vertex_mask(f.incident) for f in self.facets()]
+                if self.n_vertices > 1
+                else []
+            )
+        return self._masks
 
     def contains(self, x: QVector) -> bool:
         """Exact membership test: in the affine hull and on the inner side
@@ -192,7 +204,8 @@ def make_polytope(
         raise PolytopeError(
             f"{len(pts)} vertices exceed the desk-scale cap {max_vertices}"
         )
-    ints, _ = scaled_ints(pts)
+    poly = Polytope(pts, dim)
+    ints = poly.frame().ivertices
     seen: dict[tuple[int, ...], int] = {}
     for i, p in enumerate(ints):
         if p in seen:
@@ -201,7 +214,7 @@ def make_polytope(
     for i in range(len(pts)):
         if len(pts) > 1 and _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
             raise NotInConvexPosition(i)
-    return Polytope(pts, dim)
+    return poly
 
 
 def extreme_points(points: Sequence[QVector]) -> list[QVector]:
@@ -261,9 +274,9 @@ def _in_convex_hull(x: Sequence, hull_points: Sequence[Sequence]) -> bool:
     the weights: n sign rows -w_i <= 0, the sum row, then one row per
     coordinate, in that order.  The perfbench tracer pins this layout (4
     calls of 6 rows each for a square), so keep one call per tested point
-    and every row.  Integer coordinates, as make_polytope and extreme_points
-    pass them after scaled_ints, reach the LP as they are; QVectors are
-    scaled there row by row.
+    and every row.  Integer coordinates, as make_polytope passes its frame's
+    ivertices and extreme_points its scaled_ints, reach the LP as they are;
+    QVectors are scaled there row by row.
     """
     if not hull_points:
         return False

@@ -53,11 +53,6 @@ def spine(p: Polytope, indices: Iterable[int]) -> Spine:
     return Spine(p, idx)
 
 
-def _incidence_masks(p: Polytope) -> list[int]:
-    """The facets' vertex sets as bitmasks; none for a single point."""
-    return [vertex_mask(f.incident) for f in p.facets()] if p.dim else []
-
-
 def is_spine(p: Polytope, indices: Iterable[int]) -> bool:
     """Facet criterion: every facet misses at most one point of U."""
     idx = set(indices)
@@ -66,7 +61,7 @@ def is_spine(p: Polytope, indices: Iterable[int]) -> bool:
     if not idx <= set(range(p.n_vertices)):
         raise SpineError("spine indices out of range")
     u = vertex_mask(idx)
-    for f in _incidence_masks(p):
+    for f in p.incidence_masks():
         missed = u & ~f
         if missed & (missed - 1):
             return False
@@ -91,7 +86,7 @@ def enumerate_spines(
     n = p.n_vertices
     full = (1 << n) - 1
     conflict = [0] * n
-    for f in _incidence_masks(p):
+    for f in p.incidence_masks():
         missed = full & ~f
         for i in range(n):
             if missed >> i & 1:

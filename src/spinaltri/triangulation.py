@@ -28,7 +28,7 @@ from .polytope import (
     make_polytope,
     vertex_mask,
 )
-from .spine import Spine, _incidence_masks
+from .spine import Spine
 
 
 class TriangulationError(ValueError):
@@ -76,9 +76,7 @@ class _PullContext:
 
     def __init__(self, p: Polytope, rank: dict[int, int]):
         self.rank = rank
-        self.facet_masks = (
-            [vertex_mask(f.incident) for f in p.facets()] if p.n_vertices > 1 else []
-        )
+        self.facet_masks = p.incidence_masks()
         self.memo: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def pull(self, face: int) -> tuple[tuple[int, ...], ...]:
@@ -159,10 +157,10 @@ def star_triangulation(
     local_rank = {local_of[g]: i for i, g in enumerate(base) if g != z}
     ctx = _PullContext(hull, local_rank)
     cells: set[tuple[int, ...]] = set()
-    for facet in hull.facets():
+    for facet, mask in zip(hull.facets(), hull.incidence_masks()):
         if facet.offset == 0:
             continue  # origin lies in this facet's hyperplane; cone is flat
-        for tau in ctx.pull(vertex_mask(facet.incident)):
+        for tau in ctx.pull(mask):
             cells.add(tuple(sorted((z,) + tuple(others[j] for j in tau))))
     tri = Triangulation.make(pts, cells, hull.dim)
     used = set(itertools.chain.from_iterable(tri.simplices))
@@ -304,7 +302,7 @@ def shadow_polytope(sm: ShadowMap) -> Polytope:
         u = vertex_mask(sp.indices)
         least_face = functools.reduce(
             operator.and_,
-            (f for f in _incidence_masks(p) if f & u == u),
+            (f for f in p.incidence_masks() if f & u == u),
             (1 << p.n_vertices) - 1,
         )
         keep = [

@@ -15,7 +15,9 @@ Regenerate the corpus and its inputs from the repository root with
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 
-A change that rewrites it says which commands changed and why.
+which prints the argv of every command added, removed or changed against
+the corpus it replaces.  A change that rewrites it says which commands
+changed and why.
 """
 
 from __future__ import annotations
@@ -82,6 +84,20 @@ def test_corpus_covers_every_verb():
     assert verbs <= seen
     codes = {e["exit"] for e in load_corpus()}
     assert codes == {0, 1, 2}
+
+
+def test_corpus_changes_names_every_difference():
+    def entry(argv, code=0):
+        return {"argv": argv, "exit": code, "stdout": "a", "stderr": "b"}
+
+    old = [entry(["x"]), entry(["y"]), entry(["y"]), entry(["z"])]
+    new = [entry(["x"]), entry(["y"]), entry(["y"], 1), entry(["w"])]
+    assert corpus_changes(old, new) == [
+        ("changed", ["y"]),
+        ("added", ["w"]),
+        ("removed", ["z"]),
+    ]
+    assert corpus_changes(new, new) == []
 
 
 # --- the writer ---------------------------------------------------------------
@@ -292,7 +308,7 @@ def commands() -> list[list[str]]:
         cmds.append(["everest", "vertices", "1", tok])
         cmds.append(["birkhoff", "context", tok])
 
-    for n in ("1", "2", "3", "4", "5"):
+    for n in ("1", "2", "3", "4", "5", "6"):
         cmds.append(["birkhoff", "context", n])
     for n in ("2", "3", "4"):
         cmds.append(["birkhoff", "context", n, "--pretty"])
@@ -321,13 +337,35 @@ def commands() -> list[list[str]]:
     return cmds
 
 
+def corpus_changes(old: list[dict], new: list[dict]) -> list[tuple[str, list[str]]]:
+    """("added" | "removed" | "changed", argv) for every entry of new that
+    old lacks or records differently, and every entry of old that new lacks.
+    A repeated argv is matched in order of appearance."""
+    pending: dict[str, list[dict]] = {}
+    for e in old:
+        pending.setdefault(json.dumps(e["argv"]), []).append(e)
+    out = []
+    for e in new:
+        prev = pending.get(json.dumps(e["argv"]))
+        if not prev:
+            out.append(("added", e["argv"]))
+        elif prev.pop(0) != e:
+            out.append(("changed", e["argv"]))
+    out += [("removed", e["argv"]) for left in pending.values() for e in left]
+    return out
+
+
 def write_corpus() -> None:
     os.environ.pop("SPINALTRI_MAX_DIM", None)
+    old = load_corpus() if CORPUS.exists() else []
     cmds = commands()
     os.chdir(GOLDEN)
-    entries = [json.dumps(record(argv), ensure_ascii=False) for argv in cmds]
+    new = [record(argv) for argv in cmds]
+    entries = [json.dumps(e, ensure_ascii=False) for e in new]
     CORPUS.write_text("[\n" + ",\n".join(entries) + "\n]\n", encoding="utf-8")
     print(f"wrote {len(entries)} commands to {CORPUS}")
+    for kind, argv in corpus_changes(old, new):
+        print(f"{kind}: {json.dumps(argv, ensure_ascii=False)}")
 
 
 if __name__ == "__main__":

@@ -15,12 +15,16 @@ from spinaltri.linalg import (
     gram_sq_volume,
     int_adjugate,
     int_det,
+    int_echelon,
     inverse,
     kernel_basis,
     parse_rational,
     rank,
+    scaled_ints,
     sqrt_rational,
 )
+
+import linalg_oracle as oracle
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -275,6 +279,108 @@ class TestIntKernels:
     def test_empty(self):
         assert int_det([]) == 1
         assert int_adjugate([]) == ([], 1)
+
+
+# --- the echelon against the former eliminations -------------------------------
+
+# Zero entries are drawn often, and half the matrices are a product through a
+# narrower inner dimension, so singular and rank-deficient ones are common.
+entries = st.one_of(st.just(Fraction(0)), rationals)
+
+
+def shaped(r, c):
+    return st.lists(
+        st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
+    ).map(lambda rows: QMatrix(rows, cols=c))
+
+
+@st.composite
+def matrices(draw, square=False):
+    r = draw(st.integers(0, 5))
+    c = r if square else draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, max(min(r, c) - 1, 0)))
+        return draw(shaped(r, k)) @ draw(shaped(k, c))
+    return draw(shaped(r, c))
+
+
+def int_rows(m):
+    return [list(row) for row in scaled_ints(m.entries)[0]]
+
+
+EDGE_CASES = [
+    QMatrix([], cols=0),
+    QMatrix([], cols=3),
+    QMatrix([[], [], []], cols=0),
+    QMatrix.zeros(2, 3),
+    QMatrix([[0, 0, 1, 2], [0, 0, 2, 4]]),  # wide, rank 1, leading zero columns
+    QMatrix([[1, 2], [2, 4], [0, 0], [3, 6]]),  # tall, rank 1
+    QMatrix([[0, 1], [1, 0], [1, 1]]),  # tall, full column rank, a row swap
+    QMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),  # square, singular
+    QMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]),
+]
+
+
+def check_agreement(m):
+    assert rank(m) == oracle.rank(m)
+    assert kernel_basis(m) == oracle.kernel_basis(m)
+    if m.rows != m.cols:
+        return
+    rows = int_rows(m)
+    try:
+        want_inv, want_adj = oracle.inverse(m), oracle.int_adjugate(rows)
+    except DimensionError:
+        with pytest.raises(DimensionError, match="matrix is singular"):
+            inverse(m)
+        with pytest.raises(DimensionError, match="matrix is singular"):
+            int_adjugate(rows)
+        return
+    assert inverse(m) == want_inv
+    assert int_adjugate(rows) == want_adj
+
+
+class TestEchelonAgainstOracles:
+    @pytest.mark.parametrize("m", EDGE_CASES, ids=lambda m: f"{m.rows}x{m.cols}")
+    def test_edge_cases(self, m):
+        check_agreement(m)
+
+    @given(matrices())
+    def test_rank_and_kernel(self, m):
+        check_agreement(m)
+
+    @given(matrices(square=True))
+    def test_inverse_and_adjugate(self, m):
+        check_agreement(m)
+
+    def test_seeded_random_matrices(self):
+        rng = random.Random(1968)
+        singular = 0
+        for _ in range(600):
+            r, c = rng.randint(0, 6), rng.randint(0, 6)
+            if rng.random() < 0.5:
+                c = r
+            k = rng.randint(0, min(r, c))
+            a = QMatrix([[random_rational(rng) for _ in range(k)] for _ in range(r)], cols=k)
+            b = QMatrix([[random_rational(rng) for _ in range(c)] for _ in range(k)], cols=c)
+            m = a @ b if rng.random() < 0.5 else QMatrix(
+                [[random_rational(rng) for _ in range(c)] for _ in range(r)], cols=c
+            )
+            check_agreement(m)
+            singular += r == c and rank(m) < r
+        assert singular > 50
+
+    @given(matrices())
+    def test_echelon_shape(self, m):
+        rows = int_rows(m)
+        ech, pivots, sign, d = int_echelon(rows)
+        assert pivots == sorted(pivots) and len(pivots) == oracle.rank(m)
+        for i, row in enumerate(ech):
+            if i < len(pivots):
+                assert [row[c] for c in pivots] == [d * (j == i) for j in range(len(pivots))]
+            else:
+                assert not any(row)
+        if m.rows == m.cols:
+            assert int_det(rows) == (sign * d if len(pivots) == m.rows else 0)
 
 
 class TestConstruction:

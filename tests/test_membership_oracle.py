@@ -25,7 +25,7 @@ from typing import Sequence
 
 import pytest
 
-from spinaltri.linalg import DimensionError, QMatrix, QVector, rank
+from spinaltri.linalg import DimensionError, QMatrix, QVector
 from spinaltri.lp import EQ, LE, lp_feasible
 from spinaltri.polytope import (
     DEFAULT_MAX_VERTICES,
@@ -39,6 +39,7 @@ from spinaltri.polytope import (
     make_polytope,
     max_ambient_dim,
 )
+from linalg_oracle import rank
 
 
 # --- the former Fraction membership tests --------------------------------------

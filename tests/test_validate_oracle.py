@@ -18,7 +18,7 @@ from typing import Sequence
 
 import pytest
 
-from spinaltri.linalg import QMatrix, QVector, det, kernel_basis
+from spinaltri.linalg import QMatrix, QVector, det
 from spinaltri.lp import EQ, LT, lp_feasible
 from spinaltri.polytope import Polytope, PolytopeError, frame_coords, make_polytope
 from spinaltri.selfcheck import _random_polytope
@@ -28,6 +28,7 @@ from spinaltri.triangulation import (
     validate_detailed,
 )
 from spinaltri.volume import polytope_relative_volume
+from linalg_oracle import kernel_basis
 
 
 def simplex_relative_volume(coords: Sequence[QVector]) -> Fraction:
