@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from spinaltri.everest import (
+    EverestError,
     EverestParams,
     c_constant,
     everest_polytope,
@@ -33,7 +34,11 @@ def main():
     for n in range(1, args.max_n + 1):
         for s in range(1, args.max_s + 1):
             params = EverestParams(n, s)
-            fam = vertex_families(params)
+            try:
+                fam = vertex_families(params)
+            except EverestError as exc:  # past the pattern cap
+                print(f"error: {exc}", file=sys.stderr)
+                sys.exit(1)
             formula = c_constant(params)
             if params.dim <= args.hull_dim_cap:
                 hull = polytope_volume(everest_polytope(params)).volume

@@ -18,7 +18,6 @@ from .linalg import (
     parse_rational,
     rank,
 )
-from .lp import lp_feasible
 from .polytope import (
     DuplicatePoint,
     Facet,

@@ -30,6 +30,11 @@ from .spine import Spine, spine
 from .volume import polytope_volume
 
 
+# Desk-scale cap on the (s+1)^(n+1) sign patterns of vertex_families, reached
+# by E(5, 3) and E(11, 1); selftest, the tests and the scripts use <= 256.
+MAX_SIGN_PATTERNS = 4096
+
+
 class EverestError(ValueError):
     pass
 
@@ -83,9 +88,19 @@ def vertex_families(params: EverestParams) -> Families:
     v_zero: all -1 entries in a single shared column;
     v_one: pointwise differences v - u with v in v_minus_one and u a nonzero
     member of v_zero.  The union of v_one and v_minus_one minus the origin is
-    the vertex set of the Everest polytope.
+    the vertex set of the Everest polytope.  Building v_one visits
+    (s+1)^(n+1) pattern pairs; past MAX_SIGN_PATTERNS, EverestError is
+    raised before any is built, by a product that stops at the cap.
     """
     n, s = params.n, params.s
+    count = 1
+    for _ in range(n + 1):
+        count *= s + 1
+        if count > MAX_SIGN_PATTERNS:
+            raise EverestError(
+                f"the vertex families of E({n},{s}) need (s+1)^(n+1) > "
+                f"{MAX_SIGN_PATTERNS} sign patterns, over the desk-scale cap"
+            )
     minus = []
     for js in itertools.product(range(s + 1), repeat=n):
         minus.append(_stack([-unit_row(s, j) for j in js]))
@@ -288,10 +303,10 @@ def _volume_by_lifting(params: EverestParams) -> Fraction:
     the (easily triangulated) transformed simplotope and the spine simplex.
     """
     n, s = params.n, params.s
+    fam_up = vertex_families(EverestParams(n + 1, s))  # caps n and s first
     pi_tilde, _ = se_square_matrices(params)
     if abs(det(pi_tilde)) != 1:
         raise EverestError("square extension is not volume preserving")
-    fam_up = vertex_families(EverestParams(n + 1, s))
     verts = [pi_tilde @ v for v in fam_up.v_minus_one.points]
     p = make_polytope(verts)
     index_of = {v.entries: i for i, v in enumerate(p.vertices)}

@@ -19,11 +19,6 @@ class DimensionError(ValueError):
     """Operands have incompatible or invalid dimensions."""
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, a string like ``-3/4``, or a Fraction to a Fraction."""
-    return Fraction(x)
-
-
 def format_rational(q) -> str:
     """Render a rational as ``p/q``, or ``p`` when the denominator is 1."""
     q = Fraction(q)

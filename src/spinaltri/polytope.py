@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import DimensionError, QVector, int_adjugate, int_dot, scaled_ints
 from .lp import EQ, LE, lp_feasible
@@ -211,9 +211,8 @@ def make_polytope(
         if p in seen:
             raise DuplicatePoint(i, seen[p])
         seen[p] = i
-    for i in range(len(pts)):
-        if len(pts) > 1 and _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
-            raise NotInConvexPosition(i)
+    for i in _inside_points(ints):
+        raise NotInConvexPosition(i)  # the first, before any later LP
     return poly
 
 
@@ -228,15 +227,10 @@ def extreme_points(points: Sequence[QVector]) -> list[QVector]:
             seen.add(key)
             unique.append(p)
             ints.append(key)
-    if len(unique) <= 1:
-        return unique
     if any(len(p) != len(unique[0]) for p in unique):
         raise DimensionError("points of mixed dimension")
-    keep = []
-    for i, p in enumerate(unique):
-        if not _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
-            keep.append(p)
-    return keep
+    inside = set(_inside_points(ints))
+    return [p for i, p in enumerate(unique) if i not in inside]
 
 
 def vertex_mask(indices: Iterable[int]) -> int:
@@ -269,17 +263,21 @@ def facets_of_face(face: int, facet_masks: Sequence[int]) -> list[int]:
     return kept
 
 
-def _in_convex_hull(x: Sequence, hull_points: Sequence[Sequence]) -> bool:
-    """Whether x is a convex combination of hull_points, by one LP call on
-    the weights: n sign rows -w_i <= 0, the sum row, then one row per
-    coordinate, in that order.  The perfbench tracer pins this layout (4
-    calls of 6 rows each for a square), so keep one call per tested point
-    and every row.  Integer coordinates, as make_polytope passes its frame's
-    ivertices and extreme_points its scaled_ints, reach the LP as they are;
-    QVectors are scaled there row by row.
-    """
-    if not hull_points:
-        return False
+def _inside_points(ints: Sequence[tuple[int, ...]]) -> Iterator[int]:
+    """The indices i, in order, of the integer points that lie in the convex
+    hull of the others, one LP each; none for a single point."""
+    if len(ints) > 1:
+        for i in range(len(ints)):
+            if _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
+                yield i
+
+
+def _in_convex_hull(x: Sequence[int], hull_points: Sequence[Sequence[int]]) -> bool:
+    """Whether the integer point x is a convex combination of hull_points,
+    by one LP call on the weights: n sign rows -w_i <= 0, the sum row, then
+    one row per coordinate, in that order.  The perfbench tracer pins this
+    layout (4 calls of 6 rows each for a square), so keep one call per
+    tested point and every row."""
     n = len(hull_points)
     constraints = []
     for i in range(n):

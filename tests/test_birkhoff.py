@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinaltri.linalg import QMatrix, QVector, det
-from spinaltri.lp import EQ, LT, lp_feasible
 from spinaltri.polytope import Polytope, make_polytope
 from spinaltri.spine import is_spine
 from spinaltri.birkhoff import (
@@ -19,6 +18,7 @@ from spinaltri.birkhoff import (
     projected_birkhoff,
     verify_birkhoff_volume_relation,
 )
+from lp_oracle import EQ, LT, fraction_lp_feasible
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -140,7 +140,7 @@ def lp_strictly_inside(x: QVector, p: Polytope) -> bool:
     cons.append(([1] * nv, Fraction(1), EQ))
     for c in range(p.ambient_dim):
         cons.append(([v[c] for v in p.vertices], x[c], EQ))
-    return lp_feasible(cons)
+    return fraction_lp_feasible(cons)
 
 
 # The projected polytope for n = 4 lives in R^6; reading each vector as a

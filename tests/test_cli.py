@@ -48,6 +48,23 @@ def test_everest_volume_hull_matches(capsys):
     assert json.loads(out)["volume"] == "3"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["everest", "vertices", "12", "12"],
+        ["everest", "verify", "12", "12"],
+        ["everest", "volume", "12", "1", "--method", "lifting"],
+        ["everest", "volume", "1", "4096", "--method", "lifting"],
+    ],
+)
+def test_everest_over_the_pattern_cap_fails_in_one_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the vertex families of E(")
+
+
 def test_everest_verify(capsys):
     code, out = run(capsys, "everest", "verify", "1", "2", "--lifting")
     assert code == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from spinaltri import everest
 from spinaltri.linalg import QVector, det, QMatrix
 from spinaltri.everest import (
     EverestError,
@@ -95,6 +96,45 @@ def in_one_family(entries, n, s):
         else:
             return False
     return True
+
+
+class TestPatternCap:
+    """vertex_families refuses (s+1)^(n+1) > MAX_SIGN_PATTERNS before it
+    builds a single pattern; no oversized family is generated here."""
+
+    @pytest.fixture
+    def no_patterns(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sign pattern was built")
+
+        monkeypatch.setattr(everest, "unit_row", refuse)
+
+    @pytest.mark.parametrize("n,s", [(3, 3), (2, 2), (1, 1)])
+    def test_refused_just_over_the_cap(self, n, s, monkeypatch, no_patterns):
+        monkeypatch.setattr(everest, "MAX_SIGN_PATTERNS", (s + 1) ** (n + 1) - 1)
+        with pytest.raises(EverestError, match="desk-scale cap"):
+            vertex_families(EverestParams(n, s))
+
+    @pytest.mark.parametrize("n,s", [(3, 3), (2, 2), (1, 1)])
+    def test_admitted_at_the_cap(self, n, s, monkeypatch):
+        monkeypatch.setattr(everest, "MAX_SIGN_PATTERNS", (s + 1) ** (n + 1))
+        fam = vertex_families(EverestParams(n, s))
+        assert len(fam.everest.points) == (s + 1) ** (n + 1) - s - 1
+
+    @pytest.mark.parametrize(
+        "n,s", [(12, 1), (6, 3), (5, 4), (1, 64), (12, 12), (10**18, 10**18), (1, 10**100)]
+    )
+    def test_refused_over_the_module_cap(self, n, s, no_patterns):
+        assert (s + 1) ** min(n + 1, 20) > everest.MAX_SIGN_PATTERNS
+        with pytest.raises(EverestError, match="desk-scale cap"):
+            vertex_families(EverestParams(n, s))
+
+    def test_the_cap_admits_what_the_repository_uses(self):
+        # selftest and the tests go up to E(3, 3) and the (n + 1, s)
+        # families of E(2, 2); the golden corpus to E(4, 1) and E(1, 4),
+        # whose lifting and verify routes build E(5, 1) and E(2, 4).
+        for n, s in [(3, 3), (5, 1), (2, 4), (3, 2)]:
+            assert (s + 1) ** (n + 1) <= everest.MAX_SIGN_PATTERNS
 
 
 class TestVertexFamilies:

@@ -23,8 +23,9 @@ from spinaltri import polytope
 from spinaltri.birkhoff import birkhoff_context
 from spinaltri.everest import simplotope
 from spinaltri.linalg import QMatrix, QVector
-from spinaltri.polytope import extreme_points, frame_coords, make_polytope
+from spinaltri.polytope import frame_coords, make_polytope
 from linalg_oracle import kernel_basis
+from random_polytopes import random_polytope
 from test_frame_oracle import instances
 
 
@@ -161,24 +162,6 @@ def naive_facets(p):
         incident = tuple(i for i, s in enumerate(sides) if s == 0)
         found[incident] = True
     return set(found)
-
-
-def random_polytope(rng, dims=(2, 3, 4)):
-    while True:
-        d = rng.choice(dims)
-        count = rng.randint(d + 1, 8 if d < 4 else 7)
-        pts = []
-        seen = set()
-        while len(pts) < count:
-            q = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(d))
-            if q not in seen:
-                seen.add(q)
-                pts.append(QVector(q))
-        ext = extreme_points(pts)
-        if len(ext) >= d + 1:
-            p = make_polytope(ext)
-            if p.dim == d:
-                return p
 
 
 def test_agrees_with_naive_oracle_on_random_instances():

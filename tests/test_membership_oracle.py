@@ -2,8 +2,8 @@
 
 The library's former code is kept here verbatim as the oracle:
 
-- `fraction_in_convex_hull`: the former `polytope._in_convex_hull`, which
-  hands the LP the points' `Fraction` coordinates row by row;
+- `lp_oracle.fraction_in_convex_hull`: the former `polytope._in_convex_hull`,
+  which hands the general LP oracle the points' `Fraction` coordinates;
 - `fraction_make_polytope` and `fraction_extreme_points`: the former
   `make_polytope` and `extreme_points`, calling it on the points as given;
 - `fraction_contains`: the former `Polytope.contains`, which checks the
@@ -26,7 +26,6 @@ from typing import Sequence
 import pytest
 
 from spinaltri.linalg import DimensionError, QMatrix, QVector
-from spinaltri.lp import EQ, LE, lp_feasible
 from spinaltri.polytope import (
     DEFAULT_MAX_VERTICES,
     ENV_MAX_DIM,
@@ -40,24 +39,10 @@ from spinaltri.polytope import (
     max_ambient_dim,
 )
 from linalg_oracle import rank
+from lp_oracle import fraction_in_convex_hull
 
 
 # --- the former Fraction membership tests --------------------------------------
-
-
-def fraction_in_convex_hull(x: QVector, hull_points: Sequence[QVector]) -> bool:
-    if not hull_points:
-        return False
-    n = len(hull_points)
-    constraints = []
-    for i in range(n):
-        coeff = [0] * n
-        coeff[i] = -1
-        constraints.append((coeff, 0, LE))  # lambda_i >= 0
-    constraints.append(([1] * n, 1, EQ))  # sum = 1
-    for c in range(len(x)):
-        constraints.append(([p[c] for p in hull_points], x[c], EQ))
-    return lp_feasible(constraints)
 
 
 def fraction_make_polytope(

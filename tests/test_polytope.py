@@ -10,10 +10,10 @@ from spinaltri.polytope import (
     DegeneratePolytope,
     DuplicatePoint,
     NotInConvexPosition,
-    _in_convex_hull,
     extreme_points,
     make_polytope,
 )
+from lp_oracle import fraction_in_convex_hull
 
 
 def qv(*xs):
@@ -171,11 +171,11 @@ class TestContains:
         )
     )
     def test_halfspace_agreement_on_random_rational_points(self, coords):
-        # contains() reads the facets, so the LP on convex-combination
-        # weights is the independent side of the comparison.
+        # contains() reads the facets, so the general LP oracle on
+        # convex-combination weights is the independent side.
         p = make_polytope(cube_vertices(3))
         x = QVector(coords)
-        assert p.contains(x) == _in_convex_hull(x, p.vertices)
+        assert p.contains(x) == fraction_in_convex_hull(x, p.vertices)
 
     @pytest.mark.parametrize(
         "x,inside",
@@ -183,7 +183,7 @@ class TestContains:
     )
     def test_lower_dimensional(self, x, inside):
         p = make_polytope([qv(0, 0), qv(2, 2)])
-        assert p.contains(qv(*x)) == inside == _in_convex_hull(qv(*x), p.vertices)
+        assert p.contains(qv(*x)) == inside == fraction_in_convex_hull(qv(*x), p.vertices)
 
     def test_single_vertex(self):
         p = make_polytope([qv(1, 2)])

@@ -23,7 +23,7 @@ from spinaltri.linalg import QVector, gram_sq_volume
 from spinaltri.polytope import Polytope, extreme_points, make_polytope
 from spinaltri.spine import enumerate_spines, spine
 from spinaltri.triangulation import ShadowMap, shadow_polytope
-from test_facet_oracle import random_polytope
+from random_polytopes import random_polytope
 from test_frame_oracle import instances
 
 

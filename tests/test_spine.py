@@ -14,7 +14,7 @@ from spinaltri.polytope import (
     vertex_mask,
 )
 from spinaltri.spine import Spine, SpineError, enumerate_spines, is_spine, spine
-from test_facet_oracle import random_polytope
+from random_polytopes import random_polytope
 
 
 def cube(d):

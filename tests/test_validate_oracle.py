@@ -5,7 +5,8 @@ kept verbatim with its helpers (among them `simplex_relative_volume`, the
 former `volume` function that `test_frame_oracle` also uses): after the
 same shape, volume and usage checks it compares every pair of cells, first
 by the facet planes of each and then by an exact LP for a common interior
-point.  It never checks that the points lie in the polytope, so a point set
+point, solved by the general LP oracle `lp_oracle.fraction_lp_feasible`.
+It never checks that the points lie in the polytope, so a point set
 outside P is the one case on which the two validators may disagree;
 everywhere else they must accept and reject the same triangulations.
 """
@@ -19,7 +20,6 @@ from typing import Sequence
 import pytest
 
 from spinaltri.linalg import QMatrix, QVector, det
-from spinaltri.lp import EQ, LT, lp_feasible
 from spinaltri.polytope import Polytope, PolytopeError, frame_coords, make_polytope
 from spinaltri.selfcheck import _random_polytope
 from spinaltri.triangulation import (
@@ -29,6 +29,7 @@ from spinaltri.triangulation import (
 )
 from spinaltri.volume import polytope_relative_volume
 from linalg_oracle import kernel_basis
+from lp_oracle import EQ, LT, fraction_lp_feasible
 
 
 def simplex_relative_volume(coords: Sequence[QVector]) -> Fraction:
@@ -129,7 +130,7 @@ def _interiors_meet(cell_a, cell_b) -> bool:
     for c in range(k):
         row = [q[c] for q in cell_a] + [-q[c] for q in cell_b]
         cons.append((row, Fraction(0), EQ))
-    return lp_feasible(cons)
+    return fraction_lp_feasible(cons)
 
 
 def _verdict(t: Triangulation, p: Polytope) -> tuple[bool, str]:

@@ -28,7 +28,7 @@ from spinaltri.volume import (
     triangulation_relative_volume,
     verify_lifting_relation,
 )
-from test_facet_oracle import random_polytope
+from random_polytopes import random_polytope
 
 
 def cube(d):
