@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import QMatrix, QVector, det, int_det, int_dot
-from .polytope import Polytope, extreme_points, make_polytope
+from .polytope import Polytope, make_polytope
 from .spine import spine
 from .volume import lifting_relation_report, polytope_volume
 
@@ -278,8 +278,11 @@ def projected_birkhoff(ctx: BirkhoffContext) -> Polytope:
     for i in ctx.spine_vertex_indices:
         if not images[i].is_zero():
             raise BirkhoffError("a spine vertex has a nonzero projected image")
-    ext = extreme_points(images)
-    p = make_polytope(ext)
+    # The spine images are the origin, interior for n >= 3, and every other
+    # image is a vertex: the map's kernel on the hull is the spine's span,
+    # so (i) of triangulation.shadow_polytope applies; make_polytope checks.
+    spine_set = set(ctx.spine_vertex_indices)
+    p = make_polytope([v for i, v in enumerate(images) if i not in spine_set])
     if n >= 3 and not (
         p.dim == m * (m - 1) and _strictly_inside(QVector.zero(m * (m - 1)), p)
     ):

@@ -10,14 +10,15 @@ to exact coordinates in a basis of the hull first.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import DimensionError, QVector, int_adjugate, int_dot, scaled_ints
+from .linalg import (
+    DimensionError, QVector, int_adjugate, int_dot, int_echelon, scaled_ints
+)
 from .lp import EQ, LE, lp_feasible
 
 DEFAULT_MAX_AMBIENT_DIM = 16
@@ -80,21 +81,19 @@ class _Frame:
     Every rational quantity is an integer tuple times one positive scale.
     ``ivertices`` are the vertices times ``vscale``, the lcm of their
     denominators.  The origin is vertex 0 and the basis B the edges from it
-    to the first maximal affinely independent run of vertices, so B~ =
-    vscale * B is an integer d x k matrix; ``ibasis`` holds its rows.
-    ``icoords`` are the hull coordinates c of the vertices (B c = v - v_0)
-    times ``scale``, the lcm of their denominators.  A full-dimensional hull
-    (``identity``) uses the ambient coordinates themselves, so there
-    ``icoords`` is ``ivertices``.
+    to the vertices ``basis``, the first maximal affinely independent run,
+    so B~ = vscale * B is an integer d x k matrix.  ``icoords`` are the hull
+    coordinates c of the vertices (B c = v - v_0) times ``scale``, the lcm
+    of their denominators.  A full-dimensional hull (``identity``) uses the
+    ambient coordinates themselves, so there ``icoords`` is ``ivertices``.
 
-    A lower-dimensional hull also keeps ``lead``, the k ambient rows at the
-    leads of the echelon that found the basis, where B~ is invertible, with
-    ``lead_adj`` / ``lead_det`` (> 0) the inverse of those rows: the hull
-    coordinates of a point are one integer solve on its lead entries plus an
-    integer check of the other rows.  ``normal_map`` = B~ adj(B~^T B~) sends
-    a normal in hull coordinates to a positive multiple of the ambient normal
-    that lies in the direction space.  ``gram_det`` = det(B^T B) and
-    ``coords`` are the same data over Q.
+    A lower-dimensional hull also keeps ``solve``, an integer d x d matrix T
+    with T B~ = ``den`` [I_k; 0] (den > 0): the hull coordinates of a point
+    are the first k entries of T t, where the other d - k vanish iff the
+    point lies in the hull.  ``normal_map`` = B~ adj(B~^T B~) sends a normal
+    in hull coordinates to a positive multiple of the ambient normal that
+    lies in the direction space.  ``gram_det`` = det(B^T B) and ``coords``
+    are the same data over Q.
     """
 
     dim: int
@@ -104,10 +103,9 @@ class _Frame:
     icoords: tuple[tuple[int, ...], ...]
     scale: int
     gram_det: Fraction
-    ibasis: tuple[tuple[int, ...], ...] = ()
-    lead: tuple[int, ...] = ()
-    lead_adj: tuple[tuple[int, ...], ...] = ()
-    lead_det: int = 1
+    basis: tuple[int, ...]
+    solve: tuple[tuple[int, ...], ...] = ()
+    den: int = 1
     normal_map: tuple[tuple[int, ...], ...] = ()
 
     @property
@@ -320,81 +318,54 @@ def hull_ints(
     scale, and the scale; PolytopeError if a point is off the affine hull."""
     if fr.identity:
         return amb, q
-    s, origin, lead, det_l = fr.vscale, fr.ivertices[0], fr.lead, fr.lead_det
+    s, origin, k = fr.vscale, fr.ivertices[0], fr.dim
     out = []
     for a in amb:
-        # t = vscale * q * (point - origin), so B~ c = t / q.
+        # t = vscale * q * (point - origin), so T t = den * q * (c, 0).
         t = [s * x - q * o for x, o in zip(a, origin)]
-        t_lead = [t[r] for r in lead]
-        u = tuple(int_dot(row, t_lead) for row in fr.lead_adj)
-        if any(int_dot(row, u) != det_l * x for row, x in zip(fr.ibasis, t)):
+        u = [int_dot(row, t) for row in fr.solve]
+        if any(u[k:]):
             raise PolytopeError("point outside the affine hull")
-        out.append(u)
-    return out, det_l * q
+        out.append(tuple(u[:k]))
+    return out, fr.den * q
 
 
 def _build_frame(vertices: tuple[QVector, ...], ambient_dim: int) -> _Frame:
+    """One fraction-free echelon of [E | I], E the d x (n - 1) integer edges
+    from vertex 0 as columns.  Its pivot columns in E are the greedy basis.
+    With p its last pivot, the column of vertex i in E ends as p (c_i, 0),
+    c_i the hull coordinates, and the identity block as T' with T' B~ =
+    p [I_k; 0], which ``solve`` keeps times sign(p)."""
     ivertices, vscale = scaled_ints(vertices)
-    origin = ivertices[0]
-    edges = [[a - o for a, o in zip(v, origin)] for v in ivertices]
-    # Greedy: scan edge vectors from vertices[0] for a maximal independent set.
-    echelon: list[tuple[int, list[int]]] = []
-    chosen: list[int] = []
-    for i in range(1, len(edges)):
-        if len(chosen) == ambient_dim:
-            break
-        red = _reduce_against(edges[i], echelon)
-        if red is not None:
-            echelon.append(red)
-            chosen.append(i)
-    k = len(chosen)
+    m = len(ivertices) - 1
+    rows = [
+        [v[r] - o for v in ivertices[1:]] + [int(r == j) for j in range(ambient_dim)]
+        for r, o in enumerate(ivertices[0])
+    ]
+    ech, pivots, _, den = int_echelon(rows)
+    lead = [c for c in pivots if c < m]
+    k = len(lead)
+    basis = tuple(c + 1 for c in lead)
     if k == ambient_dim:
-        return _Frame(k, True, ivertices, vscale, ivertices, vscale, Fraction(1))
-    ibasis = tuple(tuple(edges[i][r] for i in chosen) for r in range(ambient_dim))
-    lead = tuple(lead for lead, _ in echelon)
-    lead_adj, lead_det = int_adjugate([ibasis[r] for r in lead])
-    if lead_det < 0:
-        lead_adj, lead_det = [[-x for x in row] for row in lead_adj], -lead_det
-    gram_adj, gram_det = int_adjugate(
-        [[int_dot(a, b) for b in zip(*ibasis)] for a in zip(*ibasis)]
-    )
-    fr = _Frame(
+        return _Frame(k, True, ivertices, vscale, ivertices, vscale, Fraction(1), basis)
+    sign = 1 if den > 0 else -1
+    g = sign * math.gcd(den, *(x for row in ech[:k] for x in row[:m]))
+    icoords = ((0,) * k,) + tuple(tuple(r[c] // g for r in ech[:k]) for c in range(m))
+    bt = [[row[c] for row in rows] for c in lead]  # the rows of B~^T
+    gram_adj, gram_det = int_adjugate([[int_dot(a, b) for b in bt] for a in bt])
+    return _Frame(
         k,
         False,
         ivertices,
         vscale,
-        (),
-        1,
+        icoords,
+        den // g,
         Fraction(gram_det, vscale ** (2 * k)),
-        ibasis,
-        lead,
-        tuple(map(tuple, lead_adj)),
-        lead_det,
-        tuple(tuple(int_dot(row, col) for col in zip(*gram_adj)) for row in ibasis),
+        basis,
+        tuple(tuple(sign * x for x in row[m:]) for row in ech),
+        abs(den),
+        tuple(tuple(int_dot(row, col) for col in zip(*gram_adj)) for row in zip(*bt)),
     )
-    # Consistency: every vertex must lie in the affine hull of the basis.
-    raw, scale = hull_ints(fr, ivertices, vscale)
-    g = math.gcd(scale, *(x for u in raw for x in u))
-    icoords = tuple(tuple(x // g for x in u) for u in raw)
-    return dataclasses.replace(fr, icoords=icoords, scale=scale // g)
-
-
-def _reduce_against(
-    vec: list[int], echelon: list[tuple[int, list[int]]]
-) -> tuple[int, list[int]] | None:
-    """Reduce an integer row by the (lead, row) echelon rows, fraction-free;
-    return its lead and primitive reduced row, or None if it is dependent."""
-    v = vec
-    for lead, row in echelon:
-        f = v[lead]
-        if f:
-            p = row[lead]
-            v = [a * p - f * b for a, b in zip(v, row)]
-    g = math.gcd(*v)
-    if g == 0:
-        return None
-    v = [a // g for a in v]
-    return next(i for i, a in enumerate(v) if a), v
 
 
 def frame_coords(p: Polytope, point: QVector) -> QVector:
@@ -412,7 +383,7 @@ def _enumerate_facets(p: Polytope) -> list[Facet]:
     if k == 0:
         raise DegeneratePolytope("a single point has no facets")
     fr = p.frame()
-    raw = _supporting_hyperplanes(fr.icoords, k)
+    raw = _supporting_hyperplanes(fr.icoords, k, (0, *fr.basis))
     keyed = []
     n = len(p.vertices)
     for normal_ints, _, mask in raw:
@@ -445,7 +416,7 @@ def _lift_normal(
 
 
 def _supporting_hyperplanes(
-    pts: list[tuple[int, ...]], k: int
+    pts: list[tuple[int, ...]], k: int, start: Sequence[int]
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """All facet hyperplanes of a dim-k integer point set in Z^k.
 
@@ -453,32 +424,24 @@ def _supporting_hyperplanes(
     for every point and a primitive normal.  Double description method
     (Fukuda and Prodon, "Double description method revisited", 1996) on the
     cone of y = (a, b) with b - a.p >= 0 for every point p, whose extreme
-    rays are the facets.  Rays are gcd-normalised integer tuples with their
-    zero sets as bitmasks over the points; b = a.p at an incident point, so
-    the normal of a ray is primitive too.  Two rays are adjacent iff they
-    share at least k - 1 zeros and no third ray's zero set contains the
-    shared ones.
+    rays are the facets.  It starts from the simplicial cone of the k + 1
+    affinely independent points ``start``: with H the rows (-p, 1) of
+    those points, its rays are the columns of H^-1, taken as the primitive
+    columns of sign(det H) adj(H), and ray i is zero on every start row but
+    row i.  The other points are inserted in input order.  Rays are
+    gcd-normalised integer tuples with their zero sets as bitmasks over the
+    points; b = a.p at an incident point, so the normal of a ray is
+    primitive too.  Two rays are adjacent iff they share at least k - 1
+    zeros and no third ray's zero set contains the shared ones.
     """
     rows = [(*(-c for c in p), 1) for p in pts]
-    # Start: the simplicial cone of the first k + 1 affinely independent
-    # points, by fraction-free elimination against a lineality basis.
-    lineal = [tuple(int(i == j) for j in range(k + 1)) for i in range(k + 1)]
-    rays: list[tuple[tuple[int, ...], int]] = []
-    start_mask = 0
-    rest: list[int] = []
-    for i, h in enumerate(rows):
-        dots = [int_dot(h, l) for l in lineal]
-        j = next((j for j, d in enumerate(dots) if d), None)
-        if j is None:
-            rest.append(i)
-            continue
-        l0, d0 = lineal.pop(j), dots.pop(j)
-        if d0 < 0:
-            l0, d0 = tuple(-b for b in l0), -d0
-        rays = [(_combine(d0, r, int_dot(h, r), l0), z | 1 << i) for r, z in rays]
-        rays.append((l0, start_mask))
-        start_mask |= 1 << i
-        lineal = [_combine(d0, l, d, l0) for l, d in zip(lineal, dots)]
+    adj, det_h = int_adjugate([rows[i] for i in start])
+    start_mask = vertex_mask(start)
+    rays = []
+    for i, col in zip(start, zip(*adj)):
+        g = math.gcd(*col) if det_h > 0 else -math.gcd(*col)
+        rays.append((tuple(x // g for x in col), start_mask & ~(1 << i)))
+    rest = [i for i in range(len(pts)) if not start_mask >> i & 1]
     for i in rest:
         h, bit = rows[i], 1 << i
         pos, neg, new = [], [], []

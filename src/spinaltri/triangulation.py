@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 from .linalg import QMatrix, QVector, int_adjugate, int_dot, scaled_ints
 from .polytope import (
+    DuplicatePoint,
+    NotInConvexPosition,
     Polytope,
     PolytopeError,
     facet_masks,
@@ -139,7 +141,12 @@ def star_triangulation(
         if sorted(order) != list(range(len(pts))):
             raise TriangulationError("order must be a permutation of the point indices")
     others = [i for i in range(len(pts)) if i != z]
-    hull = make_polytope([pts[i] for i in others])  # rejects non-extreme points
+    try:  # rejects non-extreme points, named by their input index
+        hull = make_polytope([pts[i] for i in others])
+    except DuplicatePoint as exc:
+        raise DuplicatePoint(others[exc.index], others[exc.first]) from None
+    except NotInConvexPosition as exc:
+        raise NotInConvexPosition(others[exc.index]) from None
 
     if not hull.contains(pts[z]):
         # Origin outside: the full point set must be in convex position and

@@ -6,10 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinaltri.linalg import QMatrix, QVector, det
-from spinaltri.polytope import Polytope, make_polytope
+from spinaltri.polytope import Polytope, PolytopeError, extreme_points, make_polytope
 from spinaltri.spine import is_spine
 from spinaltri.birkhoff import (
     BirkhoffError,
+    _projected_images,
     _strictly_inside,
     birkhoff_context,
     block_matrix,
@@ -112,6 +113,21 @@ class TestProjection:
         got = {tuple(int(x) for x in v) for v in p.vertices}
         assert got == set(GOLDEN_PROJECTED_B4)
         assert len(got) == 20
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_vertices_are_the_extreme_images(self, n):
+        """The non-spine images, kept by theorem, are the images that
+        extreme_points keeps, in order; n = 5 then fails the vertex cap."""
+        ctx = birkhoff_context(n)
+        images = _projected_images(ctx)
+        ext = extreme_points(images)
+        spine_set = set(ctx.spine_vertex_indices)
+        assert ext == [v for i, v in enumerate(images) if i not in spine_set]
+        if n == 5:
+            with pytest.raises(PolytopeError, match="115 vertices exceed"):
+                projected_birkhoff(ctx)
+        else:
+            assert list(projected_birkhoff(ctx).vertices) == ext
 
     def test_spine_images_vanish(self):
         ctx = birkhoff_context(4)

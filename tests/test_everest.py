@@ -1,9 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from spinaltri import everest
+from spinaltri.cli import main
 from spinaltri.linalg import QVector, det, QMatrix
 from spinaltri.everest import (
     EverestError,
@@ -135,6 +137,39 @@ class TestPatternCap:
         # whose lifting and verify routes build E(5, 1) and E(2, 4).
         for n, s in [(3, 3), (5, 1), (2, 4), (3, 2)]:
             assert (s + 1) ** (n + 1) <= everest.MAX_SIGN_PATTERNS
+
+
+class TestFormulaCap:
+    """c_constant refuses (n+1)s > MAX_FORMULA_FACTORIAL before it takes a
+    factorial, and admits (n+1)s at the cap."""
+
+    @pytest.mark.parametrize("n,s", [(9999, 1), (1, 5000), (4, 2000)])
+    def test_admitted_at_the_cap(self, n, s):
+        # ((n+1)s)! / (s!)^(n+1) is the multinomial prod_j C(js, s).
+        assert (n + 1) * s == everest.MAX_FORMULA_FACTORIAL
+        multinomial = math.prod(math.comb(j * s, s) for j in range(1, n + 2))
+        want = Fraction(multinomial, math.factorial(n * s))
+        assert c_constant(EverestParams(n, s)) == want
+
+    @pytest.mark.parametrize("n,s", [(10000, 1), (72, 137), (136, 73), (3000, 3000)])
+    def test_refused_over_the_cap(self, n, s, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a factorial was taken")
+
+        monkeypatch.setattr(everest.math, "factorial", refuse)
+        assert (n + 1) * s > everest.MAX_FORMULA_FACTORIAL
+        with pytest.raises(EverestError, match="desk-scale cap"):
+            c_constant(EverestParams(n, s))
+        with pytest.raises(EverestError, match="desk-scale cap"):
+            everest_volume(EverestParams(n, s))
+
+    @pytest.mark.parametrize("n,s", [("10000", "1"), ("3000", "3000")])
+    def test_cli_fails_in_one_line(self, n, s, capsys):
+        assert main(["everest", "volume", n, s, "--method", "formula"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: the closed form of E({n},{s}) needs")
 
 
 class TestVertexFamilies:

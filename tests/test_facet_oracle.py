@@ -26,7 +26,7 @@ from spinaltri.linalg import QMatrix, QVector
 from spinaltri.polytope import frame_coords, make_polytope
 from linalg_oracle import kernel_basis
 from random_polytopes import random_polytope
-from test_frame_oracle import instances
+from test_frame_oracle import affine_start, instances
 
 
 def brute_force_hyperplanes(
@@ -130,10 +130,12 @@ def brute_force_hyperplanes(
 def assert_matches_brute_force(p):
     """Same hyperplanes as the brute-force search, hence the same facets."""
     pts = list(p.frame().icoords)
-    got = polytope._supporting_hyperplanes(pts, p.dim)
+    got = polytope._supporting_hyperplanes(pts, p.dim, affine_start(pts))
     assert sorted(got) == sorted(brute_force_hyperplanes(pts, p.dim))
     with mock.patch.object(
-        polytope, "_supporting_hyperplanes", brute_force_hyperplanes
+        polytope,
+        "_supporting_hyperplanes",
+        lambda pts, k, start: brute_force_hyperplanes(pts, k),
     ):
         expected = polytope._enumerate_facets(p)
     assert p.facets() == expected

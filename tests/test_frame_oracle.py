@@ -5,6 +5,9 @@ The library's former Fraction code is kept here verbatim as the oracle:
 - `_Frame`, `_build_frame`, `_reduce_against` and `frame_coords`: hull
   coordinates through the inverse Gram matrix (`frame_coords` reads its
   frame from `oracle_frame` instead of `Polytope.frame`);
+- `affine_start`: the first maximal affinely independent run of points, by
+  the oracle rank, which must be the frame's basis and starts the double
+  description that `oracle_facets` runs;
 - `_scaled_int_coords` and `_lift_normal`, as `oracle_facets` calls them
   (the former `_enumerate_facets`);
 - `fraction_projector`: the body of the former `ShadowMap` up to the images;
@@ -150,11 +153,22 @@ def _scaled_int_coords(coords: Sequence[QVector]) -> list[tuple[int, ...]]:
     return [tuple(int(x * mult) for x in q) for q in coords]
 
 
+def affine_start(pts: Sequence[Sequence]) -> tuple[int, ...]:
+    """The indices of the first maximal affinely independent run of points,
+    by the rank of the rows (p, 1)."""
+    start: list[int] = []
+    for i in range(len(pts)):
+        rows = [list(pts[j]) + [1] for j in start + [i]]
+        if rank(QMatrix(rows, cols=len(pts[i]) + 1)) == len(rows):
+            start.append(i)
+    return tuple(start)
+
+
 def oracle_facets(p: Polytope) -> list[Facet]:
     k = p.dim
     fr = oracle_frame(p)
     int_pts = _scaled_int_coords(fr.coords)
-    raw = polytope._supporting_hyperplanes(int_pts, k)
+    raw = polytope._supporting_hyperplanes(int_pts, k, affine_start(int_pts))
     facets = []
     n = len(p.vertices)
     for normal_ints, offset_int, mask in raw:
@@ -374,6 +388,7 @@ def assert_same_frame(p: Polytope, rng: random.Random):
     assert (fr.dim, fr.identity, fr.gram_det) == (old.dim, old.identity, old.gram_det)
     assert fr.coords == old.coords
     assert list(fr.icoords) == _scaled_int_coords(old.coords)
+    assert (0, *fr.basis) == affine_start(p.vertices)
     assert p.facets() == oracle_facets(p)
     for x in itertools.chain(p.vertices, hull_points(p, rng)):
         try:
@@ -414,6 +429,28 @@ def test_frames_facets_and_coordinates_match(seed):
         assert_same_frame(p, rng)
         dims.add((p.dim, p.frame().identity))
     assert {(2, False), (3, False), (4, True), (4, False)} <= dims
+
+
+def test_frames_whose_basis_skips_a_vertex():
+    """The first vertices are affinely dependent, so the basis skips one:
+    the octahedron with its square equator first, and a triangular prism
+    in R^4, under a rational affine map, with a square face first."""
+    octahedron = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    prism = [(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    into_r4 = [(x + z + half, y, z - y + 1, x + 2 * y + 3 * z - third) for x, y, z in prism]
+    rng = random.Random(29)
+    for verts, identity, n_facets in ((octahedron, True, 8), (into_r4, False, 5)):
+        p = make_polytope([QVector(v) for v in verts])
+        assert p.frame().basis == (1, 2, 4)
+        assert (p.dim, p.frame().identity) == (3, identity)
+        assert len(p.facets()) == n_facets
+        assert_same_frame(p, rng)
+    off_hull = QVector([half, 0, 1, 5])
+    with pytest.raises(PolytopeError, match="outside the affine hull"):
+        polytope.frame_coords(p, off_hull)
+    with pytest.raises(PolytopeError, match="outside the affine hull"):
+        frame_coords(p, off_hull)
 
 
 def test_single_vertex_frame():

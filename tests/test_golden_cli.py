@@ -320,6 +320,7 @@ def commands() -> list[list[str]]:
         cmds.append(["birkhoff", "context", n, "--pretty"])
         cmds.append(["birkhoff", "project", n])
         cmds.append(["birkhoff", "verify", n])
+    cmds.append(["birkhoff", "project", "5"])
     cmds.append(["birkhoff", "project", "3", "--pretty"])
     cmds.append(["birkhoff", "verify", "2", "--volume"])
     cmds.append(["birkhoff", "verify", "3", "--volume"])

@@ -11,7 +11,7 @@ import spinaltri.polytope
 import spinaltri.triangulation
 import spinaltri.volume
 from spinaltri.linalg import QVector, gram_sq_volume
-from spinaltri.polytope import NotInConvexPosition, make_polytope
+from spinaltri.polytope import DuplicatePoint, NotInConvexPosition, make_polytope
 from spinaltri.spine import spine
 from spinaltri.everest import simplotope_with_spine
 from spinaltri.triangulation import (
@@ -105,6 +105,22 @@ class TestStar:
         pts = hexagon_points() + [qv(Fraction(1, 2), 0), qv(0, 0)]
         with pytest.raises(NotInConvexPosition):
             star_triangulation(pts)
+
+    def test_rejected_point_named_by_input_index(self):
+        # The origin comes first, so every other point's input index is one
+        # more than its position among the non-origin points.
+        pts = [qv(0, 0), qv(3, 0), qv(0, 3), qv(-3, -3), qv(0, 1)]
+        with pytest.raises(NotInConvexPosition) as exc:
+            star_triangulation(pts)
+        assert exc.value.index == 4
+        assert str(exc.value).startswith("point 4 lies in the convex hull")
+
+    def test_duplicate_named_by_input_indices(self):
+        pts = [qv(3, 0), qv(0, 0), qv(0, 3), qv(-3, -3), qv(0, 3)]
+        with pytest.raises(DuplicatePoint) as exc:
+            star_triangulation(pts)
+        assert (exc.value.index, exc.value.first) == (4, 2)
+        assert str(exc.value) == "point 4 duplicates point 2"
 
     def test_validates_against_hull(self):
         pts = hexagon_points() + [qv(0, 0)]
