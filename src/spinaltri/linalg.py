@@ -23,8 +23,23 @@ def format_rational(q) -> str:
     """Render a rational as ``p/q``, or ``p`` when the denominator is 1."""
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _decimal(q.numerator)
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
+
+
+_DIGIT_CHUNK = 10**500
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n, of any length.  str(n) refuses more than
+    sys.get_int_max_str_digits() digits (at least 640); this writes 500-digit
+    chunks instead and leaves that limit, which guards input parsing, alone."""
+    head, chunks = abs(n), []
+    while head >= _DIGIT_CHUNK:
+        head, tail = divmod(head, _DIGIT_CHUNK)
+        chunks.append(str(tail).zfill(500))
+    chunks.append(str(head))
+    return ("-" if n < 0 else "") + "".join(reversed(chunks))
 
 
 def parse_rational(s: str) -> Fraction:

@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .linalg import (
     DimensionError, QVector, int_adjugate, int_dot, int_echelon, scaled_ints
@@ -209,26 +209,47 @@ def make_polytope(
         if p in seen:
             raise DuplicatePoint(i, seen[p])
         seen[p] = i
-    for i in _inside_points(ints):
-        raise NotInConvexPosition(i)  # the first, before any later LP
+    if len(ints) > 1:
+        for i in range(len(ints)):  # the first, before any later LP
+            if _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
+                raise NotInConvexPosition(i)
     return poly
 
 
 def extreme_points(points: Sequence[QVector]) -> list[QVector]:
-    """Sublist of points that are vertices of the hull; duplicates collapsed."""
+    """Sublist of points that are vertices of the hull; duplicates collapsed.
+
+    One double description runs on all distinct points in the frame of
+    their affine hull; redundant points are allowed (Fukuda and Prodon
+    1996).  Point i is a vertex iff the AND of the zero sets of the facets
+    through it is its own bit: the smallest face holding a point is the
+    intersection of the facets through it, and an empty AND, for a point
+    on no facet, is the full mask.  That costs one facet enumeration of the
+    hull and no LP, cheap at desk scale in dimensions 2 to 4 but far slower
+    than one LP per point on many points in high dimension.
+    """
     pts = [p if isinstance(p, QVector) else QVector(p) for p in points]
     unique: list[QVector] = []
-    ints: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     for p, key in zip(pts, scaled_ints(pts)[0]):
         if key not in seen:
             seen.add(key)
             unique.append(p)
-            ints.append(key)
     if any(len(p) != len(unique[0]) for p in unique):
         raise DimensionError("points of mixed dimension")
-    inside = set(_inside_points(ints))
-    return [p for i, p in enumerate(unique) if i not in inside]
+    if len(unique) < 2:
+        return unique
+    fr = _build_frame(tuple(unique), len(unique[0]))
+    raw = _supporting_hyperplanes(fr.icoords, fr.dim, (0, *fr.basis))
+    keep = []
+    for i, p in enumerate(unique):
+        face = (1 << len(unique)) - 1
+        for _, _, z in raw:
+            if z >> i & 1:
+                face &= z
+        if face == 1 << i:
+            keep.append(p)
+    return keep
 
 
 def vertex_mask(indices: Iterable[int]) -> int:
@@ -259,15 +280,6 @@ def facets_of_face(face: int, facet_masks: Sequence[int]) -> list[int]:
         else:
             kept.append(c)
     return kept
-
-
-def _inside_points(ints: Sequence[tuple[int, ...]]) -> Iterator[int]:
-    """The indices i, in order, of the integer points that lie in the convex
-    hull of the others, one LP each; none for a single point."""
-    if len(ints) > 1:
-        for i in range(len(ints)):
-            if _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
-                yield i
 
 
 def _in_convex_hull(x: Sequence[int], hull_points: Sequence[Sequence[int]]) -> bool:

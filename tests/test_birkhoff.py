@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinaltri.linalg import QMatrix, QVector, det
-from spinaltri.polytope import Polytope, PolytopeError, extreme_points, make_polytope
+from spinaltri.polytope import Polytope, PolytopeError, make_polytope
 from spinaltri.spine import is_spine
 from spinaltri.birkhoff import (
     BirkhoffError,
@@ -20,6 +20,7 @@ from spinaltri.birkhoff import (
     verify_birkhoff_volume_relation,
 )
 from lp_oracle import EQ, LT, fraction_lp_feasible
+from test_membership_oracle import lp_extreme_points
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -117,10 +118,11 @@ class TestProjection:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_vertices_are_the_extreme_images(self, n):
         """The non-spine images, kept by theorem, are the images that
-        extreme_points keeps, in order; n = 5 then fails the vertex cap."""
+        the former LP extreme_points keeps, in order; n = 5 then fails the
+        vertex cap."""
         ctx = birkhoff_context(n)
         images = _projected_images(ctx)
-        ext = extreme_points(images)
+        ext = lp_extreme_points(images)
         spine_set = set(ctx.spine_vertex_indices)
         assert ext == [v for i, v in enumerate(images) if i not in spine_set]
         if n == 5:

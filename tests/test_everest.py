@@ -1,12 +1,14 @@
 import itertools
+import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from spinaltri import everest
 from spinaltri.cli import main
-from spinaltri.linalg import QVector, det, QMatrix
+from spinaltri.linalg import QVector, det, QMatrix, format_rational, parse_rational
 from spinaltri.everest import (
     EverestError,
     EverestParams,
@@ -170,6 +172,40 @@ class TestFormulaCap:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"error: the closed form of E({n},{s}) needs")
+
+
+def _read_digits(text: str) -> int:
+    """The integer a decimal string names, read 100 digits at a time, so
+    under any limit on int(str)."""
+    value = 0
+    for i in range(0, len(text), 100):
+        chunk = text[i : i + 100]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+class TestLongVolumes:
+    """format_rational writes closed-form volumes of any length exactly,
+    past the interpreter's 4,300-digit limit on str(int), which it leaves in
+    place for parsing."""
+
+    @pytest.mark.parametrize("n,s", [(60, 60), (4, 2000), (9, 1000)])
+    def test_written_exactly(self, n, s):
+        value = c_constant(EverestParams(n, s))
+        limit = sys.get_int_max_str_digits()
+        num, den = format_rational(value).split("/")
+        assert len(den) > 4300
+        assert (_read_digits(num), _read_digits(den)) == (value.numerator, value.denominator)
+        assert sys.get_int_max_str_digits() == limit
+        if limit:
+            with pytest.raises(ValueError, match="limit"):
+                parse_rational(f"{num}/{den}")
+
+    def test_cli_prints_e_60_60(self, capsys):
+        assert main(["everest", "volume", "60", "60"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        num, den = doc["volume"].split("/")
+        assert Fraction(_read_digits(num), _read_digits(den)) == c_constant(EverestParams(60, 60))
 
 
 class TestVertexFamilies:

@@ -308,6 +308,7 @@ def commands() -> list[list[str]]:
     cmds.append(["everest", "volume", "0", "2"])
     cmds.append(["everest", "volume", "2", "0"])
     cmds.append(["everest", "volume", "-1", "2"])
+    cmds.append(["everest", "volume", "60", "60"])
     for tok in ("0_2", "+2", "٢", "2x", "x", "1.0", " 2 "):
         cmds.append(["spine-enum", cube, "--min-size", tok])
         cmds.append(["everest", "volume", tok, "2"])

@@ -8,7 +8,11 @@ The library's former code is kept here verbatim as the oracle:
   `make_polytope` and `extreme_points`, calling it on the points as given;
 - `fraction_contains`: the former `Polytope.contains`, which checks the
   affine hull through `frame_coords` and then takes a `Fraction` dot product
-  with every facet normal.
+  with every facet normal;
+- `lp_extreme_points`: the former integer `extreme_points`, one phase-1 LP
+  per distinct point through `polytope._in_convex_hull`.  The library's
+  `extreme_points` now reads the vertices off one double description of
+  all the points, with no LP, so these references stay independent of it.
 
 The library now scales each point set to integers once and answers both
 questions on `int`.  On seeded random point sets in dimensions 1 to 4, with
@@ -16,16 +20,19 @@ integer and rational coordinates, repeated points, points inside the hull
 and skew rational embeddings of lower dimension, both sides must build the
 same vertices or name the same offending point, keep the same extreme
 points, and agree on membership of points inside, on the boundary, outside
-and off the affine hull.
+and off the affine hull.  The extreme points are also compared on sets with
+points inside edges and facets, lower-dimensional sets in R^3 and R^4, and
+sets of 0, 1 and 2 points.
 """
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import pytest
 
-from spinaltri.linalg import DimensionError, QMatrix, QVector
+from spinaltri import polytope
+from spinaltri.linalg import DimensionError, QMatrix, QVector, scaled_ints
 from spinaltri.polytope import (
     DEFAULT_MAX_VERTICES,
     ENV_MAX_DIM,
@@ -97,6 +104,32 @@ def fraction_extreme_points(points: Sequence[QVector]) -> list[QVector]:
     return keep
 
 
+def lp_extreme_points(points: Sequence[QVector]) -> list[QVector]:
+    """Sublist of points that are vertices of the hull; duplicates collapsed."""
+    pts = [p if isinstance(p, QVector) else QVector(p) for p in points]
+    unique: list[QVector] = []
+    ints: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for p, key in zip(pts, scaled_ints(pts)[0]):
+        if key not in seen:
+            seen.add(key)
+            unique.append(p)
+            ints.append(key)
+    if any(len(p) != len(unique[0]) for p in unique):
+        raise DimensionError("points of mixed dimension")
+    inside = set(_inside_points(ints))
+    return [p for i, p in enumerate(unique) if i not in inside]
+
+
+def _inside_points(ints: Sequence[tuple[int, ...]]) -> Iterator[int]:
+    """The indices i, in order, of the integer points that lie in the convex
+    hull of the others, one LP each; none for a single point."""
+    if len(ints) > 1:
+        for i in range(len(ints)):
+            if polytope._in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
+                yield i
+
+
 def fraction_contains(self: Polytope, x: QVector) -> bool:
     """Exact membership test: in the affine hull and on the inner side
     of every facet."""
@@ -122,6 +155,16 @@ def _coord(rng: random.Random, rational: bool):
     return rng.randint(-3, 3)
 
 
+def _embed(rng: random.Random, pts, k: int, amb: int):
+    """pts mapped by a random injective rational affine map R^k -> R^amb."""
+    while True:
+        a = QMatrix([[_coord(rng, True) for _ in range(k)] for _ in range(amb)])
+        if rank(a) == k:
+            break
+    shift = QVector([_coord(rng, True) for _ in range(amb)])
+    return [a @ v + shift for v in pts]
+
+
 def point_sets(seed: int, count: int):
     """Random point lists in R^1 to R^4: a k-dimensional cloud, sometimes
     with a repeated point and a convex combination of two or three of its
@@ -144,14 +187,7 @@ def point_sets(seed: int, count: int):
             pts.insert(rng.randrange(len(pts) + 1), combo * Fraction(1, sum(w)))
         extra = rng.randint(1, 4 - k) if k < 4 and rng.random() < 0.5 else 0
         if extra or rng.random() < 0.3:
-            while True:
-                a = QMatrix(
-                    [[_coord(rng, True) for _ in range(k)] for _ in range(k + extra)]
-                )
-                if rank(a) == k:
-                    break
-            shift = QVector([_coord(rng, True) for _ in range(k + extra)])
-            pts = [a @ v + shift for v in pts]
+            pts = _embed(rng, pts, k, k + extra)
         yield pts
 
 
@@ -200,7 +236,8 @@ def test_make_polytope_and_extreme_points_agree(seed):
     for pts in point_sets(seed, 120):
         got = outcome(make_polytope, pts)
         assert got == outcome(fraction_make_polytope, pts), pts
-        assert extreme_points(pts) == fraction_extreme_points(pts), pts
+        want = fraction_extreme_points(pts)
+        assert extreme_points(pts) == lp_extreme_points(pts) == want, pts
         seen.add(got[0] if isinstance(got[0], type) else len(pts[0]))
     assert {NotInConvexPosition, DuplicatePoint, 1, 2, 3, 4} <= seen
 
@@ -253,3 +290,101 @@ def test_square_plus_centre_in_every_position(pos):
         assert exc.value.index == pos
     assert extreme_points(pts) == fraction_extreme_points(pts) == SQUARE
     assert make_polytope(SQUARE).vertices == tuple(SQUARE)
+
+
+# --- extreme points from facet incidences --------------------------------------
+
+
+def boundary_point_sets(seed: int, count: int):
+    """(kinds, k, points): a random k-polytope (k = 1 to 4) given by its
+    vertices, plus one to four of a rational point inside one of its edges,
+    the centroid of one of its facets, its centroid and a repeated vertex,
+    shuffled and mapped into R^k to R^4, so that k = 1 and 2 give collinear
+    and coplanar sets in R^3 and R^4.  kinds names the redundant points
+    added."""
+    rng = random.Random(seed)
+    while count:
+        k = rng.randint(1, 4)
+        cloud = [
+            QVector([_coord(rng, rng.random() < 0.5) for _ in range(k)])
+            for _ in range(rng.randint(k + 1, 7))
+        ]
+        ext = lp_extreme_points(cloud)
+        p = Polytope(ext, k)
+        if p.dim != k:
+            continue
+        count -= 1
+        masks = p.incidence_masks()
+        full = (1 << len(ext)) - 1
+
+        def face(mask):
+            out = full
+            for g in masks:
+                if g & mask == mask:
+                    out &= g
+            return out
+
+        edges = [
+            (i, j)
+            for i in range(len(ext))
+            for j in range(i + 1, len(ext))
+            if face(1 << i | 1 << j) == 1 << i | 1 << j
+        ]
+        i, j = rng.choice(edges)
+        w = Fraction(rng.randint(1, 4), 5)
+        facet = rng.choice(p.facets()).incident
+        extra = {
+            "edge": ext[i] * w + ext[j] * (1 - w),
+            "facet": sum((ext[v] for v in facet), QVector.zero(k)) * Fraction(1, len(facet)),
+            "centroid": sum(ext, QVector.zero(k)) * Fraction(1, len(ext)),
+            "repeat": rng.choice(ext),
+        }
+        kinds = rng.sample(sorted(extra), rng.randint(1, 4))
+        pts = ext + [extra[name] for name in kinds]
+        rng.shuffle(pts)
+        amb = rng.randint(k, 4)
+        if amb > k or rng.random() < 0.5:
+            pts = _embed(rng, pts, k, amb)
+        yield kinds, k, pts
+
+
+def small_point_sets():
+    """0, 1 and 2 points, repeated or not, in R^1 to R^4."""
+    yield []
+    for amb in (1, 2, 3, 4):
+        a = QVector([Fraction(j + 1, 3) for j in range(amb)])
+        b = QVector([Fraction(-j, 2) for j in range(amb)])
+        yield from ([a], [a, a], [a, b], [b, a], [a, b, a], [b, b, a])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_extreme_points_on_boundary_points(seed):
+    seen = set()
+    for kinds, k, pts in boundary_point_sets(100 + seed, 80):
+        want = lp_extreme_points(pts)
+        assert extreme_points(pts) == want == fraction_extreme_points(pts), pts
+        assert len(want) < len(pts)
+        seen.update((kind, len(pts[0]), k) for kind in kinds)
+    # Every kind of redundant point; collinear and coplanar sets in R^3 and
+    # R^4, and 3-dimensional ones in R^4.
+    assert {kind for kind, _, _ in seen} == {"edge", "facet", "centroid", "repeat"}
+    assert {(amb, k) for _, amb, k in seen} >= {(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
+
+
+def test_extreme_points_on_small_sets():
+    for pts in small_point_sets():
+        assert extreme_points(pts) == lp_extreme_points(pts) == fraction_extreme_points(pts)
+        assert extreme_points(pts) == list(dict.fromkeys(pts))
+
+
+def test_extreme_points_make_no_lp(monkeypatch):
+    cases = list(point_sets(3, 60))
+    cases += [pts for _, _, pts in boundary_point_sets(103, 30)]
+    cases += list(small_point_sets())
+    want = [lp_extreme_points(pts) for pts in cases]
+
+    def no_lp(constraints):
+        raise AssertionError("an LP was built")
+
+    monkeypatch.setattr(polytope, "lp_feasible", no_lp)
+    assert [extreme_points(pts) for pts in cases] == want

@@ -217,7 +217,11 @@ class TestExtremePoints:
         def no_lp(constraints):
             raise AssertionError("an LP was built")
 
+        def no_frame(vertices, ambient_dim):
+            raise AssertionError("a frame was built")
+
         monkeypatch.setattr(polytope, "lp_feasible", no_lp)
+        monkeypatch.setattr(polytope, "_build_frame", no_frame)
         for build in (extreme_points, make_polytope):
             with pytest.raises(DimensionError, match="points of mixed dimension"):
                 build([QVector(t) for t in raw])

@@ -1,9 +1,10 @@
 """Cross-check the shadow's vertices by theorem against the vertex test.
 
 `extreme_points_shadow_polytope` is the library's former `shadow_polytope`,
-kept verbatim: it hulls the projected vertex images with one exact LP per
-image.  `shadow_polytope` now takes the vertices from the spine's facet
-masks; on every spine of every instance both must give the same vertex
+kept verbatim but for one name: it hulls the projected vertex images with one
+exact LP per image, through `lp_extreme_points`, the library's former
+`extreme_points`.  `shadow_polytope` now takes the vertices from the spine's
+facet masks; on every spine of every instance both must give the same vertex
 list, in the same order.
 
 `spine.spine` no longer checks that a spine is affinely independent; the
@@ -25,12 +26,13 @@ from spinaltri.spine import enumerate_spines, spine
 from spinaltri.triangulation import ShadowMap, shadow_polytope
 from random_polytopes import random_polytope
 from test_frame_oracle import instances
+from test_membership_oracle import lp_extreme_points
 
 
 def extreme_points_shadow_polytope(sm: ShadowMap) -> Polytope:
     """Convex hull of the projected vertex images (the origin included)."""
     if sm._shadow_poly is None:
-        ext = extreme_points(list(sm.shadow_points))
+        ext = lp_extreme_points(list(sm.shadow_points))
         sm._shadow_poly = Polytope(ext, sm.spine.polytope.ambient_dim)
     return sm._shadow_poly
 
