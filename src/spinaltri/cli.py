@@ -181,8 +181,7 @@ def cmd_lift(args) -> int:
     p = sio.load_polytope(args.polytope)
     sp = spine(p, _parse_spine_set(args.set))
     sm = shadow(sp)
-    with open(args.star) as fh:
-        doc = json.load(fh, parse_float=str)
+    doc = sio.load_json(args.star, "triangulation")
     simplices = sio.simplices_from_doc(doc, len(sm.star_points))
     star = Triangulation.make(sm.star_points, simplices, sm.e)
     lifted = lift(star, sm)

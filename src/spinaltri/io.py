@@ -72,9 +72,30 @@ def polytope_from_doc(doc: dict[str, Any]) -> Polytope:
     return make_polytope(vertices)
 
 
-def load_polytope(path: str) -> Polytope:
+def _json_int_token(token: str) -> int:
+    """A JSON integer literal; one past int()'s digit limit is named here,
+    since the interpreter's own message points at a setting the command
+    line cannot reach."""
+    try:
+        return int(token)
+    except ValueError:
+        digits = len(token.lstrip("-"))
+        raise DocumentError(f"integer of {digits} digits is too long to read") from None
+
+
+def load_json(path: str, what: str) -> Any:
+    """The JSON document in the file at path, floats kept as strings so they
+    are read exactly.  A document nested too deeply for the decoder is one
+    DocumentError, like an integer too long to read."""
     with open(path) as fh:
-        return polytope_from_doc(json.load(fh, parse_float=str))
+        try:
+            return json.load(fh, parse_float=str, parse_int=_json_int_token)
+        except RecursionError:
+            raise DocumentError(f"{what} document is nested too deeply to read") from None
+
+
+def load_polytope(path: str) -> Polytope:
+    return polytope_from_doc(load_json(path, "polytope"))
 
 
 def save_polytope(p: Polytope, path: str) -> None:

@@ -187,6 +187,22 @@ def make_polytope(
     Points inside the hull of the others are rejected rather than filtered;
     use extreme_points() for explicit filtering.
     """
+    pts = checked_points(points, max_vertices)
+    poly = Polytope(pts, len(pts[0]))
+    ints = poly.frame().ivertices
+    check_distinct(ints)
+    if len(ints) > 1:
+        for i in range(len(ints)):  # the first, before any later LP
+            if _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
+                raise NotInConvexPosition(i)
+    return poly
+
+
+def checked_points(
+    points: Sequence[QVector], max_vertices: int = DEFAULT_MAX_VERTICES
+) -> list[QVector]:
+    """The points as QVectors, after make_polytope's checks on the list: not
+    empty, one dimension, and within the ambient-dimension and vertex caps."""
     pts = [p if isinstance(p, QVector) else QVector(p) for p in points]
     if not pts:
         raise PolytopeError("empty point list")
@@ -202,18 +218,16 @@ def make_polytope(
         raise PolytopeError(
             f"{len(pts)} vertices exceed the desk-scale cap {max_vertices}"
         )
-    poly = Polytope(pts, dim)
-    ints = poly.frame().ivertices
+    return pts
+
+
+def check_distinct(ints: Sequence[tuple[int, ...]]) -> None:
+    """DuplicatePoint for the first point equal to an earlier one."""
     seen: dict[tuple[int, ...], int] = {}
     for i, p in enumerate(ints):
         if p in seen:
             raise DuplicatePoint(i, seen[p])
         seen[p] = i
-    if len(ints) > 1:
-        for i in range(len(ints)):  # the first, before any later LP
-            if _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
-                raise NotInConvexPosition(i)
-    return poly
 
 
 def extreme_points(points: Sequence[QVector]) -> list[QVector]:
@@ -395,12 +409,24 @@ def _enumerate_facets(p: Polytope) -> list[Facet]:
     if k == 0:
         raise DegeneratePolytope("a single point has no facets")
     fr = p.frame()
-    raw = _supporting_hyperplanes(fr.icoords, k, (0, *fr.basis))
+    return facets_from_rays(fr, _supporting_hyperplanes(fr.icoords, k, (0, *fr.basis)))
+
+
+def facets_from_rays(
+    fr: _Frame,
+    raw: Sequence[tuple[tuple[int, ...], int, int]],
+    skip: int | None = None,
+) -> list[Facet]:
+    """The canonical facets, sorted, from the double description rays raw on
+    the points of fr.  Point ``skip``, if any, is left out of the incident
+    sets and the points after it move down one index."""
     keyed = []
-    n = len(p.vertices)
+    n = len(fr.ivertices)
     for normal_ints, _, mask in raw:
         incident = tuple(i for i in range(n) if mask >> i & 1)
         ints, offset = _lift_normal(fr, normal_ints, incident)
+        if skip is not None:
+            incident = tuple(i - (i > skip) for i in incident if i != skip)
         keyed.append(((ints, offset), Facet(QVector(ints), offset, incident)))
     # The normals are integral, so their int tuples order as the entries do.
     keyed.sort(key=lambda kf: kf[0])

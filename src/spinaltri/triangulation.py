@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .linalg import QMatrix, QVector, int_adjugate, int_dot, scaled_ints
 from .polytope import (
@@ -24,7 +24,12 @@ from .polytope import (
     NotInConvexPosition,
     Polytope,
     PolytopeError,
+    _build_frame,
+    _supporting_hyperplanes,
+    check_distinct,
+    checked_points,
     facet_masks,
+    facets_from_rays,
     facets_of_face,
     hull_ints,
     make_polytope,
@@ -125,9 +130,23 @@ def star_triangulation(
     points in convex position; non-extreme nonzero points are rejected.
     Three positions of the origin are handled: strictly inside the hull of
     the others, on its boundary, or outside with the whole point set in
-    convex position.  The optional order steers the underlying pulling
-    triangulations, which is what makes distinct star triangulations of the
-    same shadow reachable; the default is input order.
+    convex position.  The origin alone is its own one-cell star of dim 0.
+    The optional order steers the underlying pulling triangulations, which
+    is what makes distinct star triangulations of the same shadow
+    reachable; the default is input order.
+
+    Cost: one double description on all the points, the origin included,
+    and no LP or membership test.  It places every point by the rule of
+    `extreme_points`: least(i), the AND of the zero sets of the facets
+    through point i (the full mask if there are none), is i's own bit iff
+    i is a vertex of the hull of all points.  A point that is no vertex of
+    the hull of the others is none of the hull of all points either, so
+    the input is accepted iff every other point passes.  Then either the
+    origin is a vertex (outside), or the hull of all points is the hull of
+    the others (inside or on the boundary) and the same rays are its
+    facets.  A rejected input pays a second double description and the
+    LPs of make_polytope, on the others and then on all points, which name
+    the first failing point by its input index.
     """
     pts = [q if isinstance(q, QVector) else QVector(q) for q in points]
     zeros = [i for i, q in enumerate(pts) if q.is_zero()]
@@ -140,26 +159,38 @@ def star_triangulation(
         order = list(order)
         if sorted(order) != list(range(len(pts))):
             raise TriangulationError("order must be a permutation of the point indices")
+    if len(pts) == 1:
+        return Triangulation.make(pts, [(0,)], 0)
     others = [i for i in range(len(pts)) if i != z]
-    try:  # rejects non-extreme points, named by their input index
-        hull = make_polytope([pts[i] for i in others])
-    except DuplicatePoint as exc:
-        raise DuplicatePoint(others[exc.index], others[exc.first]) from None
-    except NotInConvexPosition as exc:
-        raise NotInConvexPosition(others[exc.index]) from None
+    hull_pts = checked_points([pts[i] for i in others])
+    dim = len(hull_pts[0])
+    if len(pts[z]) != dim:
+        _raise_star_error(pts, z, others)
+    fr = _build_frame(tuple(pts), dim)
+    check_distinct(fr.ivertices)  # the origin repeats no other point
+    raw = _supporting_hyperplanes(fr.icoords, fr.dim, (0, *fr.basis))
+    least = [(1 << len(pts)) - 1] * len(pts)
+    for _, _, mask in raw:
+        for i in range(len(pts)):
+            if mask >> i & 1:
+                least[i] &= mask
+    if any(least[i] != 1 << i for i in others):
+        _raise_star_error(pts, z, others)
+    base = order if order is not None else list(range(len(pts)))
 
-    if not hull.contains(pts[z]):
-        # Origin outside: the full point set must be in convex position and
-        # the origin is then a hull vertex; pulling with the origin first is
-        # a star triangulation.
-        full = make_polytope(pts)
-        base = order if order is not None else list(range(len(pts)))
+    if least[z] == 1 << z:
+        # Origin outside: it is a vertex of the hull of all points, and
+        # pulling with the origin first is a star triangulation.
+        checked_points(pts)  # the vertex cap, now on all points
+        full = Polytope(pts, dim)
+        full._frame, full._facets = fr, facets_from_rays(fr, raw)
         pull_order = [z] + [i for i in base if i != z]
         return pulling_triangulation(full, pull_order)
 
     # Origin inside or on the boundary: cone from the origin over the
     # boundary cells of every facet whose affine hull misses the origin.
-    base = order if order is not None else list(range(len(pts)))
+    hull = Polytope(hull_pts, dim)
+    hull._dim, hull._facets = fr.dim, facets_from_rays(fr, raw, skip=z)
     local_of = {g: l for l, g in enumerate(others)}
     local_rank = {local_of[g]: i for i, g in enumerate(base) if g != z}
     ctx = _PullContext(hull, local_rank)
@@ -174,6 +205,21 @@ def star_triangulation(
     if used != set(range(len(pts))):
         raise ShadowInternalError("star construction failed to use every point")
     return tri
+
+
+def _raise_star_error(pts: list[QVector], z: int, others: list[int]) -> NoReturn:
+    """Raise the first error of a rejected star input: make_polytope on the
+    others, named by input index, then the origin's membership in their
+    hull, then make_polytope on all points."""
+    try:
+        hull = make_polytope([pts[i] for i in others])
+    except DuplicatePoint as exc:
+        raise DuplicatePoint(others[exc.index], others[exc.first]) from None
+    except NotInConvexPosition as exc:
+        raise NotInConvexPosition(others[exc.index]) from None
+    if not hull.contains(pts[z]):
+        make_polytope(pts)
+    raise ShadowInternalError("a star input was rejected but raised no error")
 
 
 def spinal_triangulation(s: Spine) -> Triangulation:

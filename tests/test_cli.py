@@ -252,6 +252,53 @@ def test_malformed_star_document_is_named(capsys, cube_file, tmp_path, text, mes
     assert captured.err == f"error: {message}\n"
 
 
+DEEP = "[" * 100_000
+LONG_INT = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "verb,which,text,message",
+    [
+        ("facets", "polytope", DEEP, "polytope document is nested too deeply to read"),
+        ("lift", "polytope", DEEP, "polytope document is nested too deeply to read"),
+        ("lift", "star", DEEP, "triangulation document is nested too deeply to read"),
+        (
+            "facets",
+            "polytope",
+            f'{{"ambient_dim": 2, "vertices": [[{LONG_INT}, 0], [0, 1]]}}',
+            "integer of 5000 digits is too long to read",
+        ),
+        (
+            "lift",
+            "polytope",
+            f'{{"ambient_dim": 3, "vertices": [[-{LONG_INT}, 0, 0]]}}',
+            "integer of 5000 digits is too long to read",
+        ),
+        (
+            "lift",
+            "star",
+            f'{{"simplices": [[0, 1, {LONG_INT}]]}}',
+            "integer of 5000 digits is too long to read",
+        ),
+    ],
+    ids=["facets-deep", "lift-deep", "star-deep", "facets-long", "lift-long", "star-long"],
+)
+def test_unreadable_json_is_one_error_line(
+    capsys, cube_file, tmp_path, verb, which, text, message
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    polytope = str(bad) if which == "polytope" else cube_file
+    argv = [verb, polytope]
+    if verb == "lift":
+        argv += ["--set", "0,7", "--star", str(bad) if which == "star" else cube_file]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
 def test_bad_max_dim_env_is_one_error_line(capsys, monkeypatch, square_file, raw):
     monkeypatch.setenv("SPINALTRI_MAX_DIM", raw)

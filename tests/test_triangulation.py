@@ -129,6 +129,90 @@ class TestStar:
         assert validate(t, hull)
 
 
+class TestStarOneDoubleDescription:
+    @pytest.mark.parametrize(
+        "build,position",
+        [
+            (lambda: spine(cube(3), [0, 7]), "inside"),
+            (lambda: spine(simplotope_with_spine(2, 2)[0], [0, 4]), "boundary"),
+            (lambda: spine(simplex(3), [0, 1]), "outside"),
+        ],
+        ids=["inside", "boundary", "outside"],
+    )
+    def test_star_and_lift_run_one_dd_and_no_lp(self, monkeypatch, build, position):
+        sp = build()
+        sm = shadow(sp)
+        hull = shadow_polytope(sm)
+        zero = QVector.zero(sp.polytope.ambient_dim)
+        on = [f.offset == 0 for f in hull.facets()]
+        got = "outside" if zero in hull.vertices else "boundary" if any(on) else "inside"
+        assert got == position
+        dds, lps = [], []
+        real_dd = spinaltri.polytope._supporting_hyperplanes
+        real_lp = spinaltri.lp.lp_feasible
+
+        def counting_dd(*args):
+            dds.append(args)
+            return real_dd(*args)
+
+        def counting_lp(*args):
+            lps.append(args)
+            return real_lp(*args)
+
+        monkeypatch.setattr(spinaltri.triangulation, "_supporting_hyperplanes", counting_dd)
+        monkeypatch.setattr(spinaltri.polytope, "_supporting_hyperplanes", counting_dd)
+        monkeypatch.setattr(spinaltri.polytope, "lp_feasible", counting_lp)
+        monkeypatch.setattr(spinaltri.lp, "lp_feasible", counting_lp)
+        star = star_triangulation(list(sm.star_points))
+        lifted = lift(star, sm)
+        assert len(dds) == 1 and lps == []
+        assert fold(lifted, sm, check=False).simplices == star.simplices
+
+    def test_rejected_input_reruns_the_former_route(self, monkeypatch):
+        pts = [qv(0, 0), qv(3, 0), qv(0, 3), qv(-3, -3), qv(0, 1)]
+        calls = []
+        real = spinaltri.triangulation.make_polytope
+        monkeypatch.setattr(
+            spinaltri.triangulation,
+            "make_polytope",
+            lambda q: calls.append(len(q)) or real(q),
+        )
+        with pytest.raises(NotInConvexPosition):
+            star_triangulation(pts)
+        assert calls == [4]
+
+    @pytest.mark.parametrize(
+        "pts,error",
+        [
+            ([qv(3, 0), qv(0, 0), qv(0, 3), qv(-3, -3), qv(0, 3)], DuplicatePoint),
+            ([qv(0, 0)] + [qv(t, t * t) for t in range(1, 32)], spinaltri.polytope.PolytopeError),
+            ([qv(0, 0), qv(1, 0), QVector([0, 1, 0])], spinaltri.linalg.DimensionError),
+        ],
+        ids=["duplicate", "vertex-cap", "mixed-dimension"],
+    )
+    def test_input_checks_run_before_the_dd(self, monkeypatch, pts, error):
+        def no_dd(*args):
+            raise AssertionError("the double description ran")
+
+        monkeypatch.setattr(spinaltri.triangulation, "_supporting_hyperplanes", no_dd)
+        monkeypatch.setattr(spinaltri.polytope, "_supporting_hyperplanes", no_dd)
+        with pytest.raises(error):
+            star_triangulation(pts)
+
+    def test_point_shadow_round_trip(self):
+        # The whole vertex set of a simplex is a spine; its shadow is the
+        # origin alone, whose one star is the point itself.
+        sp = spine(simplex(3), range(4))
+        sm = shadow(sp)
+        t = spinal_triangulation(sp)
+        star = star_triangulation(list(sm.star_points))
+        assert (star.simplices, star.dim) == (((0,),), 0)
+        assert fold(t, sm) == star
+        lifted = lift(star, sm)
+        assert lifted.simplices == t.simplices == ((0, 1, 2, 3),)
+        assert fold(lifted, sm) == star
+
+
 class TestSpinal:
     def test_cube_diagonal(self):
         t = spinal_triangulation(spine(cube(3), [0, 7]))
