@@ -8,7 +8,6 @@ Birkhoff polytope applications.
 
 from .linalg import (
     DimensionError,
-    QMatrix,
     QVector,
     Rational,
     det,

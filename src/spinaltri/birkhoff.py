@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import QMatrix, QVector, det, int_det, int_dot
+from .linalg import IntRows, QVector, det, int_det, int_dot, matvec
 from .polytope import Polytope, make_polytope
 from .spine import spine
 from .volume import lifting_relation_report, polytope_volume
@@ -46,7 +46,8 @@ class BirkhoffContext:
     matrix; B (n^2 x m^2) rebuilds a permutation matrix from its upper-left
     block up to the translation a; C (m^2 x m^2, |det| = 1) and b move the
     spine onto {0, e_1, ..., e_(n-1)}; D (m(m-1) x m^2) drops the first m
-    coordinates, projecting away the repositioned spine span.
+    coordinates, projecting away the repositioned spine span.  The maps and
+    J are integer rows.
     """
 
     n: int
@@ -56,13 +57,13 @@ class BirkhoffContext:
     spine_perms: tuple[tuple[int, ...], ...]
     spine_vectors: tuple[QVector, ...]
     spine_vertex_indices: tuple[int, ...]
-    a_map: QMatrix
-    b_map: QMatrix
-    c_map: QMatrix
-    d_map: QMatrix
+    a_map: IntRows
+    b_map: IntRows
+    c_map: IntRows
+    d_map: IntRows
     a_vec: QVector
     b_vec: QVector
-    j_mat: QMatrix
+    j_mat: IntRows
 
 
 def _build_a(n: int) -> list[list[int]]:
@@ -148,15 +149,6 @@ def _build_d(n: int) -> list[list[int]]:
     return rows
 
 
-def _imatvec(rows: list[list[int]], v: list[int]) -> list[int]:
-    return [int_dot(row, v) for row in rows]
-
-
-def _int_rows(m: QMatrix) -> list[list[int]]:
-    """The rows of a context map, which is an integer matrix."""
-    return [[x.numerator for x in row] for row in m.entries]
-
-
 def birkhoff_context(n: int) -> BirkhoffContext:
     """Build and self-check the context; transcription bugs surface here."""
     if not 2 <= n <= 5:
@@ -174,19 +166,18 @@ def birkhoff_context(n: int) -> BirkhoffContext:
     index_of = {p: i for i, p in enumerate(perms)}
     spine_idx = tuple(index_of[p] for p in spine_perms)
 
-    a_int, b_int, c_int = _build_a(n), _build_b(n), _build_c(n)
-    a_off, b_off = _build_a_vec(n), _build_b_vec(n)
-    j_mat = QMatrix(
-        [[2 if i == j else 1 for j in range(m)] for i in range(m)], cols=m
+    a_map, b_map, c_map, d_map = (
+        tuple(map(tuple, build(n))) for build in (_build_a, _build_b, _build_c, _build_d)
     )
+    a_off, b_off = _build_a_vec(n), _build_b_vec(n)
+    j_mat = tuple(tuple(2 if i == j else 1 for j in range(m)) for i in range(m))
 
-    # The self-checks run on the maps' integer rows.
     ident = _permutation_ints(tuple(range(n)))
-    if _imatvec(a_int, ident) != _permutation_ints(tuple(range(m))):
+    if matvec(a_map, ident) != _permutation_ints(tuple(range(m))):
         raise BirkhoffError("dropping the last row and column broke on the identity")
     for p in perms:
         v = _permutation_ints(p)
-        rebuilt = _imatvec(b_int, _imatvec(a_int, v))
+        rebuilt = matvec(b_map, matvec(a_map, v))
         if [x + y for x, y in zip(rebuilt, a_off)] != v:
             raise BirkhoffError("reconstruction from the truncated matrix failed")
     targets = {(0,) * (m * m)} | {
@@ -194,7 +185,7 @@ def birkhoff_context(n: int) -> BirkhoffContext:
     }
     images = set()
     for p in spine_perms:
-        moved = _imatvec(c_int, _imatvec(a_int, _permutation_ints(p)))
+        moved = matvec(c_map, matvec(a_map, _permutation_ints(p)))
         images.add(tuple(x + y for x, y in zip(moved, b_off)))
     if images != targets:
         raise BirkhoffError("spine did not land on the coordinate vectors")
@@ -207,10 +198,10 @@ def birkhoff_context(n: int) -> BirkhoffContext:
         tuple(spine_perms),
         spine_vectors,
         spine_idx,
-        QMatrix(a_int, cols=n * n),
-        QMatrix(b_int, cols=m * m),
-        QMatrix(c_int, cols=m * m),
-        QMatrix(_build_d(n), cols=m * m),
+        a_map,
+        b_map,
+        c_map,
+        d_map,
         QVector(a_off),
         QVector(b_off),
         j_mat,
@@ -232,25 +223,21 @@ class DeterminantReport:
         return self.btb_ok and self.c_ok and self.j_ok and self.block_ok
 
 
-def block_matrix(a: QMatrix, t: int) -> QMatrix:
-    """Block grid with 2A on the diagonal and A off it, t block rows."""
-    k = a.rows
-    rows = []
-    for bi in range(t):
-        for i in range(k):
-            row = []
-            for bj in range(t):
-                f = 2 if bi == bj else 1
-                row.extend(f * x for x in a.entries[i])
-            rows.append(row)
-    return QMatrix(rows, cols=k * t)
+def block_matrix(a: Sequence[Sequence], t: int) -> tuple[tuple, ...]:
+    """Rows of the block grid with 2A on the diagonal and A off it, t block
+    rows, for A given by its rows."""
+    return tuple(
+        tuple((2 if bi == bj else 1) * x for bj in range(t) for x in row)
+        for bi in range(t)
+        for row in a
+    )
 
 
 def determinant_identities(ctx: BirkhoffContext) -> DeterminantReport:
     """det(B^T B) = n^(2m), |det C| = 1, det J = n, and the block identity
     det(block(J, m)) = (m+1)^m det(J)^m realized by B^T B itself."""
     n, m = ctx.n, ctx.m
-    cols = list(zip(*_int_rows(ctx.b_map)))
+    cols = list(zip(*ctx.b_map))
     det_btb = Fraction(int_det([[int_dot(u, w) for w in cols] for u in cols]))
     det_c = abs(det(ctx.c_map))
     det_j = det(ctx.j_mat)
@@ -291,13 +278,12 @@ def projected_birkhoff(ctx: BirkhoffContext) -> Polytope:
 
 
 def _projected_images(ctx: BirkhoffContext) -> list[QVector]:
-    """D(C(A v) + b) for every vertex v, on the maps' integer rows."""
-    a, c, d = _int_rows(ctx.a_map), _int_rows(ctx.c_map), _int_rows(ctx.d_map)
+    """D(C(A v) + b) for every vertex v, on integer coordinates."""
     b = [x.numerator for x in ctx.b_vec]
     images = []
     for v in ctx.vertices:
-        moved = _imatvec(c, _imatvec(a, [x.numerator for x in v]))
-        images.append(QVector(_imatvec(d, [x + y for x, y in zip(moved, b)])))
+        moved = matvec(ctx.c_map, matvec(ctx.a_map, [x.numerator for x in v]))
+        images.append(QVector(matvec(ctx.d_map, [x + y for x, y in zip(moved, b)])))
     return images
 
 
@@ -320,9 +306,7 @@ class VolumeRelationReport:
         return self.relation_ok and self.cross_check_ok
 
 
-def verify_birkhoff_volume_relation(
-    ctx: BirkhoffContext, *, cross_check: bool = True
-) -> VolumeRelationReport:
+def verify_birkhoff_volume_relation(ctx: BirkhoffContext) -> VolumeRelationReport:
     """Check binom(m^2, n-1) vol(B) = vol(projected) n^(n-1) / (n-1)!.
 
     vol(B) is n^(n-1) times the volume of the truncated polytope, which is
@@ -333,7 +317,7 @@ def verify_birkhoff_volume_relation(
     n, m = ctx.n, ctx.m
     if n not in (3, 4):
         raise BirkhoffError("the volume relation is computed for n = 3 or 4 only")
-    truncated = make_polytope([ctx.a_map @ v for v in ctx.vertices])
+    truncated = make_polytope([QVector(matvec(ctx.a_map, v)) for v in ctx.vertices])
     vol_ab = polytope_volume(truncated).volume
     if vol_ab is None:
         raise BirkhoffError("the truncated polytope is not full-dimensional")
@@ -346,18 +330,14 @@ def verify_birkhoff_volume_relation(
     rhs = vol_hat * Fraction(1, math.factorial(n - 1)) * Fraction(n) ** (n - 1)
     relation_ok = lhs == rhs
 
-    cross_ok = True
-    if cross_check:
-        repositioned = make_polytope(
-            [ctx.c_map @ (ctx.a_map @ v) + ctx.b_vec for v in ctx.vertices]
-        )
-        index_of = {v.entries: i for i, v in enumerate(repositioned.vertices)}
-        spine_idx = [
-            index_of[(ctx.c_map @ (ctx.a_map @ u) + ctx.b_vec).entries]
-            for u in ctx.spine_vectors
-        ]
-        rep = lifting_relation_report(spine(repositioned, spine_idx))
-        # The coordinate-drop projection is an isometry on the spine's
-        # orthogonal complement, so the shadow volume is the projected volume.
-        cross_ok = rep.holds and rep.vol_shadow_sq == vol_hat * vol_hat
+    def reposition(v: QVector) -> QVector:
+        return QVector(matvec(ctx.c_map, matvec(ctx.a_map, v))) + ctx.b_vec
+
+    repositioned = make_polytope([reposition(v) for v in ctx.vertices])
+    index_of = {v: i for i, v in enumerate(repositioned.vertices)}
+    spine_idx = [index_of[reposition(u)] for u in ctx.spine_vectors]
+    rep = lifting_relation_report(spine(repositioned, spine_idx))
+    # The coordinate-drop projection is an isometry on the spine's
+    # orthogonal complement, so the shadow volume is the projected volume.
+    cross_ok = rep.holds and rep.vol_shadow_sq == vol_hat * vol_hat
     return VolumeRelationReport(n, vol_ab, vol_b, vol_hat, relation_ok, cross_ok)

@@ -17,11 +17,12 @@ from typing import Sequence
 
 from .linalg import (
     DimensionError,
-    QMatrix,
+    IntRows,
     QVector,
     det,
     gram_sq_volume,
     kernel_basis,
+    matvec,
     rank,
     sqrt_rational,
 )
@@ -38,6 +39,10 @@ MAX_SIGN_PATTERNS = 4096
 # slowest c_constant call at the cap, E(4, 2000), takes about 0.05 s on a
 # 2-vCPU Intel Xeon with Python 3.11.7, and E(300, 300) took 3.7 s.
 MAX_FORMULA_FACTORIAL = 10_000
+
+# Desk-scale cap on the dimension ns of the Everest hull that everest_polytope
+# builds; the closed form and the lifting route do not build it.
+MAX_HULL_DIM = 6
 
 
 class EverestError(ValueError):
@@ -174,12 +179,12 @@ def everest_membership(params: EverestParams, x: QVector) -> bool:
     return g_eval(params, x) <= 1
 
 
-def everest_polytope(params: EverestParams, *, max_dim: int = 6) -> Polytope:
+def everest_polytope(params: EverestParams) -> Polytope:
     """Polytope on the generated vertices, validated to be in convex position
-    and to sit on the gauge's unit level set."""
-    if params.dim > max_dim:
+    and to sit on the gauge's unit level set; EverestError past MAX_HULL_DIM."""
+    if params.dim > MAX_HULL_DIM:
         raise EverestError(
-            f"dimension {params.dim} exceeds the desk-scale cap {max_dim}"
+            f"dimension {params.dim} exceeds the desk-scale cap {MAX_HULL_DIM}"
         )
     fam = vertex_families(params)
     for v in fam.everest.points:
@@ -206,18 +211,16 @@ def simplotope_with_spine(n: int, s: int) -> tuple[Polytope, Spine]:
     return p, spine(p, v0_idx)
 
 
-def se_matrix(params: EverestParams) -> QMatrix:
-    """The (ns) x ((n+1)s) block matrix (I | -I ... -I stacked) that carries
-    the (n+1, s)-simplotope onto the (n, s)-Everest polytope."""
+def se_matrix(params: EverestParams) -> IntRows:
+    """The rows of the (ns) x ((n+1)s) block matrix (I | -I ... -I stacked)
+    that carries the (n+1, s)-simplotope onto the (n, s)-Everest polytope:
+    row i*s + j has 1 at column i*s + j and -1 at column n*s + j."""
     n, s = params.n, params.s
-    rows = []
-    for i in range(n):
-        for j in range(s):
-            row = [0] * (n * s + s)
-            row[i * s + j] = 1
-            row[n * s + j] = -1
-            rows.append(row)
-    return QMatrix(rows, cols=(n + 1) * s)
+    return tuple(
+        tuple(int(c == i * s + j) - int(c == n * s + j) for c in range((n + 1) * s))
+        for i in range(n)
+        for j in range(s)
+    )
 
 
 def se_checks(params: EverestParams) -> dict[str, bool]:
@@ -229,47 +232,38 @@ def se_checks(params: EverestParams) -> dict[str, bool]:
     up = vertex_families(EverestParams(n + 1, s))
     zero_set = {u.entries for u in up.v_zero.points}
     images = {
-        (pi @ v).entries for v in up.v_minus_one.points if v.entries not in zero_set
+        tuple(matvec(pi, v)) for v in up.v_minus_one.points if v.entries not in zero_set
     }
     expected = {v.entries for v in vertex_families(params).everest.points}
     basis = kernel_basis(pi)
     nonzero = [u for u in up.v_zero.points if not u.is_zero()]
-    stacked = QMatrix([list(v) for v in basis + nonzero], cols=(n + 1) * s)
     return {
         "se_image_is_vertex_set": images == expected,
-        "se_kills_spine": all((pi @ u).is_zero() for u in up.v_zero.points),
-        "kernel_spanned_by_spine": len(basis) == s and rank(stacked) == s,
+        "se_kills_spine": not any(any(matvec(pi, u)) for u in up.v_zero.points),
+        "kernel_spanned_by_spine": len(basis) == s and rank(basis + nonzero) == s,
     }
 
 
-def se_square_matrices(params: EverestParams) -> tuple[QMatrix, QMatrix]:
-    """Square extension of the carrier matrix and the coordinate projection.
+def se_square_matrices(params: EverestParams) -> tuple[IntRows, IntRows]:
+    """Rows of the square extension of the carrier matrix and of the
+    coordinate projection.
 
     The extension appends the last-s-coordinates identity block, making an
     invertible ((n+1)s)^2 matrix; the projection keeps the first ns
-    coordinates.  Checked here: projection @ extension recovers the carrier,
-    and the transformed single-column family spans the projection's kernel.
+    coordinates, so projection times extension is the extension's first ns
+    rows.  Checked here: those rows are the carrier, and the transformed
+    single-column family spans the projection's kernel.
     """
     n, s = params.n, params.s
     pi = se_matrix(params)
-    ext_rows = [list(r) for r in pi.entries]
-    for j in range(s):
-        row = [0] * (n + 1) * s
-        row[n * s + j] = 1
-        ext_rows.append(row)
-    pi_tilde = QMatrix(ext_rows, cols=(n + 1) * s)
-    proj_rows = []
-    for i in range(n * s):
-        row = [0] * (n + 1) * s
-        row[i] = 1
-        proj_rows.append(row)
-    proj = QMatrix(proj_rows, cols=(n + 1) * s)
-    if proj @ pi_tilde != pi:
+    width = (n + 1) * s
+    pi_tilde = pi + tuple(tuple(int(c == n * s + j) for c in range(width)) for j in range(s))
+    proj = tuple(tuple(int(c == i) for c in range(width)) for i in range(n * s))
+    if pi_tilde[: n * s] != pi:
         raise EverestError("square extension does not restrict to the carrier")
     fam_up = vertex_families(EverestParams(n + 1, s))
-    transformed = [pi_tilde @ u for u in fam_up.v_zero.points if not u.is_zero()]
-    stacked = QMatrix([list(w) for w in transformed], cols=(n + 1) * s)
-    if rank(stacked) != s or any(any(w[c] != 0 for c in range(n * s)) for w in transformed):
+    transformed = [matvec(pi_tilde, u) for u in fam_up.v_zero.points if not u.is_zero()]
+    if rank(transformed) != s or any(any(w[: n * s]) for w in transformed):
         raise EverestError("transformed spine does not span the projection kernel")
     return pi_tilde, proj
 
@@ -318,10 +312,10 @@ def _volume_by_lifting(params: EverestParams) -> Fraction:
     pi_tilde, _ = se_square_matrices(params)
     if abs(det(pi_tilde)) != 1:
         raise EverestError("square extension is not volume preserving")
-    verts = [pi_tilde @ v for v in fam_up.v_minus_one.points]
+    verts = [QVector(matvec(pi_tilde, v)) for v in fam_up.v_minus_one.points]
     p = make_polytope(verts)
     index_of = {v.entries: i for i, v in enumerate(p.vertices)}
-    spine_idx = [index_of[(pi_tilde @ u).entries] for u in fam_up.v_zero.points]
+    spine_idx = [index_of[tuple(matvec(pi_tilde, u))] for u in fam_up.v_zero.points]
     sp = spine(p, spine_idx)
     vol_p = polytope_volume(p).volume
     if vol_p is None:

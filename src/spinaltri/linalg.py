@@ -2,17 +2,21 @@
 
 Every quantity downstream (coordinates, determinants, volumes, projection
 matrices) lives in Q.  The scalar type is ``fractions.Fraction`` throughout;
-floating point never enters the core.
+floating point never enters the core.  A matrix is a sequence of rows, the
+library's own ones tuples of ``int`` or ``Fraction`` tuples; all elimination
+runs on integer rows by the fraction-free kernels below.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
+IntRows = tuple[tuple[int, ...], ...]
 
 
 class DimensionError(ValueError):
@@ -42,9 +46,41 @@ def _decimal(n: int) -> str:
     return ("-" if n < 0 else "") + "".join(reversed(chunks))
 
 
+# The most digits a rational read from input may have in its numerator
+# (before and after the decimal point) or denominator, and the largest decimal
+# exponent in absolute value.  It is the interpreter's default limit on
+# reading an integer, and it is checked before any integer is built: "1e400000"
+# alone would otherwise be a 400,001-digit integer.
+MAX_TOKEN_DIGITS = 4300
+
+# Every string Fraction() reads matches this looser pattern.
+_TOKEN = re.compile(
+    r"[-+]?(?P<num>[\d_]*)(?:\.(?P<dec>[\d_]*))?"
+    r"(?:[eE][-+]?(?P<exp>[\d_]+))?(?:\s*/\s*(?P<den>[\d_]+))?"
+)
+
+
+def _check_token(s: str) -> None:
+    """ValueError if the token is past MAX_TOKEN_DIGITS."""
+    m = _TOKEN.fullmatch(s)
+    if m is None:
+        return  # Fraction() refuses it without building an integer
+    num, dec, exp, den = ((m[k] or "").replace("_", "") for k in ("num", "dec", "exp", "den"))
+    limit = MAX_TOKEN_DIGITS
+    for what, digits in (("numerator", len(num) + len(dec)), ("denominator", len(den))):
+        if digits > limit:
+            raise ValueError(f"{what} of {digits} digits is past the {limit}-digit limit")
+    if len(exp) > limit or int(exp or "0") > limit:
+        raise ValueError(f"decimal exponent is past the limit of {limit} in absolute value")
+
+
 def parse_rational(s: str) -> Fraction:
+    """The rational a string names, as Fraction() reads it, within
+    MAX_TOKEN_DIGITS."""
+    token = s.strip()
+    _check_token(token)
     try:
-        return Fraction(s.strip())
+        return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
 
@@ -137,155 +173,20 @@ class QVector:
         return QVector(self.entries + other.entries)
 
 
-class QMatrix:
-    """Immutable row-major matrix with Fraction entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows_data: Iterable[Iterable], cols: int | None = None) -> None:
-        grid = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-            for row in rows_data
-        )
-        self.rows = len(grid)
-        if grid:
-            widths = {len(r) for r in grid}
-            if len(widths) != 1:
-                raise DimensionError("ragged rows in matrix literal")
-            self.cols = widths.pop()
-            if cols is not None and cols != self.cols:
-                raise DimensionError("explicit column count disagrees with rows")
-        else:
-            if cols is None:
-                raise DimensionError("empty matrix needs an explicit column count")
-            self.cols = cols
-        self.entries = grid
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[QVector], dim: int | None = None) -> "QMatrix":
-        if not cols:
-            if dim is None:
-                raise DimensionError("empty column list needs an explicit row count")
-            return cls([[] for _ in range(dim)], cols=0)
-        d = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(d)], cols=len(cols))
-
-    def row(self, i: int) -> QVector:
-        return QVector(self.entries[i])
-
-    def col(self, j: int) -> QVector:
-        return QVector(r[j] for r in self.entries)
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QMatrix):
-            return (
-                self.rows == other.rows
-                and self.cols == other.cols
-                and self.entries == other.entries
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(format_rational(x) for x in row) for row in self.entries
-        )
-        return f"QMatrix({self.rows}x{self.cols}: {body})"
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("matrix shape mismatch in addition")
-        return QMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("matrix shape mismatch in subtraction")
-        return QMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
-        )
-
-    def scale(self, scalar) -> "QMatrix":
-        c = Fraction(scalar)
-        return QMatrix([[c * x for x in row] for row in self.entries], cols=self.cols)
-
-    def __matmul__(self, other):
-        if isinstance(other, QVector):
-            if self.cols != len(other):
-                raise DimensionError(
-                    f"matrix-vector mismatch: {self.cols} cols vs dim {len(other)}"
-                )
-            return QVector(
-                sum((r[j] * other[j] for j in range(self.cols)), Fraction(0))
-                for r in self.entries
-            )
-        if isinstance(other, QMatrix):
-            if self.cols != other.rows:
-                raise DimensionError(
-                    f"matrix-matrix mismatch: {self.cols} cols vs {other.rows} rows"
-                )
-            bt = other.transpose().entries
-            return QMatrix(
-                [
-                    [
-                        sum((r[t] * c[t] for t in range(self.cols)), Fraction(0))
-                        for c in bt
-                    ]
-                    for r in self.entries
-                ],
-                cols=other.cols,
-            )
-        return NotImplemented
-
-
-def _int_rows(m: QMatrix) -> tuple[list[list[int]], Fraction]:
-    """Scale each row to integers; return rows and the accumulated det factor."""
-    rows = []
-    factor = Fraction(1)
-    for row in m.entries:
-        mult = math.lcm(*(x.denominator for x in row)) if row else 1
-        factor *= mult
-        rows.append([int(x * mult) for x in row])
-    return rows, factor
-
-
-def scaled_ints(points: Sequence[QVector]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The points times the lcm q of all their denominators, and q."""
+def scaled_ints(points: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The points (or matrix rows) times the lcm q of all their denominators,
+    and q."""
     q = math.lcm(*(x.denominator for v in points for x in v))
     return tuple(tuple(x.numerator * (q // x.denominator) for x in v) for v in points), q
 
 
 def int_dot(u: Iterable[int], v: Iterable[int]) -> int:
     return sum(map(operator.mul, u, v))
+
+
+def matvec(rows: Sequence[Sequence], v: Sequence) -> list:
+    """The product of the matrix with these rows and the vector v."""
+    return [int_dot(r, v) for r in rows]
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -372,44 +273,58 @@ def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [[sign * x for x in row[n:]] for row in aug], sign * d
 
 
-def det(m: QMatrix) -> Fraction:
-    """Exact determinant: rows are scaled to integers, then `int_det`."""
-    if m.rows != m.cols:
-        raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    mat, factor = _int_rows(m)
-    return Fraction(int_det(mat)) / factor
+def _width(rows: Sequence[Sequence]) -> int:
+    """The common length of the rows (0 for no rows); DimensionError if ragged."""
+    widths = {len(r) for r in rows}
+    if len(widths) > 1:
+        raise DimensionError("ragged rows in matrix literal")
+    return widths.pop() if widths else 0
 
 
-def rank(m: QMatrix) -> int:
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Exact determinant of a square matrix of rational rows: the rows times
+    the lcm q of their denominators go to `int_det`, and det M = det(qM) / q^n."""
+    n, cols = len(rows), _width(rows)
+    if n != cols:
+        raise DimensionError(f"determinant of non-square {n}x{cols} matrix")
+    ints, q = scaled_ints(rows)
+    return Fraction(int_det(ints), q**n)
+
+
+def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank over Q: the number of pivots of the integer echelon."""
-    return len(int_echelon(_int_rows(m)[0])[1])
+    _width(rows)
+    return len(int_echelon(scaled_ints(rows)[0])[1])
 
 
-def kernel_basis(m: QMatrix) -> list[QVector]:
+def kernel_basis(rows: Sequence[Sequence]) -> list[QVector]:
     """Rational basis of the null space, one vector per non-pivot column in
     increasing order; empty iff the kernel is trivial.  Pivot row r has d at
     its pivot column, so the vector of a free column reads -row[free] / d."""
-    rows, pivots, _, d = int_echelon(_int_rows(m)[0])
+    if not rows:
+        raise DimensionError("empty matrix needs an explicit column count")
+    cols = _width(rows)
+    ech, pivots, _, d = int_echelon(scaled_ints(rows)[0])
     basis = []
-    for free in range(m.cols):
+    for free in range(cols):
         if free in pivots:
             continue
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * cols
         v[free] = Fraction(1)
-        for row, c in zip(rows, pivots):
+        for row, c in zip(ech, pivots):
             v[c] = Fraction(-row[free], d)
         basis.append(QVector(v))
     return basis
 
 
-def inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse; raises on singular input.  With R = q m the integer
-    rows, m^-1 = q adj(R) / det R."""
-    if m.rows != m.cols:
+def inverse(rows: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse as Fraction rows; raises on singular input.  With
+    R = q M the integer rows, M^-1 = q adj(R) / det R."""
+    if _width(rows) != len(rows):
         raise DimensionError("inverse of non-square matrix")
-    ints, q = scaled_ints(m.entries)
+    ints, q = scaled_ints(rows)
     adj, d = int_adjugate(ints)
-    return QMatrix([[Fraction(a * q, d) for a in row] for row in adj], cols=m.cols)
+    return tuple(tuple(Fraction(a * q, d) for a in row) for row in adj)
 
 
 def gram_sq_volume(points: Sequence[QVector], k: int) -> Fraction:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NoReturn, Sequence
 
-from .linalg import QMatrix, QVector, int_adjugate, int_dot, scaled_ints
+from .linalg import QVector, int_adjugate, int_dot, scaled_ints
 from .polytope import (
     DuplicatePoint,
     NotInConvexPosition,
@@ -293,12 +293,9 @@ class ShadowMap:
         self._shadow_poly: Polytope | None = None
 
     @property
-    def projection(self) -> QMatrix:
-        """The orthogonal projector P'/det G over Q."""
-        return QMatrix(
-            [[Fraction(x, self._den) for x in row] for row in self._num],
-            cols=len(self._num),
-        )
+    def projection(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The orthogonal projector P'/det G over Q, as Fraction rows."""
+        return tuple(tuple(Fraction(x, self._den) for x in row) for row in self._num)
 
     @property
     def spine_sq_volume(self) -> Fraction:

@@ -1,11 +1,18 @@
-"""The former eliminations of `spinaltri.linalg`, kept as test oracles.
+"""The former `Fraction` matrix layer and eliminations of `spinaltri.linalg`,
+kept as test oracles.
+
+`QMatrix` is the library's former matrix class, kept verbatim: the oracles'
+own `Fraction` arithmetic, independent of the library's integer kernels.
+The library now takes and returns matrices as tuples of rows; tests wrap
+those rows in `QMatrix` where they multiply.
 
 `int_echelon` now stands behind `rank`, `kernel_basis`, `inverse` and
 `int_adjugate`.  Their earlier bodies are kept here verbatim: the
 cross-multiplying row echelon of `rank`, the `Fraction` reduced row echelon
 `_rref` behind `kernel_basis`, the `Fraction` Gauss-Jordan of `inverse` and
-the fraction-free Gauss-Jordan of `int_adjugate` (with `_int_rows`, which
-scales each row to integers).  `tests/test_linalg.py` checks the library
+the fraction-free Gauss-Jordan of `int_adjugate`, and `det` with
+`_int_rows`, which scales each row to integers (the library now scales the
+whole matrix at once by `scaled_ints`).  `tests/test_linalg.py` checks the library
 against them, and the other oracles use them in place of the library's.
 """
 
@@ -13,9 +20,139 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from spinaltri.linalg import DimensionError, QMatrix, QVector
+from spinaltri.linalg import DimensionError, QVector, format_rational, int_det
+
+
+class QMatrix:
+    """Immutable row-major matrix with Fraction entries."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows_data: Iterable[Iterable], cols: int | None = None) -> None:
+        grid = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            for row in rows_data
+        )
+        self.rows = len(grid)
+        if grid:
+            widths = {len(r) for r in grid}
+            if len(widths) != 1:
+                raise DimensionError("ragged rows in matrix literal")
+            self.cols = widths.pop()
+            if cols is not None and cols != self.cols:
+                raise DimensionError("explicit column count disagrees with rows")
+        else:
+            if cols is None:
+                raise DimensionError("empty matrix needs an explicit column count")
+            self.cols = cols
+        self.entries = grid
+
+    @classmethod
+    def identity(cls, n: int) -> "QMatrix":
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "QMatrix":
+        return cls([[0] * cols for _ in range(rows)], cols=cols)
+
+    @classmethod
+    def from_cols(cls, cols: Sequence[QVector], dim: int | None = None) -> "QMatrix":
+        if not cols:
+            if dim is None:
+                raise DimensionError("empty column list needs an explicit row count")
+            return cls([[] for _ in range(dim)], cols=0)
+        d = len(cols[0])
+        return cls([[c[i] for c in cols] for i in range(d)], cols=len(cols))
+
+    def row(self, i: int) -> QVector:
+        return QVector(self.entries[i])
+
+    def col(self, j: int) -> QVector:
+        return QVector(r[j] for r in self.entries)
+
+    def __getitem__(self, ij) -> Fraction:
+        i, j = ij
+        return self.entries[i][j]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, QMatrix):
+            return (
+                self.rows == other.rows
+                and self.cols == other.cols
+                and self.entries == other.entries
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        body = "; ".join(
+            " ".join(format_rational(x) for x in row) for row in self.entries
+        )
+        return f"QMatrix({self.rows}x{self.cols}: {body})"
+
+    def transpose(self) -> "QMatrix":
+        return QMatrix(
+            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
+            cols=self.rows,
+        )
+
+    def __add__(self, other: "QMatrix") -> "QMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionError("matrix shape mismatch in addition")
+        return QMatrix(
+            [
+                [a + b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.entries, other.entries)
+            ],
+            cols=self.cols,
+        )
+
+    def __sub__(self, other: "QMatrix") -> "QMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionError("matrix shape mismatch in subtraction")
+        return QMatrix(
+            [
+                [a - b for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self.entries, other.entries)
+            ],
+            cols=self.cols,
+        )
+
+    def scale(self, scalar) -> "QMatrix":
+        c = Fraction(scalar)
+        return QMatrix([[c * x for x in row] for row in self.entries], cols=self.cols)
+
+    def __matmul__(self, other):
+        if isinstance(other, QVector):
+            if self.cols != len(other):
+                raise DimensionError(
+                    f"matrix-vector mismatch: {self.cols} cols vs dim {len(other)}"
+                )
+            return QVector(
+                sum((r[j] * other[j] for j in range(self.cols)), Fraction(0))
+                for r in self.entries
+            )
+        if isinstance(other, QMatrix):
+            if self.cols != other.rows:
+                raise DimensionError(
+                    f"matrix-matrix mismatch: {self.cols} cols vs {other.rows} rows"
+                )
+            bt = other.transpose().entries
+            return QMatrix(
+                [
+                    [
+                        sum((r[t] * c[t] for t in range(self.cols)), Fraction(0))
+                        for c in bt
+                    ]
+                    for r in self.entries
+                ],
+                cols=other.cols,
+            )
+        return NotImplemented
 
 
 def _int_rows(m: QMatrix) -> tuple[list[list[int]], Fraction]:
@@ -27,6 +164,14 @@ def _int_rows(m: QMatrix) -> tuple[list[list[int]], Fraction]:
         factor *= mult
         rows.append([int(x * mult) for x in row])
     return rows, factor
+
+
+def det(m: QMatrix) -> Fraction:
+    """Exact determinant: rows are scaled to integers, then `int_det`."""
+    if m.rows != m.cols:
+        raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
+    mat, factor = _int_rows(m)
+    return Fraction(int_det(mat)) / factor
 
 
 def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:

@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinaltri.linalg import QMatrix, QVector, det
+from spinaltri.linalg import QVector, det
 from spinaltri.polytope import Polytope, PolytopeError, make_polytope
 from spinaltri.spine import is_spine
+from spinaltri import birkhoff
 from spinaltri.birkhoff import (
     BirkhoffError,
     _projected_images,
@@ -19,6 +21,7 @@ from spinaltri.birkhoff import (
     projected_birkhoff,
     verify_birkhoff_volume_relation,
 )
+from linalg_oracle import QMatrix
 from lp_oracle import EQ, LT, fraction_lp_feasible
 from test_membership_oracle import lp_extreme_points
 
@@ -40,14 +43,15 @@ class TestContext:
     def test_reconstruction_identity(self):
         for n in (3, 4, 5):
             ctx = birkhoff_context(n)
+            a, b = QMatrix(ctx.a_map), QMatrix(ctx.b_map)
             for v in ctx.vertices:
-                assert ctx.b_map @ (ctx.a_map @ v) + ctx.a_vec == v
+                assert b @ (a @ v) + ctx.a_vec == v
 
     def test_truncation_of_identity(self):
         ctx = birkhoff_context(4)
         ident4 = permutation_vector((0, 1, 2, 3))
         ident3 = permutation_vector((0, 1, 2))
-        assert ctx.a_map @ ident4 == ident3
+        assert QMatrix(ctx.a_map) @ ident4 == ident3
 
     def test_out_of_range(self):
         with pytest.raises(BirkhoffError):
@@ -65,11 +69,41 @@ class TestContext:
 
     def test_truncated_n4_facets(self):
         ctx = birkhoff_context(4)
-        p = make_polytope([ctx.a_map @ v for v in ctx.vertices])
+        p = make_polytope([QMatrix(ctx.a_map) @ v for v in ctx.vertices])
         assert p.dim == 9
         fs = p.facets()
         assert len(fs) == 16
         assert all(len(f.incident) == 18 for f in fs)
+
+
+def is_int_rows(m) -> bool:
+    return type(m) is tuple and all(
+        type(r) is tuple and all(type(x) is int for x in r) for r in m
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_maps_are_int_rows_equal_to_the_former_matrices(n):
+    """Each map is a tuple of int row tuples, entry by entry the QMatrix the
+    context held before, built from the same builders."""
+    ctx = birkhoff_context(n)
+    m = n - 1
+    want = {
+        "a_map": QMatrix(birkhoff._build_a(n), cols=n * n),
+        "b_map": QMatrix(birkhoff._build_b(n), cols=m * m),
+        "c_map": QMatrix(birkhoff._build_c(n), cols=m * m),
+        "d_map": QMatrix(birkhoff._build_d(n), cols=m * m),
+        "j_mat": QMatrix([[2 if i == j else 1 for j in range(m)] for i in range(m)], cols=m),
+    }
+    for name, mat in want.items():
+        got = getattr(ctx, name)
+        assert is_int_rows(got), name
+        assert got == mat.entries, name
+        assert all(len(r) == mat.cols for r in got)
+
+
+def test_volume_relation_has_no_cross_check_switch():
+    assert list(inspect.signature(verify_birkhoff_volume_relation).parameters) == ["ctx"]
 
 
 class TestDeterminants:
@@ -88,8 +122,8 @@ class TestDeterminants:
         ).map(QMatrix)
     ), st.integers(2, 4))
     def test_block_identity_random(self, a, t):
-        b = block_matrix(a, t)
-        assert det(b) == (t + 1) ** a.rows * det(a) ** t
+        b = block_matrix(a.entries, t)
+        assert det(b) == (t + 1) ** a.rows * det(a.entries) ** t
 
 
 class TestProjection:
@@ -99,10 +133,8 @@ class TestProjection:
 
     def test_n3_three_nonzero_images(self):
         ctx = birkhoff_context(3)
-        images = [
-            ctx.d_map @ (ctx.c_map @ (ctx.a_map @ v) + ctx.b_vec)
-            for v in ctx.vertices
-        ]
+        a, c, d = QMatrix(ctx.a_map), QMatrix(ctx.c_map), QMatrix(ctx.d_map)
+        images = [d @ (c @ (a @ v) + ctx.b_vec) for v in ctx.vertices]
         nonzero = [w for w in images if not w.is_zero()]
         assert len(nonzero) == 3
         p = projected_birkhoff(ctx)
@@ -133,8 +165,9 @@ class TestProjection:
 
     def test_spine_images_vanish(self):
         ctx = birkhoff_context(4)
+        a, c, d = QMatrix(ctx.a_map), QMatrix(ctx.c_map), QMatrix(ctx.d_map)
         for i in ctx.spine_vertex_indices:
-            img = ctx.d_map @ (ctx.c_map @ (ctx.a_map @ ctx.vertices[i]) + ctx.b_vec)
+            img = d @ (c @ (a @ ctx.vertices[i]) + ctx.b_vec)
             assert img.is_zero()
 
     @pytest.mark.parametrize("n", [3, 4])

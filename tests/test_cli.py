@@ -299,6 +299,28 @@ def test_unreadable_json_is_one_error_line(
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "token,message",
+    [
+        ('"1e400000"', "decimal exponent is past the limit of 4300 in absolute value"),
+        ('"1e-400000"', "decimal exponent is past the limit of 4300 in absolute value"),
+        ('"1e4000000000"', "decimal exponent is past the limit of 4300 in absolute value"),
+        ("1e400000", "decimal exponent is past the limit of 4300 in absolute value"),
+        (f'"{"7" * 5000}"', "numerator of 5000 digits is past the 4300-digit limit"),
+        (f'"1/{"7" * 5000}"', "denominator of 5000 digits is past the 4300-digit limit"),
+    ],
+    ids=["exp", "neg-exp", "vast-exp", "json-float-exp", "long-num", "long-den"],
+)
+def test_token_past_the_bound_is_one_error_line(capsys, tmp_path, token, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"ambient_dim": 2, "vertices": [[{token}, "0"], ["0", "1"]]}}')
+    code = main(["facets", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
 def test_bad_max_dim_env_is_one_error_line(capsys, monkeypatch, square_file, raw):
     monkeypatch.setenv("SPINALTRI_MAX_DIM", raw)

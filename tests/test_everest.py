@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 
 from spinaltri import everest
 from spinaltri.cli import main
-from spinaltri.linalg import QVector, det, QMatrix, format_rational, parse_rational
+from spinaltri.linalg import QVector, det, format_rational, parse_rational
 from spinaltri.everest import (
     EverestError,
     EverestParams,
@@ -25,7 +26,8 @@ from spinaltri.everest import (
     vertex_families,
 )
 from spinaltri.volume import polytope_volume
-from linalg_oracle import kernel_basis, rank
+from linalg_oracle import QMatrix, kernel_basis, rank
+from test_birkhoff import is_int_rows
 
 GRID = [(1, 1), (1, 2), (2, 1), (2, 2)]
 
@@ -270,6 +272,13 @@ class TestEverestPolytope:
         with pytest.raises(EverestError):
             everest_polytope(EverestParams(4, 2))
 
+    def test_hull_cap_is_a_module_constant(self):
+        assert everest.MAX_HULL_DIM == 6
+        assert list(inspect.signature(everest_polytope).parameters) == ["params"]
+        with pytest.raises(EverestError) as err:
+            everest_polytope(EverestParams(7, 1))
+        assert str(err.value) == "dimension 7 exceeds the desk-scale cap 6"
+
 
 class TestSimplotope:
     def test_square(self):
@@ -308,13 +317,56 @@ class TestSimplotope:
         assert len(p.facets()) == n * (s + 1)
 
 
+def qmatrix_se_matrix(params: EverestParams) -> QMatrix:
+    """The former `se_matrix`, which built a QMatrix."""
+    n, s = params.n, params.s
+    rows = []
+    for i in range(n):
+        for j in range(s):
+            row = [0] * (n * s + s)
+            row[i * s + j] = 1
+            row[n * s + j] = -1
+            rows.append(row)
+    return QMatrix(rows, cols=(n + 1) * s)
+
+
+def qmatrix_se_square_matrices(params: EverestParams) -> tuple[QMatrix, QMatrix]:
+    """The matrices of the former `se_square_matrices`, as QMatrix."""
+    n, s = params.n, params.s
+    pi = qmatrix_se_matrix(params)
+    ext_rows = [list(r) for r in pi.entries]
+    for j in range(s):
+        row = [0] * (n + 1) * s
+        row[n * s + j] = 1
+        ext_rows.append(row)
+    pi_tilde = QMatrix(ext_rows, cols=(n + 1) * s)
+    proj_rows = []
+    for i in range(n * s):
+        row = [0] * (n + 1) * s
+        row[i] = 1
+        proj_rows.append(row)
+    proj = QMatrix(proj_rows, cols=(n + 1) * s)
+    assert proj @ pi_tilde == pi
+    return pi_tilde, proj
+
+
 class TestSETransformation:
     def test_one_one_matrix(self):
-        assert se_matrix(EverestParams(1, 1)) == QMatrix([[1, -1]])
+        assert se_matrix(EverestParams(1, 1)) == ((1, -1),)
+
+    @pytest.mark.parametrize("n,s", GRID + [(3, 2), (1, 4)])
+    def test_int_rows_equal_the_former_matrices(self, n, s):
+        params = EverestParams(n, s)
+        pi = se_matrix(params)
+        assert is_int_rows(pi) and QMatrix(pi) == qmatrix_se_matrix(params)
+        got = se_square_matrices(params)
+        want = qmatrix_se_square_matrices(params)
+        for m, w in zip(got, want):
+            assert is_int_rows(m) and QMatrix(m) == w
 
     @pytest.mark.parametrize("n,s", GRID)
     def test_kills_single_column_family(self, n, s):
-        pi = se_matrix(EverestParams(n, s))
+        pi = QMatrix(se_matrix(EverestParams(n, s)))
         up = vertex_families(EverestParams(n + 1, s))
         for u in up.v_zero.points:
             assert (pi @ u).is_zero()
@@ -322,7 +374,7 @@ class TestSETransformation:
     @pytest.mark.parametrize("n,s", GRID)
     def test_image_is_everest_vertex_set(self, n, s):
         params = EverestParams(n, s)
-        pi = se_matrix(params)
+        pi = QMatrix(se_matrix(params))
         up = vertex_families(EverestParams(n + 1, s))
         zero = {u.entries for u in up.v_zero.points}
         images = {
@@ -335,7 +387,7 @@ class TestSETransformation:
 
     @pytest.mark.parametrize("n,s", GRID)
     def test_kernel_matches_single_column_span(self, n, s):
-        pi = se_matrix(EverestParams(n, s))
+        pi = QMatrix(se_matrix(EverestParams(n, s)))
         basis = kernel_basis(pi)
         up = vertex_families(EverestParams(n + 1, s))
         nonzero = [u for u in up.v_zero.points if not u.is_zero()]
@@ -346,9 +398,9 @@ class TestSETransformation:
     @pytest.mark.parametrize("n,s", GRID)
     def test_square_extension(self, n, s):
         params = EverestParams(n, s)
-        pi_tilde, proj = se_square_matrices(params)
-        assert proj @ pi_tilde == se_matrix(params)
-        assert abs(det(pi_tilde)) == 1
+        pi_tilde, proj = map(QMatrix, se_square_matrices(params))
+        assert proj @ pi_tilde == QMatrix(se_matrix(params))
+        assert abs(det(pi_tilde.entries)) == 1
         up = vertex_families(EverestParams(n + 1, s))
         transformed = {(pi_tilde @ u).entries for u in up.v_zero.points}
         expected = {
@@ -360,8 +412,8 @@ class TestSETransformation:
     @pytest.mark.parametrize("n,s", GRID)
     def test_projection_composition(self, n, s):
         params = EverestParams(n, s)
-        pi = se_matrix(params)
-        pi_tilde, proj = se_square_matrices(params)
+        pi = QMatrix(se_matrix(params))
+        pi_tilde, proj = map(QMatrix, se_square_matrices(params))
         up = vertex_families(EverestParams(n + 1, s))
         for v in up.v_minus_one.points:
             assert proj @ (pi_tilde @ v) == pi @ v

@@ -22,9 +22,9 @@ import pytest
 from spinaltri import polytope
 from spinaltri.birkhoff import birkhoff_context
 from spinaltri.everest import simplotope
-from spinaltri.linalg import QMatrix, QVector
+from spinaltri.linalg import QVector
 from spinaltri.polytope import frame_coords, make_polytope
-from linalg_oracle import kernel_basis
+from linalg_oracle import QMatrix, kernel_basis
 from random_polytopes import random_polytope
 from test_frame_oracle import affine_start, instances
 
@@ -194,7 +194,7 @@ def test_agrees_on_lower_dimensional_embedding():
 
 def truncated_b4():
     ctx = birkhoff_context(4)
-    return make_polytope([ctx.a_map @ v for v in ctx.vertices])
+    return make_polytope([QMatrix(ctx.a_map) @ v for v in ctx.vertices])
 
 
 LARGE_INSTANCES = pytest.mark.parametrize(

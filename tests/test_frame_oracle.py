@@ -16,7 +16,8 @@ The library's former Fraction code is kept here verbatim as the oracle:
 - `fraction_birkhoff_checks`: the former self-checks of `birkhoff_context`;
 - `fraction_projected_images` and `fraction_determinant_identities`: the
   former images D(C(A v) + b) of `projected_birkhoff` and the former
-  `determinant_identities`, both on the context's `QMatrix` maps.
+  `determinant_identities`, both on the context's integer rows wrapped in
+  the oracle `QMatrix`.
 
 The library must give equal coordinates, Gram determinants, facets (normal,
 offset and incidence), projectors, images and accept/reject answers with
@@ -38,7 +39,7 @@ from unittest import mock
 import pytest
 
 from spinaltri import birkhoff, polytope
-from spinaltri.linalg import QMatrix, QVector, det
+from spinaltri.linalg import QVector
 from spinaltri.polytope import Facet, Polytope, PolytopeError, make_polytope
 from spinaltri.selfcheck import _random_polytope
 from spinaltri.spine import enumerate_spines, spine
@@ -54,7 +55,7 @@ from spinaltri.triangulation import (
     validate_detailed,
 )
 from spinaltri.volume import polytope_relative_volume
-from linalg_oracle import inverse, kernel_basis, rank
+from linalg_oracle import QMatrix, det, inverse, kernel_basis, rank
 from test_validate_oracle import simplex_relative_volume
 
 
@@ -320,19 +321,19 @@ def fraction_birkhoff_checks(n, vertices, spine_vectors, a_map, b_map, c_map, a_
 
 
 def fraction_projected_images(ctx) -> list[QVector]:
-    return [
-        ctx.d_map @ (ctx.c_map @ (ctx.a_map @ v) + ctx.b_vec) for v in ctx.vertices
-    ]
+    a, c, d = QMatrix(ctx.a_map), QMatrix(ctx.c_map), QMatrix(ctx.d_map, cols=ctx.m**2)
+    return [d @ (c @ (a @ v) + ctx.b_vec) for v in ctx.vertices]
 
 
 def fraction_determinant_identities(ctx) -> birkhoff.DeterminantReport:
     """det(B^T B) = n^(2m), |det C| = 1, det J = n, and the block identity
     det(block(J, m)) = (m+1)^m det(J)^m realized by B^T B itself."""
     n, m = ctx.n, ctx.m
-    det_btb = det(ctx.b_map.transpose() @ ctx.b_map)
-    det_c = abs(det(ctx.c_map))
-    det_j = det(ctx.j_mat)
-    blk = det(birkhoff.block_matrix(ctx.j_mat, m))
+    b = QMatrix(ctx.b_map)
+    det_btb = det(b.transpose() @ b)
+    det_c = abs(det(QMatrix(ctx.c_map)))
+    det_j = det(QMatrix(ctx.j_mat))
+    blk = det(QMatrix(birkhoff.block_matrix(ctx.j_mat, m)))
     block_ok = blk == (m + 1) ** m * det_j**m and blk == det_btb
     return birkhoff.DeterminantReport(
         det_btb,
@@ -476,7 +477,7 @@ def test_shadows_of_every_spine_match(seed):
             sp = spine(p, idx)
             sm = shadow(sp)
             proj, images = fraction_projector(sp)
-            assert sm.projection == proj
+            assert QMatrix(sm.projection) == proj
             assert sm.shadow_points == images
             nonspine = [i for i in range(p.n_vertices) if i not in set(idx)]
             assert sm.star_points[1:] == tuple(images[i] for i in nonspine)
@@ -559,9 +560,8 @@ def test_validators_agree_on_mapped_double_covers():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_birkhoff_checks_match(n):
     ctx = birkhoff.birkhoff_context(n)
-    fraction_birkhoff_checks(
-        n, ctx.vertices, ctx.spine_vectors, ctx.a_map, ctx.b_map, ctx.c_map, ctx.a_vec, ctx.b_vec
-    )
+    a, b, c = map(QMatrix, (ctx.a_map, ctx.b_map, ctx.c_map))
+    fraction_birkhoff_checks(n, ctx.vertices, ctx.spine_vectors, a, b, c, ctx.a_vec, ctx.b_vec)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -578,7 +578,7 @@ def test_birkhoff_polytopes_match(n):
     """The truncated and the projected B3 and B4, and B3 itself in R^9."""
     ctx = birkhoff.birkhoff_context(n)
     rng = random.Random(n)
-    assert_same_frame(make_polytope([ctx.a_map @ v for v in ctx.vertices]), rng)
+    assert_same_frame(make_polytope([QMatrix(ctx.a_map) @ v for v in ctx.vertices]), rng)
     assert_same_frame(birkhoff.projected_birkhoff(ctx), rng)
     if n == 3:
         assert_same_frame(make_polytope(ctx.vertices), rng)

@@ -8,8 +8,8 @@ and requires the same three values.  Selftest timings are masked.
 
 The corpus covers every verb, `--pretty`, default and reversed pulling
 orders, spine pairs and triples, fold/lift round trips, Everest and
-Birkhoff n <= 4, and the error paths: malformed documents, rejected index
-and integer tokens, usage errors.
+Birkhoff n <= 4, and the error paths: malformed documents, rationals past
+the input token bound, rejected index and integer tokens, usage errors.
 
 Regenerate the corpus and its inputs from the repository root with
 
@@ -168,6 +168,11 @@ _BAD_DOCS = {
     "floats": '{"ambient_dim": 2, "vertices": [[0.5, 0], [1, 0.25], [0, 1]]}',
     "square-centre": json.dumps(_doc([[0, 0], [0, 1], [1, 0], [1, 1], ["1/2", "1/2"]])),
     "duplicate": json.dumps(_doc([[0, 0], [0, 1], [1, 0], [0, 1]])),
+    "bad-exponent": '{"ambient_dim": 2, "vertices": [["1e400000", "0"], ["0", "1"]]}',
+    "bad-vast-exponent": '{"ambient_dim": 2, "vertices": [["1e4000000000", "0"], ["0", "1"]]}',
+    "bad-long-numerator": json.dumps(
+        {"ambient_dim": 2, "vertices": [["7" * 5000, "0"], ["0", "1"]]}
+    ),
 }
 
 _BAD_STARS = {

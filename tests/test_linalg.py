@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import spinaltri
+from spinaltri.birkhoff import block_matrix
 from spinaltri.linalg import (
+    MAX_TOKEN_DIGITS,
     DimensionError,
-    QMatrix,
     QVector,
     det,
     format_rational,
@@ -25,6 +27,7 @@ from spinaltri.linalg import (
 )
 
 import linalg_oracle as oracle
+from linalg_oracle import QMatrix
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -39,54 +42,52 @@ def square_matrix(n):
 
 class TestDet:
     def test_identity(self):
-        assert det(QMatrix.identity(3)) == 1
+        assert det(QMatrix.identity(3).entries) == 1
 
     def test_j3_from_block_structure(self):
         # J_n = I_{n-1} + all-ones has determinant n; here n = 3.
-        j3 = QMatrix([[2, 1], [1, 2]])
-        assert det(j3) == 3
+        assert det([[2, 1], [1, 2]]) == 3
 
     def test_permutation_sign(self):
-        assert det(QMatrix([[0, 1], [1, 0]])) == -1
+        assert det(((0, 1), (1, 0))) == -1
 
     def test_rational_entries(self):
-        m = QMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])
+        m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
         assert det(m) == Fraction(1, 14) - Fraction(1, 15)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            det(QMatrix([[1, 2, 3], [4, 5, 6]]))
+            det([[1, 2, 3], [4, 5, 6]])
 
     @given(square_matrix(3), square_matrix(3))
     def test_multiplicative(self, a, b):
-        assert det(a @ b) == det(a) * det(b)
+        assert det((a @ b).entries) == det(a.entries) * det(b.entries)
 
     def test_empty(self):
-        assert det(QMatrix([], cols=0)) == 1
+        assert det([]) == 1
 
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank(QMatrix.zeros(2, 3)) == 0
+        assert rank(QMatrix.zeros(2, 3).entries) == 0
 
     def test_identity(self):
-        assert rank(QMatrix.identity(4)) == 4
+        assert rank(QMatrix.identity(4).entries) == 4
 
     def test_se_transformation_1_2(self):
         # (I_2 | -I_2) row-reduces to two independent rows.
-        m = QMatrix([[1, 0, -1, 0], [0, 1, 0, -1]])
-        assert rank(m) == 2
+        assert rank([[1, 0, -1, 0], [0, 1, 0, -1]]) == 2
 
     def test_dependent_rows(self):
-        assert rank(QMatrix([[1, 2], [2, 4], [3, 6]])) == 1
+        assert rank([[1, 2], [2, 4], [3, 6]]) == 1
 
 
 class TestKernel:
     def test_identity_trivial_kernel(self):
-        assert kernel_basis(QMatrix.identity(3)) == []
+        assert kernel_basis(QMatrix.identity(3).entries) == []
 
     def test_one_by_two(self):
-        (v,) = kernel_basis(QMatrix([[1, 1]]))
+        (v,) = kernel_basis([[1, 1]])
         assert v[0] * 1 + v[1] * 1 == 0
         assert v[0] != 0  # proportional to (1, -1)
         assert v[1] / v[0] == -1
@@ -97,8 +98,8 @@ class TestKernel:
         ).map(QMatrix)
     )
     def test_rank_nullity_and_membership(self, m):
-        basis = kernel_basis(m)
-        assert rank(m) + len(basis) == m.cols
+        basis = kernel_basis(m.entries)
+        assert rank(m.entries) + len(basis) == m.cols
         for v in basis:
             assert (m @ v).is_zero()
 
@@ -155,7 +156,7 @@ def gram_sq_volume_fraction(points, k):
     edges = [p - points[0] for p in points[1:]]
     gram = QMatrix([[e1.dot(e2) for e2 in edges] for e1 in edges], cols=k)
     f = math.factorial(k)
-    return det(gram) / (f * f)
+    return oracle.det(gram) / (f * f)
 
 
 def random_rational(rng):
@@ -244,26 +245,37 @@ class TestBlockDeterminantIdentity:
     @given(st.integers(1, 3).flatmap(square_matrix), st.integers(2, 4))
     def test_identity_holds(self, a, t):
         b = assemble_block_matrix(a, t)
-        assert det(b) == (t + 1) ** a.rows * det(a) ** t
+        assert det(b.entries) == (t + 1) ** a.rows * det(a.entries) ** t
+
+    @given(st.integers(1, 3).flatmap(square_matrix), st.integers(2, 4))
+    def test_block_matrix_on_rows(self, a, t):
+        rows = block_matrix(a.entries, t)
+        assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+        assert QMatrix(rows) == assemble_block_matrix(a, t)
+
+    def test_block_matrix_of_int_rows(self):
+        assert block_matrix([[1, 2], [3, 4]], 2) == (
+            (2, 4, 1, 2), (6, 8, 3, 4), (1, 2, 2, 4), (3, 4, 6, 8)
+        )
 
 
 class TestInverse:
     @given(square_matrix(3))
     def test_roundtrip(self, m):
-        if det(m) == 0:
+        if det(m.entries) == 0:
             return
-        assert m @ inverse(m) == QMatrix.identity(3)
+        assert m @ QMatrix(inverse(m.entries)) == QMatrix.identity(3)
 
     def test_singular_raises(self):
         with pytest.raises(DimensionError):
-            inverse(QMatrix([[1, 2], [2, 4]]))
+            inverse([[1, 2], [2, 4]])
 
 
 class TestIntKernels:
     @given(square_matrix(4))
     def test_int_det_is_det_of_integer_rows(self, m):
         rows = [[int(x * 420) for x in row] for row in m.entries]
-        assert int_det(rows) == det(m) * 420**4
+        assert int_det(rows) == det(m.entries) * 420**4
 
     @given(square_matrix(3))
     def test_adjugate(self, m):
@@ -322,20 +334,36 @@ EDGE_CASES = [
 
 
 def check_agreement(m):
-    assert rank(m) == oracle.rank(m)
-    assert kernel_basis(m) == oracle.kernel_basis(m)
-    if m.rows != m.cols:
+    """The library on the rows of m against the oracles on m.  A list of no
+    rows cannot carry a column count, so for 0 x k the library has rank 0,
+    determinant 1 and inverse () (as for 0 x 0) and no kernel basis."""
+    if m.rows == 0:
+        assert rank(m.entries) == oracle.rank(m) == 0
+        assert det(m.entries) == 1 and inverse(m.entries) == ()
+        with pytest.raises(DimensionError, match="empty matrix needs an explicit column count"):
+            kernel_basis(m.entries)
         return
+    assert rank(m.entries) == oracle.rank(m)
+    assert kernel_basis(m.entries) == oracle.kernel_basis(m)
+    if m.rows != m.cols:
+        with pytest.raises(DimensionError, match="non-square"):
+            det(m.entries)
+        with pytest.raises(DimensionError, match="non-square"):
+            inverse(m.entries)
+        return
+    assert det(m.entries) == oracle.det(m)
     rows = int_rows(m)
     try:
         want_inv, want_adj = oracle.inverse(m), oracle.int_adjugate(rows)
     except DimensionError:
         with pytest.raises(DimensionError, match="matrix is singular"):
-            inverse(m)
+            inverse(m.entries)
         with pytest.raises(DimensionError, match="matrix is singular"):
             int_adjugate(rows)
         return
-    assert inverse(m) == want_inv
+    got = inverse(m.entries)
+    assert all(type(x) is Fraction for row in got for x in row)
+    assert got == want_inv.entries
     assert int_adjugate(rows) == want_adj
 
 
@@ -366,7 +394,7 @@ class TestEchelonAgainstOracles:
                 [[random_rational(rng) for _ in range(c)] for _ in range(r)], cols=c
             )
             check_agreement(m)
-            singular += r == c and rank(m) < r
+            singular += r == c and rank(m.entries) < r
         assert singular > 50
 
     @given(matrices())
@@ -381,6 +409,42 @@ class TestEchelonAgainstOracles:
                 assert not any(row)
         if m.rows == m.cols:
             assert int_det(rows) == (sign * d if len(pivots) == m.rows else 0)
+
+
+class TestRowInput:
+    """The linalg functions take rows: lists or tuples of int or Fraction
+    entries.  Malformed shapes raise the errors QMatrix and det raised."""
+
+    def test_no_matrix_class(self):
+        assert not hasattr(spinaltri, "QMatrix")
+        assert not hasattr(spinaltri.linalg, "QMatrix")
+
+    @pytest.mark.parametrize("f", [det, rank, kernel_basis, inverse])
+    def test_ragged_rows(self, f):
+        with pytest.raises(DimensionError, match="ragged rows in matrix literal"):
+            f([[1, 2], [3]])
+
+    def test_non_square(self):
+        with pytest.raises(DimensionError, match="determinant of non-square 2x3 matrix"):
+            det([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DimensionError, match="determinant of non-square 3x0 matrix"):
+            det([[], [], []])
+        with pytest.raises(DimensionError, match="inverse of non-square matrix"):
+            inverse([[1, 2, 3], [4, 5, 6]])
+
+    def test_empty_row_list(self):
+        with pytest.raises(DimensionError, match="empty matrix needs an explicit column count"):
+            kernel_basis([])
+        assert rank([]) == 0 and det([]) == 1 and inverse([]) == ()
+
+    def test_lists_tuples_and_vectors_agree(self):
+        m = [[1, Fraction(1, 2), 0], [Fraction(-2, 3), 4, 1]]
+        for rows in (m, tuple(map(tuple, m)), [QVector(r) for r in m]):
+            assert rank(rows) == 2
+            assert kernel_basis(rows) == oracle.kernel_basis(QMatrix(m))
+        sq = [[1, Fraction(1, 2)], [Fraction(-2, 3), 4]]
+        assert det(sq) == Fraction(13, 3)
+        assert QMatrix(inverse(sq)) @ QMatrix(sq) == QMatrix.identity(2)
 
 
 class TestConstruction:
@@ -408,6 +472,51 @@ class TestSerialization:
     def test_parse_roundtrip(self):
         for s in ["-3/4", "2", "0", "7/5"]:
             assert format_rational(parse_rational(s)) == s
+
+
+class TestTokenBound:
+    """parse_rational refuses a token past MAX_TOKEN_DIGITS before Fraction
+    builds any integer; the refusal never names the interpreter's setting."""
+
+    @pytest.mark.parametrize(
+        "token,what",
+        [
+            ("1e400000", "decimal exponent"),
+            ("1e-400000", "decimal exponent"),
+            ("1e4000000000", "decimal exponent"),
+            ("-2.5E+4301", "decimal exponent"),
+            ("1e" + "0" * 5000 + "1", "decimal exponent"),
+            ("7" * 5000, "numerator of 5000 digits"),
+            ("1/" + "7" * 5000, "denominator of 5000 digits"),
+            ("7" * 5000 + "/" + "3" * 5000, "numerator of 5000 digits"),
+            ("1." + "7" * 4300, "numerator of 4301 digits"),
+            ("1_0" * 2200, "numerator of 4400 digits"),
+        ],
+        ids=lambda x: x if len(x) < 20 else f"{x[:8]}..{len(x)}",
+    )
+    def test_refused(self, token, what):
+        with pytest.raises(ValueError, match=what) as err:
+            parse_rational(token)
+        assert "set_int_max_str_digits" not in str(err.value)
+        assert "\n" not in str(err.value) and len(str(err.value)) < 100
+
+    def test_bound_is_the_interpreter_default(self):
+        assert MAX_TOKEN_DIGITS == 4300
+
+    def test_at_the_bound(self):
+        assert parse_rational("1e4300") == 10**4300
+        assert parse_rational("1e-4300") == Fraction(1, 10**4300)
+        big = "7" * 4300
+        assert parse_rational(big) == int(big)
+        assert parse_rational(f"1/{big}") == Fraction(1, int(big))
+        assert parse_rational(" 1.5e-3 ") == Fraction(3, 2000)
+        assert parse_rational("-.5") == Fraction(-1, 2)
+
+    def test_other_errors_unchanged(self):
+        with pytest.raises(ValueError, match="zero denominator in ' 1/0'"):
+            parse_rational(" 1/0")
+        with pytest.raises(ValueError, match="Invalid literal for Fraction: 'x'"):
+            parse_rational("x")
 
 
 class TestSqrtRational:

@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 import pytest
 
 from spinaltri import polytope
-from spinaltri.linalg import DimensionError, QMatrix, QVector, scaled_ints
+from spinaltri.linalg import DimensionError, QVector, scaled_ints
 from spinaltri.polytope import (
     DEFAULT_MAX_VERTICES,
     ENV_MAX_DIM,
@@ -45,7 +45,7 @@ from spinaltri.polytope import (
     make_polytope,
     max_ambient_dim,
 )
-from linalg_oracle import rank
+from linalg_oracle import QMatrix, rank
 from lp_oracle import fraction_in_convex_hull
 
 

@@ -28,6 +28,8 @@ from spinaltri.triangulation import (
     validate_detailed,
 )
 from spinaltri.volume import lifting_relation_report
+from linalg_oracle import QMatrix
+
 
 def qv(*xs):
     return QVector(xs)
@@ -252,8 +254,20 @@ class TestShadow:
 
     def test_projection_is_symmetric_idempotent(self):
         sm = shadow(spine(cube(3), [0, 7]))
-        assert sm.projection.transpose() == sm.projection
-        assert sm.projection @ sm.projection == sm.projection
+        proj = QMatrix(sm.projection)
+        assert proj.transpose() == proj
+        assert proj @ proj == proj
+
+    @pytest.mark.parametrize("idx", [[0, 7], [0], [1, 6]])
+    def test_projection_is_fraction_rows_equal_to_the_former_matrix(self, idx):
+        sm = shadow(spine(cube(3), idx))
+        got = sm.projection
+        assert type(got) is tuple and all(type(r) is tuple for r in got)
+        assert all(type(x) is Fraction for r in got for x in r)
+        want = QMatrix(
+            [[Fraction(x, sm._den) for x in row] for row in sm._num], cols=len(sm._num)
+        )
+        assert got == want.entries
 
     def test_full_spine_shadow_is_origin(self):
         p = simplex(3)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import pytest
 
-from spinaltri.linalg import QMatrix, QVector, det
+from spinaltri.linalg import QVector
 from spinaltri.polytope import Polytope, PolytopeError, frame_coords, make_polytope
 from spinaltri.selfcheck import _random_polytope
 from spinaltri.triangulation import (
@@ -28,7 +28,7 @@ from spinaltri.triangulation import (
     validate_detailed,
 )
 from spinaltri.volume import polytope_relative_volume
-from linalg_oracle import kernel_basis
+from linalg_oracle import QMatrix, det, kernel_basis
 from lp_oracle import EQ, LT, fraction_lp_feasible
 
 
