@@ -27,11 +27,9 @@ from .birkhoff import (
     projected_birkhoff,
     verify_birkhoff_volume_relation,
 )
-from .polytope import PolytopeError
-from .spine import SpineError, enumerate_spines, is_spine, spine
+from .spine import enumerate_spines, is_spine, spine
 from .triangulation import (
     Triangulation,
-    TriangulationError,
     fold,
     lift,
     pulling_triangulation,
@@ -40,13 +38,9 @@ from .triangulation import (
 )
 from .volume import lifting_relation_report, polytope_volume
 
-DOMAIN_ERRORS = (
-    PolytopeError,
-    SpineError,
-    TriangulationError,
-    ValueError,
-    OSError,
-)
+# The library's errors (PolytopeError, SpineError, TriangulationError, ...)
+# are ValueErrors.
+DOMAIN_ERRORS = (ValueError, OSError)
 
 
 def _parse_int(tok: str, what: str) -> int:

@@ -226,10 +226,11 @@ def se_matrix(params: EverestParams) -> IntRows:
 def se_checks(params: EverestParams) -> dict[str, bool]:
     """The carrier matrix against the (n+1, s) families, by check name: the
     image of the non-spine V_-1 points is the vertex set of E(n, s), the
-    spine V_0 is killed, and the spine spans the kernel."""
+    spine V_0 is killed, and the spine spans the kernel.  The families'
+    sign-pattern cap is checked before the carrier is built."""
     n, s = params.n, params.s
-    pi = se_matrix(params)
     up = vertex_families(EverestParams(n + 1, s))
+    pi = se_matrix(params)
     zero_set = {u.entries for u in up.v_zero.points}
     images = {
         tuple(matvec(pi, v)) for v in up.v_minus_one.points if v.entries not in zero_set
@@ -248,20 +249,20 @@ def se_square_matrices(params: EverestParams) -> tuple[IntRows, IntRows]:
     """Rows of the square extension of the carrier matrix and of the
     coordinate projection.
 
-    The extension appends the last-s-coordinates identity block, making an
-    invertible ((n+1)s)^2 matrix; the projection keeps the first ns
-    coordinates, so projection times extension is the extension's first ns
-    rows.  Checked here: those rows are the carrier, and the transformed
-    single-column family spans the projection's kernel.
+    The extension appends the last-s-coordinates identity block to the
+    carrier's rows, making an invertible ((n+1)s)^2 matrix; the projection
+    keeps the first ns coordinates, so projection times extension is the
+    carrier.  Checked here: the transformed single-column family spans the
+    projection's kernel.  The families' sign-pattern cap is checked before
+    the carrier is built.
     """
     n, s = params.n, params.s
-    pi = se_matrix(params)
-    width = (n + 1) * s
-    pi_tilde = pi + tuple(tuple(int(c == n * s + j) for c in range(width)) for j in range(s))
-    proj = tuple(tuple(int(c == i) for c in range(width)) for i in range(n * s))
-    if pi_tilde[: n * s] != pi:
-        raise EverestError("square extension does not restrict to the carrier")
     fam_up = vertex_families(EverestParams(n + 1, s))
+    width = (n + 1) * s
+    pi_tilde = se_matrix(params) + tuple(
+        tuple(int(c == n * s + j) for c in range(width)) for j in range(s)
+    )
+    proj = tuple(tuple(int(c == i) for c in range(width)) for i in range(n * s))
     transformed = [matvec(pi_tilde, u) for u in fam_up.v_zero.points if not u.is_zero()]
     if rank(transformed) != s or any(any(w[: n * s]) for w in transformed):
         raise EverestError("transformed spine does not span the projection kernel")

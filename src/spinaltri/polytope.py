@@ -121,7 +121,6 @@ class Polytope:
     def __init__(self, vertices: Sequence[QVector], ambient_dim: int):
         self.vertices: tuple[QVector, ...] = tuple(vertices)
         self.ambient_dim = ambient_dim
-        self._dim: int | None = None
         self._facets: list[Facet] | None = None
         self._masks: list[int] | None = None
         self._frame: _Frame | None = None
@@ -136,9 +135,7 @@ class Polytope:
 
     @property
     def dim(self) -> int:
-        if self._dim is None:
-            self._dim = self.frame().dim
-        return self._dim
+        return self.frame().dim
 
     def frame(self) -> _Frame:
         if self._frame is None:
@@ -235,12 +232,10 @@ def extreme_points(points: Sequence[QVector]) -> list[QVector]:
 
     One double description runs on all distinct points in the frame of
     their affine hull; redundant points are allowed (Fukuda and Prodon
-    1996).  Point i is a vertex iff the AND of the zero sets of the facets
-    through it is its own bit: the smallest face holding a point is the
-    intersection of the facets through it, and an empty AND, for a point
-    on no facet, is the full mask.  That costs one facet enumeration of the
-    hull and no LP, cheap at desk scale in dimensions 2 to 4 but far slower
-    than one LP per point on many points in high dimension.
+    1996).  Point i is a vertex iff least_face(masks, 1 << i, n) is its own
+    bit.  That costs one facet enumeration of the hull and no LP, cheap at
+    desk scale in dimensions 2 to 4 but far slower than one LP per point on
+    many points in high dimension.
     """
     pts = [p if isinstance(p, QVector) else QVector(p) for p in points]
     unique: list[QVector] = []
@@ -253,17 +248,32 @@ def extreme_points(points: Sequence[QVector]) -> list[QVector]:
         raise DimensionError("points of mixed dimension")
     if len(unique) < 2:
         return unique
-    fr = _build_frame(tuple(unique), len(unique[0]))
-    raw = _supporting_hyperplanes(fr.icoords, fr.dim, (0, *fr.basis))
-    keep = []
-    for i, p in enumerate(unique):
-        face = (1 << len(unique)) - 1
-        for _, _, z in raw:
-            if z >> i & 1:
-                face &= z
-        if face == 1 << i:
-            keep.append(p)
-    return keep
+    masks = [z for *_, z in _hull_rays(unique)[1]]
+    n = len(unique)
+    return [p for i, p in enumerate(unique) if least_face(masks, 1 << i, n) == 1 << i]
+
+
+def least_face(masks: Iterable[int], face: int, n: int) -> int:
+    """The smallest face of the hull of n points that holds the point set
+    ``face``: the AND of the facet zero sets (bitmasks) that contain it, or
+    the full mask if none does.  Point i is a vertex iff this is its own bit,
+    and a set of points spans a face iff this is the set itself."""
+    least = (1 << n) - 1
+    for m in masks:
+        if m & face == face:
+            least &= m
+    return least
+
+
+def _hull_rays(
+    points: Sequence[QVector],
+) -> tuple[_Frame, list[tuple[tuple[int, ...], int, int]]]:
+    """The frame of the points' affine hull and the double description's
+    rays on them (see _supporting_hyperplanes), with their zero sets over
+    the input indices; DuplicatePoint first if two points are equal."""
+    fr = _build_frame(tuple(points), len(points[0]))
+    check_distinct(fr.ivertices)
+    return fr, _supporting_hyperplanes(fr.icoords, fr.dim, (0, *fr.basis))
 
 
 def vertex_mask(indices: Iterable[int]) -> int:
@@ -413,20 +423,15 @@ def _enumerate_facets(p: Polytope) -> list[Facet]:
 
 
 def facets_from_rays(
-    fr: _Frame,
-    raw: Sequence[tuple[tuple[int, ...], int, int]],
-    skip: int | None = None,
+    fr: _Frame, raw: Sequence[tuple[tuple[int, ...], int, int]]
 ) -> list[Facet]:
     """The canonical facets, sorted, from the double description rays raw on
-    the points of fr.  Point ``skip``, if any, is left out of the incident
-    sets and the points after it move down one index."""
+    the points of fr."""
     keyed = []
     n = len(fr.ivertices)
     for normal_ints, _, mask in raw:
         incident = tuple(i for i in range(n) if mask >> i & 1)
         ints, offset = _lift_normal(fr, normal_ints, incident)
-        if skip is not None:
-            incident = tuple(i - (i > skip) for i in incident if i != skip)
         keyed.append(((ints, offset), Facet(QVector(ints), offset, incident)))
     # The normals are integral, so their int tuples order as the entries do.
     keyed.sort(key=lambda kf: kf[0])

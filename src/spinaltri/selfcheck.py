@@ -52,6 +52,9 @@ EVEREST_VOLUMES = {
     (2, 2): Fraction(15, 4),
 }
 
+# Random polytopes that the validator-suite criterion triangulates.
+VALIDATOR_SUITE_INSTANCES = 200
+
 # Projected Birkhoff polytope for n = 4: each vector read as a 2 x 3 matrix,
 # rows concatenated, reproduces the published twenty vertices.
 GOLDEN_PROJECTED_B4 = [
@@ -345,12 +348,12 @@ def _random_polytope(rng: random.Random, dims=(2, 2, 3, 3, 3)) -> Polytope:
             return p
 
 
-def check_validator_suite(ws: Workspace, *, instances: int = 200):
+def check_validator_suite(ws: Workspace):
     """Random pulling triangulations validate; corrupted ones never do."""
     rng = random.Random(99)
     failures = []
     corrupted_passes = 0
-    for i in range(instances):
+    for i in range(VALIDATOR_SUITE_INSTANCES):
         p = _random_polytope(rng)
         order = list(range(p.n_vertices))
         rng.shuffle(order)
@@ -369,7 +372,7 @@ def check_validator_suite(ws: Workspace, *, instances: int = 200):
             corrupted_passes += 1
     ok = not failures and corrupted_passes == 0
     return ok, (
-        f"{instances} random pulling triangulations validated, "
+        f"{VALIDATOR_SUITE_INSTANCES} random pulling triangulations validated, "
         f"{len(failures)} failures, {corrupted_passes} corrupted passes"
     )
 

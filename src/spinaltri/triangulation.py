@@ -16,23 +16,21 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Sequence
 
-from .linalg import QVector, int_adjugate, int_dot, scaled_ints
+from .linalg import DimensionError, QVector, int_adjugate, int_dot, scaled_ints
 from .polytope import (
     DuplicatePoint,
     NotInConvexPosition,
     Polytope,
     PolytopeError,
-    _build_frame,
-    _supporting_hyperplanes,
-    check_distinct,
+    _hull_rays,
     checked_points,
     facet_masks,
     facets_from_rays,
     facets_of_face,
     hull_ints,
-    make_polytope,
+    least_face,
     vertex_mask,
 )
 from .spine import Spine
@@ -136,17 +134,17 @@ def star_triangulation(
     reachable; the default is input order.
 
     Cost: one double description on all the points, the origin included,
-    and no LP or membership test.  It places every point by the rule of
-    `extreme_points`: least(i), the AND of the zero sets of the facets
-    through point i (the full mask if there are none), is i's own bit iff
-    i is a vertex of the hull of all points.  A point that is no vertex of
-    the hull of the others is none of the hull of all points either, so
-    the input is accepted iff every other point passes.  Then either the
-    origin is a vertex (outside), or the hull of all points is the hull of
-    the others (inside or on the boundary) and the same rays are its
-    facets.  A rejected input pays a second double description and the
-    LPs of make_polytope, on the others and then on all points, which name
-    the first failing point by its input index.
+    and no LP or membership test.  Point i is a vertex of the hull of all
+    points iff `least_face` of its bit is its bit.  A point that is no
+    vertex of the hull of the others is none of the hull of all points
+    either, so the input is accepted iff every other point passes.  Then
+    either the origin is a vertex (outside), or the hull of all points is
+    the hull of the others (inside or on the boundary) and the same rays
+    are its facets.  A rejected input pays a second double description, on
+    the others alone, which names the first point in the others' hull; if
+    there is none, the origin lies outside that hull and the first other
+    point that fails in the hull of all points is named.  Points are named
+    by their input index.
     """
     pts = [q if isinstance(q, QVector) else QVector(q) for q in points]
     zeros = [i for i, q in enumerate(pts) if q.is_zero()]
@@ -162,64 +160,54 @@ def star_triangulation(
     if len(pts) == 1:
         return Triangulation.make(pts, [(0,)], 0)
     others = [i for i in range(len(pts)) if i != z]
-    hull_pts = checked_points([pts[i] for i in others])
-    dim = len(hull_pts[0])
-    if len(pts[z]) != dim:
-        _raise_star_error(pts, z, others)
-    fr = _build_frame(tuple(pts), dim)
-    check_distinct(fr.ivertices)  # the origin repeats no other point
-    raw = _supporting_hyperplanes(fr.icoords, fr.dim, (0, *fr.basis))
-    least = [(1 << len(pts)) - 1] * len(pts)
-    for _, _, mask in raw:
-        for i in range(len(pts)):
-            if mask >> i & 1:
-                least[i] &= mask
-    if any(least[i] != 1 << i for i in others):
-        _raise_star_error(pts, z, others)
-    base = order if order is not None else list(range(len(pts)))
+    dim = len(checked_points([pts[i] for i in others])[0])
+    n = len(pts)
+    if len(pts[z]) == dim:
+        fr, raw = _hull_rays(pts)
+        masks = [m for *_, m in raw]
+        failing = [i for i in others if least_face(masks, 1 << i, n) != 1 << i]
+    else:
+        failing = others  # no double description on mixed dimensions
+    if failing:
+        try:
+            sub = [m for *_, m in _hull_rays([pts[i] for i in others])[1]]
+        except DuplicatePoint as exc:
+            raise DuplicatePoint(others[exc.index], others[exc.first]) from None
+        for j, i in enumerate(others):
+            if least_face(sub, 1 << j, n - 1) != 1 << j:
+                raise NotInConvexPosition(i)
+        if len(pts[z]) != dim:
+            raise DimensionError(f"point of dim {len(pts[z])} against ambient dim {dim}")
+        # The others are in convex position, so the origin lies outside
+        # their hull and the input is named as make_polytope on all points
+        # names it: the vertex cap first, then the first failing point.
+        checked_points(pts)
+        raise NotInConvexPosition(failing[0])
 
-    if least[z] == 1 << z:
+    base = order if order is not None else list(range(n))
+    pull_order = [z] + [i for i in base if i != z]
+    full = Polytope(pts, dim)
+    full._frame, full._facets = fr, facets_from_rays(fr, raw)
+    if least_face(masks, 1 << z, n) == 1 << z:
         # Origin outside: it is a vertex of the hull of all points, and
         # pulling with the origin first is a star triangulation.
         checked_points(pts)  # the vertex cap, now on all points
-        full = Polytope(pts, dim)
-        full._frame, full._facets = fr, facets_from_rays(fr, raw)
-        pull_order = [z] + [i for i in base if i != z]
         return pulling_triangulation(full, pull_order)
 
     # Origin inside or on the boundary: cone from the origin over the
-    # boundary cells of every facet whose affine hull misses the origin.
-    hull = Polytope(hull_pts, dim)
-    hull._dim, hull._facets = fr.dim, facets_from_rays(fr, raw, skip=z)
-    local_of = {g: l for l, g in enumerate(others)}
-    local_rank = {local_of[g]: i for i, g in enumerate(base) if g != z}
-    ctx = _PullContext(hull, local_rank)
+    # boundary cells of every facet whose hyperplane misses the origin,
+    # that is every facet mask without the origin's bit.  The origin is no
+    # vertex of full here, but no face pulled holds it.
+    ctx = _PullContext(full, {v: r for r, v in enumerate(pull_order)})
     cells: set[tuple[int, ...]] = set()
-    for facet, mask in zip(hull.facets(), hull.incidence_masks()):
-        if facet.offset == 0:
-            continue  # origin lies in this facet's hyperplane; cone is flat
-        for tau in ctx.pull(mask):
-            cells.add(tuple(sorted((z,) + tuple(others[j] for j in tau))))
-    tri = Triangulation.make(pts, cells, hull.dim)
+    for mask in full.incidence_masks():
+        if not mask >> z & 1:
+            cells.update(tuple(sorted((z,) + tau)) for tau in ctx.pull(mask))
+    tri = Triangulation.make(pts, cells, full.dim)
     used = set(itertools.chain.from_iterable(tri.simplices))
-    if used != set(range(len(pts))):
+    if used != set(range(n)):
         raise ShadowInternalError("star construction failed to use every point")
     return tri
-
-
-def _raise_star_error(pts: list[QVector], z: int, others: list[int]) -> NoReturn:
-    """Raise the first error of a rejected star input: make_polytope on the
-    others, named by input index, then the origin's membership in their
-    hull, then make_polytope on all points."""
-    try:
-        hull = make_polytope([pts[i] for i in others])
-    except DuplicatePoint as exc:
-        raise DuplicatePoint(others[exc.index], others[exc.first]) from None
-    except NotInConvexPosition as exc:
-        raise NotInConvexPosition(others[exc.index]) from None
-    if not hull.contains(pts[z]):
-        make_polytope(pts)
-    raise ShadowInternalError("a star input was rejected but raised no error")
 
 
 def spinal_triangulation(s: Spine) -> Triangulation:
@@ -338,9 +326,8 @@ def shadow_polytope(sm: ShadowMap) -> Polytope:
 
     (ii) The origin, the image of U, is a vertex of the shadow iff conv(U)
     is a face of P: a functional that exposes a face containing U is
-    constant on U, so it is orthogonal to L.  conv(U) is a face iff the AND
-    of the masks of the facets that contain U is U's mask; an empty AND is
-    the full mask.
+    constant on U, so it is orthogonal to L.  conv(U) is a face iff
+    `least_face` of U's mask over P's facet masks is U's mask.
 
     So the vertices are the non-spine images in vertex order, with the
     origin at position U[0] iff (ii) holds.  `ShadowMap` has already
@@ -350,23 +337,20 @@ def shadow_polytope(sm: ShadowMap) -> Polytope:
         sp = sm.spine
         p = sp.polytope
         u = vertex_mask(sp.indices)
-        least_face = functools.reduce(
-            operator.and_,
-            (f for f in p.incidence_masks() if f & u == u),
-            (1 << p.n_vertices) - 1,
-        )
+        is_face = least_face(p.incidence_masks(), u, p.n_vertices) == u
         keep = [
             q
             for i, q in enumerate(sm.shadow_points)
-            if not u >> i & 1 or (i == sp.indices[0] and least_face == u)
+            if not u >> i & 1 or (i == sp.indices[0] and is_face)
         ]
         sm._shadow_poly = Polytope(keep, p.ambient_dim)
     return sm._shadow_poly
 
 
-def fold(t: Triangulation, sm: ShadowMap, *, check: bool = True) -> Triangulation:
+def fold(t: Triangulation, sm: ShadowMap) -> Triangulation:
     """Project a spinal triangulation: spine vertices collapse to the origin,
-    other vertices map to their shadow images."""
+    other vertices map to their shadow images; the result is validated
+    against the shadow polytope."""
     p = sm.spine.polytope
     if t.points != p.vertices:
         raise TriangulationError("triangulation is not over the spine's polytope")
@@ -378,19 +362,19 @@ def fold(t: Triangulation, sm: ShadowMap, *, check: bool = True) -> Triangulatio
             raise TriangulationError("triangulation is not spinal for this spine")
         cells.append(tuple(sorted([0] + [star_of[i] for i in c if i not in uset])))
     result = Triangulation.make(sm.star_points, cells, sm.e)
-    if check:
-        ok, reason = validate_detailed(result, shadow_polytope(sm))
-        if not ok:
-            raise ShadowInternalError(
-                f"fold of a spinal triangulation failed validation: {reason}"
-            )
+    ok, reason = validate_detailed(result, shadow_polytope(sm))
+    if not ok:
+        raise ShadowInternalError(
+            f"fold of a spinal triangulation failed validation: {reason}"
+        )
     return result
 
 
-def lift(star: Triangulation, sm: ShadowMap, *, check: bool = True) -> Triangulation:
+def lift(star: Triangulation, sm: ShadowMap) -> Triangulation:
     """Reconstruct the spinal triangulation over the original polytope from a
     star triangulation of the shadow: the origin expands to the whole spine,
-    nonzero shadow vertices are replaced by their unique preimages."""
+    nonzero shadow vertices are replaced by their unique preimages.  The
+    result is validated against the polytope."""
     p = sm.spine.polytope
     table = sm.lift_table
     cells = []
@@ -409,12 +393,9 @@ def lift(star: Triangulation, sm: ShadowMap, *, check: bool = True) -> Triangula
             lifted.append(orig)
         cells.append(tuple(sorted(lifted)))
     result = Triangulation.make(p.vertices, cells, p.dim)
-    if check:
-        ok, reason = validate_detailed(result, p)
-        if not ok:
-            raise TriangulationError(
-                f"lift is not a triangulation of the polytope: {reason}"
-            )
+    ok, reason = validate_detailed(result, p)
+    if not ok:
+        raise TriangulationError(f"lift is not a triangulation of the polytope: {reason}")
     return result
 
 

@@ -135,6 +135,18 @@ class TestPatternCap:
         with pytest.raises(EverestError, match="desk-scale cap"):
             vertex_families(EverestParams(n, s))
 
+    @pytest.mark.parametrize("check", [everest.se_checks, se_square_matrices])
+    @pytest.mark.parametrize("n,s", [(60, 60), (11, 1), (5, 3)])
+    def test_carrier_is_not_built_over_the_cap(self, check, n, s, monkeypatch):
+        # The (n + 1, s) families are refused before the ns x (n+1)s
+        # carrier: E(60, 60)'s took seconds to build before the refusal.
+        def refuse(*args):
+            raise AssertionError("the carrier matrix was built")
+
+        monkeypatch.setattr(everest, "se_matrix", refuse)
+        with pytest.raises(EverestError, match="desk-scale cap"):
+            check(EverestParams(n, s))
+
     def test_the_cap_admits_what_the_repository_uses(self):
         # selftest and the tests go up to E(3, 3) and the (n + 1, s)
         # families of E(2, 2); the golden corpus to E(4, 1) and E(1, 4),

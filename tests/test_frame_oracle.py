@@ -501,7 +501,7 @@ def test_validators_agree_on_polytopes_and_shadows(seed):
             sm = shadow(sp)
             if sm.e == 0:
                 continue
-            star = fold(spinal_triangulation(sp), sm, check=False)
+            star = fold(spinal_triangulation(sp), sm)
             q = shadow_polytope(sm)
             for t in corruptions(star, rng):
                 verdicts.append(assert_same_verdict(t, q))

@@ -178,6 +178,28 @@ def test_named_positions_are_as_named():
         cells(list(dict(hand_picked())["swallowed3"]))
 
 
+@pytest.mark.parametrize(
+    "pts,error",
+    [
+        # Point 1 is a vertex of the others' hull and lies in the hull of
+        # all points; point 4 lies in the others' hull and is named first.
+        ([(0, 0), (1, 0), (3, 1), (3, -1), (2, 0)], "point 4 lies in the convex hull"),
+        ([(0, 0), (1, 0), (3, 1), (3, -1)], "point 1 lies in the convex hull"),
+        # The others are checked before the origin's dimension.
+        ([(1, 1), (0, 0, 0), (-1, 1), (0, 1), (-1, -1), (1, -1)],
+         "point 3 lies in the convex hull"),
+        ([(1, 1), (0, 0, 0), (-1, 1), (-1, -1), (1, -1)],
+         "point of dim 3 against ambient dim 2"),
+    ],
+    ids=["hidden-and-inside", "hidden", "origin-dim-nonconvex", "origin-dim"],
+)
+def test_rejected_inputs_name_the_oracles_point(pts, error):
+    pts = [QVector(q) for q in pts]
+    assert_same(pts, [None, list(range(len(pts)))[::-1]])
+    with pytest.raises(ValueError, match=f"^{error}"):
+        star_triangulation(pts)
+
+
 def random_others(rng: random.Random) -> list[QVector]:
     """Distinct nonzero points, their extreme points or a raw draw, with a
     duplicate now and then; in R^3 sometimes on a plane."""

@@ -161,27 +161,52 @@ class TestStarOneDoubleDescription:
             lps.append(args)
             return real_lp(*args)
 
-        monkeypatch.setattr(spinaltri.triangulation, "_supporting_hyperplanes", counting_dd)
         monkeypatch.setattr(spinaltri.polytope, "_supporting_hyperplanes", counting_dd)
         monkeypatch.setattr(spinaltri.polytope, "lp_feasible", counting_lp)
         monkeypatch.setattr(spinaltri.lp, "lp_feasible", counting_lp)
         star = star_triangulation(list(sm.star_points))
         lifted = lift(star, sm)
         assert len(dds) == 1 and lps == []
-        assert fold(lifted, sm, check=False).simplices == star.simplices
+        assert fold(lifted, sm).simplices == star.simplices
 
-    def test_rejected_input_reruns_the_former_route(self, monkeypatch):
-        pts = [qv(0, 0), qv(3, 0), qv(0, 3), qv(-3, -3), qv(0, 1)]
-        calls = []
-        real = spinaltri.triangulation.make_polytope
-        monkeypatch.setattr(
-            spinaltri.triangulation,
-            "make_polytope",
-            lambda q: calls.append(len(q)) or real(q),
-        )
-        with pytest.raises(NotInConvexPosition):
+    @pytest.mark.parametrize(
+        "pts,error,dd_count",
+        [
+            # A point in the hull of the others.
+            ([qv(0, 0), qv(3, 0), qv(0, 3), qv(-3, -3), qv(0, 1)], "point 4 lies", 2),
+            # A vertex of the others' hull that the origin swallows.
+            ([qv(0, 0), qv(1, 0), qv(3, 1), qv(3, -1)], "point 1 lies", 2),
+            # The origin of another dimension: the others' check, then its own.
+            ([qv(1, 1), qv(-1, 1), qv(-1, -1), qv(1, -1), QVector([0, 0, 0])],
+             "point of dim 3 against ambient dim 2", 1),
+            ([qv(1, 1), qv(-1, 1), qv(0, 0, 0), qv(-1, -1), qv(1, -1), qv(0, 1)],
+             "point 5 lies", 1),
+            # 31 points with the origin outside: the vertex cap on all points.
+            ([qv(0, 0)] + [qv(t, t * t) for t in range(1, 30)] + [qv(1, 2)],
+             "31 vertices exceed", 2),
+        ],
+        ids=["in-others", "swallowed", "origin-dim", "origin-dim-in-others", "cap"],
+    )
+    def test_rejected_input_runs_no_lp(self, monkeypatch, pts, error, dd_count):
+        dds = []
+        real_dd = spinaltri.polytope._supporting_hyperplanes
+
+        def counting_dd(*args):
+            dds.append(args)
+            return real_dd(*args)
+
+        def forbidden(*args):
+            raise AssertionError("the former route ran")
+
+        assert not hasattr(spinaltri.triangulation, "make_polytope")
+        monkeypatch.setattr(spinaltri.polytope, "_supporting_hyperplanes", counting_dd)
+        monkeypatch.setattr(spinaltri.polytope, "lp_feasible", forbidden)
+        monkeypatch.setattr(spinaltri.lp, "lp_feasible", forbidden)
+        monkeypatch.setattr(spinaltri.polytope, "make_polytope", forbidden)
+        monkeypatch.setattr(spinaltri.polytope.Polytope, "contains", forbidden)
+        with pytest.raises(ValueError, match=f"^{error}"):
             star_triangulation(pts)
-        assert calls == [4]
+        assert len(dds) == dd_count
 
     @pytest.mark.parametrize(
         "pts,error",
@@ -196,7 +221,6 @@ class TestStarOneDoubleDescription:
         def no_dd(*args):
             raise AssertionError("the double description ran")
 
-        monkeypatch.setattr(spinaltri.triangulation, "_supporting_hyperplanes", no_dd)
         monkeypatch.setattr(spinaltri.polytope, "_supporting_hyperplanes", no_dd)
         with pytest.raises(error):
             star_triangulation(pts)

@@ -21,7 +21,7 @@ import pytest
 
 from spinaltri.linalg import QVector
 from spinaltri.polytope import Polytope, PolytopeError, frame_coords, make_polytope
-from spinaltri.selfcheck import _random_polytope
+from spinaltri.selfcheck import VALIDATOR_SUITE_INSTANCES, _random_polytope
 from spinaltri.triangulation import (
     Triangulation,
     pulling_triangulation,
@@ -140,11 +140,11 @@ def _verdict(t: Triangulation, p: Polytope) -> tuple[bool, str]:
     return ok, reason
 
 
-def _validator_suite_cases(instances: int = 200):
+def _validator_suite_cases():
     """The instances of selfcheck.check_validator_suite, drawn from the same
     seed in the same order, each with its dropped and duplicated corruption."""
     rng = random.Random(99)
-    for _ in range(instances):
+    for _ in range(VALIDATOR_SUITE_INSTANCES):
         p = _random_polytope(rng)
         order = list(range(p.n_vertices))
         rng.shuffle(order)
