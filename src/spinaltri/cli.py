@@ -126,7 +126,8 @@ def cmd_spine_enum(args) -> int:
     p = sio.load_polytope(args.polytope)
     spines = enumerate_spines(p, min_size)
     doc = {"min_size": min_size, "spines": [list(s) for s in spines]}
-    _emit(doc, [str(list(s)) for s in spines], args)
+    lines = [str(list(s)) for s in spines] or [f"no spine has {min_size} or more points"]
+    _emit(doc, lines, args)
     return 0
 
 

@@ -256,8 +256,12 @@ def se_square_matrices(params: EverestParams) -> tuple[IntRows, IntRows]:
     projection's kernel.  The families' sign-pattern cap is checked before
     the carrier is built.
     """
+    return _square_matrices(params, vertex_families(EverestParams(params.n + 1, params.s)))
+
+
+def _square_matrices(params: EverestParams, fam_up: Families) -> tuple[IntRows, IntRows]:
+    """se_square_matrices on the (n+1, s) families fam_up, built by the caller."""
     n, s = params.n, params.s
-    fam_up = vertex_families(EverestParams(n + 1, s))
     width = (n + 1) * s
     pi_tilde = se_matrix(params) + tuple(
         tuple(int(c == n * s + j) for c in range(width)) for j in range(s)
@@ -310,7 +314,7 @@ def _volume_by_lifting(params: EverestParams) -> Fraction:
     """
     n, s = params.n, params.s
     fam_up = vertex_families(EverestParams(n + 1, s))  # caps n and s first
-    pi_tilde, _ = se_square_matrices(params)
+    pi_tilde, _ = _square_matrices(params, fam_up)
     if abs(det(pi_tilde)) != 1:
         raise EverestError("square extension is not volume preserving")
     verts = [QVector(matvec(pi_tilde, v)) for v in fam_up.v_minus_one.points]

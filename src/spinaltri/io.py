@@ -30,10 +30,6 @@ def vector_to_strings(v: QVector) -> list[str]:
     return [format_rational(x) for x in v]
 
 
-def vector_from_strings(raw) -> QVector:
-    return QVector([parse_rational(str(x)) for x in raw])
-
-
 def _json_object(doc: Any, what: str, keys: tuple[str, ...]) -> list[Any]:
     """The values of keys in a JSON object, in order."""
     if type(doc) is not dict:
@@ -66,7 +62,15 @@ def polytope_from_doc(doc: dict[str, Any]) -> Polytope:
                 raise DocumentError(
                     f"vertex {i} coordinate {j} is {json.dumps(x)}, not a rational"
                 )
-    vertices = [vector_from_strings(row) for row in raw]
+    vertices = []
+    for i, row in enumerate(raw):
+        coords = []
+        for j, x in enumerate(row):
+            try:
+                coords.append(parse_rational(str(x)))
+            except ValueError as exc:
+                raise DocumentError(f"vertex {i} coordinate {j}: {exc}") from None
+        vertices.append(QVector(coords))
     if any(len(v) != dim for v in vertices):
         raise DocumentError("vertex dimension disagrees with ambient_dim")
     return make_polytope(vertices)

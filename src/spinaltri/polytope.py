@@ -125,6 +125,9 @@ class Polytope:
         self._masks: list[int] | None = None
         self._frame: _Frame | None = None
         self._relvol: Fraction | None = None
+        # The last points tuple validated against this polytope and its
+        # table (triangulation._point_table).
+        self._point_table: tuple | None = None
 
     def __repr__(self) -> str:
         return f"Polytope({len(self.vertices)} vertices in R^{self.ambient_dim}, dim {self.dim})"
@@ -415,21 +418,15 @@ def frame_coords(p: Polytope, point: QVector) -> QVector:
 
 
 def _enumerate_facets(p: Polytope) -> list[Facet]:
+    """The canonical facets, sorted, from one double description on p's
+    hull coordinates."""
     k = p.dim
     if k == 0:
         raise DegeneratePolytope("a single point has no facets")
     fr = p.frame()
-    return facets_from_rays(fr, _supporting_hyperplanes(fr.icoords, k, (0, *fr.basis)))
-
-
-def facets_from_rays(
-    fr: _Frame, raw: Sequence[tuple[tuple[int, ...], int, int]]
-) -> list[Facet]:
-    """The canonical facets, sorted, from the double description rays raw on
-    the points of fr."""
     keyed = []
     n = len(fr.ivertices)
-    for normal_ints, _, mask in raw:
+    for normal_ints, _, mask in _supporting_hyperplanes(fr.icoords, k, (0, *fr.basis)):
         incident = tuple(i for i in range(n) if mask >> i & 1)
         ints, offset = _lift_normal(fr, normal_ints, incident)
         keyed.append(((ints, offset), Facet(QVector(ints), offset, incident)))

@@ -27,7 +27,6 @@ from .polytope import (
     _hull_rays,
     checked_points,
     facet_masks,
-    facets_from_rays,
     facets_of_face,
     hull_ints,
     least_face,
@@ -59,6 +58,10 @@ class Triangulation:
         simplices: Iterable[Sequence[int]],
         dim: int,
     ) -> "Triangulation":
+        """The triangulation with its cells sorted and deduplicated.  A
+        points tuple is kept as the same object (tuple() returns a tuple
+        unchanged), so validation can reuse the point table a polytope
+        keeps for it."""
         canon = sorted({tuple(sorted(s)) for s in simplices})
         return cls(tuple(points), tuple(canon), dim)
 
@@ -186,8 +189,10 @@ def star_triangulation(
 
     base = order if order is not None else list(range(n))
     pull_order = [z] + [i for i in base if i != z]
+    # Pulling reads the facets' zero sets only, so the polytope gets the
+    # double description's masks and never lifts a normal to ambient form.
     full = Polytope(pts, dim)
-    full._frame, full._facets = fr, facets_from_rays(fr, raw)
+    full._frame, full._masks = fr, masks
     if least_face(masks, 1 << z, n) == 1 << z:
         # Origin outside: it is a vertex of the hull of all points, and
         # pulling with the origin first is a star triangulation.
@@ -293,12 +298,14 @@ class ShadowMap:
         scale = self.spine.polytope.frame().vscale
         return Fraction(self._den, scale ** (2 * k) * math.factorial(k) ** 2)
 
+    @functools.cached_property
+    def _lift_map(self) -> dict[QVector, int]:
+        return dict(zip(self.star_points[1:], self.lift_indices[1:]))
+
     @property
     def lift_table(self) -> dict[QVector, int]:
-        return {
-            self.star_points[k]: self.lift_indices[k]
-            for k in range(1, len(self.star_points))
-        }
+        """Each nonzero star point's original vertex index, as a new dict."""
+        return dict(self._lift_map)
 
 
 def shadow(sp: Spine) -> ShadowMap:
@@ -376,22 +383,27 @@ def lift(star: Triangulation, sm: ShadowMap) -> Triangulation:
     nonzero shadow vertices are replaced by their unique preimages.  The
     result is validated against the polytope."""
     p = sm.spine.polytope
-    table = sm.lift_table
+    # Each star point once: -1 for the origin, else its preimage's vertex
+    # index, or None if it has none.  A star built on the map's own points
+    # holds the same objects, which tuple equality compares by identity
+    # first, so it is read off lift_indices without hashing a point.
+    if star.points == sm.star_points:
+        image = sm.lift_indices
+    else:
+        table, image = sm._lift_map, []
+        for q in star.points:
+            g = table.get(q)
+            image.append(-1 if g is None and q.is_zero() else g)
     cells = []
     for c in star.simplices:
-        pts = [star.points[i] for i in c]
-        zero_count = sum(1 for q in pts if q.is_zero())
-        if zero_count != 1:
+        lifted = [image[i] for i in c]
+        if lifted.count(-1) != 1:
             raise TriangulationError("star cell must contain the origin exactly once")
-        lifted = list(sm.spine.indices)
-        for q in pts:
-            if q.is_zero():
-                continue
-            orig = table.get(q)
-            if orig is None:
-                raise TriangulationError(f"star vertex {q!r} not in the lift table")
-            lifted.append(orig)
-        cells.append(tuple(sorted(lifted)))
+        if None in lifted:
+            q = star.points[c[lifted.index(None)]]
+            raise TriangulationError(f"star vertex {q!r} not in the lift table")
+        lifted.remove(-1)
+        cells.append(tuple(sorted([*sm.spine.indices, *lifted])))
     result = Triangulation.make(p.vertices, cells, p.dim)
     ok, reason = validate_detailed(result, p)
     if not ok:
@@ -425,28 +437,21 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
         if tuple(t.simplices) == ((0,),) and n == 1:
             return True, "ok"
         return False, "a point polytope is triangulated by itself only"
-    fr = p.frame()
-    on_vertices = t.points is p.vertices
-    if on_vertices:
-        coords, scale = fr.icoords, fr.scale
-    else:
-        amb, q = scaled_ints(t.points)
-        try:
-            coords, scale = hull_ints(fr, amb, q)
-        except PolytopeError:
-            return False, "a point lies outside the affine hull of the polytope"
+    coords, scale, on_facet = _point_table(p, t.points)
+    if isinstance(coords, str):
+        return False, coords
     if not t.simplices:
         return False, "no maximal simplices"
     for c in t.simplices:
         if len(c) != k + 1 or len(set(c)) != k + 1:
             return False, f"cell {c} does not have {k + 1} distinct vertices"
-        if any(not 0 <= i < n for i in c):
+        if min(c) < 0 or max(c) >= n:
             return False, f"cell {c} references a missing point"
     # Cells stay a list: a repeated cell repeats its ridges and is caught.
     cells = []
     abs_total = 0
     for c in t.simplices:
-        s = sorted(c)
+        s = tuple(sorted(c))
         d = cell_det(coords, s)
         if d == 0:
             return False, f"cell {c} is degenerate"
@@ -459,25 +464,15 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
     used = set(itertools.chain.from_iterable(t.simplices))
     if used != set(range(n)):
         return False, "some points are not vertices of any cell"
-    # Bit j of on_facet[i] is set iff point i lies on facet j's hyperplane.
-    facets = p.facets()
-    if on_vertices:
-        on_facet = [0] * n
-        for j, f in enumerate(facets):
-            for i in f.incident:
-                on_facet[i] |= 1 << j
-    else:
-        try:
-            on_facet = facet_masks(facets, amb, q)
-        except PolytopeError as exc:
-            return False, str(exc)
+    if isinstance(on_facet, str):
+        return False, on_facet
     ridges: dict[tuple[int, ...], list[bool]] = {}
     for c, positive in cells:
-        for j, drop in enumerate(c):
+        for j in range(k + 1):
             side = positive != bool((k - j) & 1)
-            ridges.setdefault(tuple(i for i in c if i != drop), []).append(side)
+            ridges.setdefault(c[:j] + c[j + 1 :], []).append(side)
     for ridge, sides in ridges.items():
-        if functools.reduce(operator.and_, (on_facet[i] for i in ridge)):
+        if functools.reduce(operator.and_, map(on_facet.__getitem__, ridge)):
             if len(sides) != 1:
                 return False, f"boundary ridge {ridge} belongs to {len(sides)} cells"
             continue
@@ -486,3 +481,40 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
         if sides[0] == sides[1]:
             return False, f"the cells on ridge {ridge} lie on the same side of it"
     return True, "ok"
+
+
+def _point_table(p: Polytope, points: tuple[QVector, ...]) -> tuple:
+    """(coords, scale, on_facet) of points against p: their hull coordinates
+    as integers at one scale, and for each point the bitmask whose bit j is
+    set iff it lies on facet j's hyperplane.  A failure is kept as its reason
+    in place of what it stops: a point off the affine hull replaces coords, a
+    point beyond a facet replaces on_facet.
+
+    p keeps the table of the last points tuple it was given and hands it back
+    while the same tuple object comes again, so the folds of one shadow,
+    which all share the map's `star_points`, build it once."""
+    memo = p._point_table
+    if memo is not None and memo[0] is points:
+        return memo[1]
+    fr = p.frame()
+    if points is p.vertices:
+        on_facet = [0] * len(points)
+        for j, f in enumerate(p.facets()):
+            for i in f.incident:
+                on_facet[i] |= 1 << j
+        table = (fr.icoords, fr.scale, on_facet)
+    else:
+        amb, q = scaled_ints(points)
+        try:
+            coords, scale = hull_ints(fr, amb, q)
+        except PolytopeError:
+            table = ("a point lies outside the affine hull of the polytope", None, None)
+        else:
+            try:
+                on_facet = facet_masks(p.facets(), amb, q)
+            except PolytopeError as exc:
+                on_facet = str(exc)
+            table = (coords, scale, on_facet)
+    if type(points) is tuple:  # a list could change under the same identity
+        p._point_table = (points, table)
+    return table

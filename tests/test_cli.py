@@ -90,6 +90,14 @@ def test_spine_enum(capsys, square_file):
     assert json.loads(out)["spines"] == [[0, 3], [1, 2]]
 
 
+def test_spine_enum_pretty_says_when_no_spine_is_that_large(capsys, square_file):
+    code, out = run(capsys, "spine-enum", square_file, "--min-size", "3", "--pretty")
+    assert code == 0
+    assert out == "no spine has 3 or more points\n"
+    code, out = run(capsys, "spine-enum", square_file, "--min-size", "3")
+    assert json.loads(out)["spines"] == []
+
+
 def test_facets(capsys, square_file):
     code, out = run(capsys, "facets", square_file)
     doc = json.loads(out)
@@ -318,7 +326,7 @@ def test_token_past_the_bound_is_one_error_line(capsys, tmp_path, token, message
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: vertex 0 coordinate 0: {message}\n"
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
@@ -498,7 +506,7 @@ def test_zero_denominator_is_domain_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: zero denominator in '1/0'\n"
+    assert captured.err == "error: vertex 1 coordinate 0: zero denominator in '1/0'\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -452,6 +452,18 @@ class TestVolume:
         params = EverestParams(2, 2)
         assert everest_volume(params, "lifting") == Fraction(15, 4)
 
+    def test_lifting_builds_the_families_once(self, monkeypatch):
+        calls = []
+        real = everest.vertex_families
+
+        def counting(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(everest, "vertex_families", counting)
+        assert everest_volume(EverestParams(2, 2), "lifting") == Fraction(15, 4)
+        assert calls == [EverestParams(3, 2)]
+
     def test_unknown_method(self):
         with pytest.raises(EverestError):
             everest_volume(EverestParams(1, 1), "monte-carlo")

@@ -109,9 +109,28 @@ def test_json_numbers_parse_exactly(tmp_path):
             {"ambient_dim": 2, "vertices": [["0", ["1"]], ["1", "1"]]},
             'vertex 0 coordinate 1 is ["1"], not a rational',
         ),
+        (
+            {"ambient_dim": 2, "vertices": [["0", "0"], ["1", "1e400000"]]},
+            "vertex 1 coordinate 1: decimal exponent is past the limit of 4300 "
+            "in absolute value",
+        ),
+        (
+            {"ambient_dim": 2, "vertices": [["0", "x"], ["1", "1"]]},
+            "vertex 0 coordinate 1: Invalid literal for Fraction: 'x'",
+        ),
+        (
+            {"ambient_dim": 1, "vertices": [["1/0"], ["1"]]},
+            "vertex 0 coordinate 0: zero denominator in '1/0'",
+        ),
+        # Every coordinate's type is checked before any token is read.
+        (
+            {"ambient_dim": 2, "vertices": [["1/0", "0"], [None, "1"]]},
+            "vertex 1 coordinate 0 is null, not a rational",
+        ),
     ],
     ids=["string", "null", "list", "no-ambient-dim", "no-vertices", "null-coordinate",
-         "boolean-coordinate", "list-coordinate"],
+         "boolean-coordinate", "list-coordinate", "token-past-the-bound", "bad-literal",
+         "zero-denominator", "type-before-token"],
 )
 def test_malformed_polytope_documents_are_named(doc, message):
     with pytest.raises(sio.DocumentError) as exc:

@@ -435,6 +435,159 @@ class TestFoldLift:
             lift(bogus, sm)
 
 
+def former_lift_cells(star, sm):
+    """The cells of the former lift, which looked every vertex of every cell
+    up in a fresh lift table, with its errors."""
+    table = sm.lift_table
+    cells = []
+    for c in star.simplices:
+        pts = [star.points[i] for i in c]
+        if sum(1 for q in pts if q.is_zero()) != 1:
+            raise TriangulationError("star cell must contain the origin exactly once")
+        lifted = list(sm.spine.indices)
+        for q in pts:
+            if q.is_zero():
+                continue
+            orig = table.get(q)
+            if orig is None:
+                raise TriangulationError(f"star vertex {q!r} not in the lift table")
+            lifted.append(orig)
+        cells.append(tuple(sorted(lifted)))
+    return tuple(sorted(cells))
+
+
+class TestRepeatedWork:
+    """Fold, lift and star reuse per-shadow tables and skip unused work, with
+    the same cells and errors as before."""
+
+    ORIGIN = "star cell must contain the origin exactly once"
+    FOREIGN = "star vertex QVector((5, 5, 5)) not in the lift table"
+
+    @pytest.mark.parametrize(
+        "extra,cells,message",
+        [
+            # A cell with two origins, after a good cell.
+            (QVector.zero(3), [(0, 1, 2), (0, 3, 7)], ORIGIN),
+            # A missing point first used in the second cell, before a cell
+            # without the origin.
+            (qv(5, 5, 5), [(0, 1, 2), (0, 3, 7), (1, 2, 3)], FOREIGN),
+            # The origin count of a cell comes before its missing point.
+            (qv(5, 5, 5), [(1, 2, 7)], ORIGIN),
+            # An origin of another dimension still counts as the origin, so
+            # the cell is lifted and only validation rejects it.
+            (
+                QVector.zero(2),
+                [(1, 2, 7)],
+                "lift is not a triangulation of the polytope: "
+                "cell volumes sum to 1/6, polytope volume is 1",
+            ),
+        ],
+        ids=["two-origins", "missing-in-second-cell", "count-first", "other-dim-origin"],
+    )
+    def test_lift_errors_match_the_former_lift(self, extra, cells, message):
+        sm = shadow(spine(cube(3), [0, 7]))
+        star = Triangulation.make(sm.star_points + (extra,), cells, 2)
+        with pytest.raises(TriangulationError) as exc:
+            lift(star, sm)
+        assert str(exc.value) == message
+        try:
+            former_lift_cells(star, sm)
+        except TriangulationError as former:
+            assert str(former) == message
+
+    def test_unused_foreign_point_raises_nothing(self):
+        sp = spine(cube(3), [0, 7])
+        sm = shadow(sp)
+        star = star_triangulation(list(sm.star_points))
+        padded = Triangulation.make(star.points + (qv(5, 5, 5),), star.simplices, star.dim)
+        assert former_lift_cells(padded, sm) == former_lift_cells(star, sm)
+        assert lift(padded, sm) == lift(star, sm)
+
+    def test_lift_table_is_a_fresh_dict(self):
+        sm = shadow(spine(cube(3), [0, 7]))
+        table = sm.lift_table
+        table.clear()
+        assert len(sm.lift_table) == 6
+        assert sm.lift_table is not sm.lift_table
+
+    @pytest.mark.parametrize(
+        "verts,points,cells,reason",
+        [
+            # The unit square's triangulation, translated off the square.
+            (
+                [(0, 0), (1, 0), (0, 1), (1, 1)],
+                [(5, 5), (6, 5), (5, 6), (6, 6)],
+                ((0, 1, 3), (0, 2, 3)),
+                "point 0 lies outside the polytope",
+            ),
+            # A square in the plane z = 0 against points at z = 1.
+            (
+                [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+                [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
+                ((0, 1, 3), (0, 2, 3)),
+                "a point lies outside the affine hull of the polytope",
+            ),
+        ],
+        ids=["beyond-a-facet", "off-the-hull"],
+    )
+    def test_rejected_twice_with_the_same_reason(self, verts, points, cells, reason):
+        p = make_polytope([QVector(v) for v in verts])
+        t = Triangulation(tuple(QVector(q) for q in points), cells, 2)
+        assert validate_detailed(t, p) == (False, reason)
+        assert validate_detailed(t, p) == (False, reason)
+        # Other points then get their own table.
+        good = Triangulation.make(tuple(QVector(v) for v in verts), cells, 2)
+        assert validate_detailed(good, p) == (True, "ok")
+        assert validate_detailed(t, p) == (False, reason)
+
+    def test_folds_of_one_shadow_build_one_point_table(self, monkeypatch):
+        import random
+
+        sp = spine(cube(3), [0, 7])
+        sm = shadow(sp)
+        calls = {"hull_ints": 0, "facet_masks": 0}
+
+        def counting(name):
+            real = getattr(spinaltri.triangulation, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(spinaltri.triangulation, name, counting(name))
+        rng = random.Random(19)
+        for _ in range(24):
+            order = list(range(len(sm.star_points)))
+            rng.shuffle(order)
+            star = star_triangulation(list(sm.star_points), order)
+            assert fold(lift(star, sm), sm).simplices == star.simplices
+        assert calls == {"hull_ints": 1, "facet_masks": 1}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: spine(cube(3), [0, 7]),
+            lambda: spine(simplotope_with_spine(2, 2)[0], [0, 4]),
+            lambda: spine(simplex(3), [0, 1]),
+        ],
+        ids=["inside", "boundary", "outside"],
+    )
+    def test_star_lifts_no_normal(self, monkeypatch, build):
+        sm = shadow(build())
+        hull = shadow_polytope(sm)
+        hull.facets()
+
+        def forbidden(*args):
+            raise AssertionError("the star lifted a facet normal")
+
+        monkeypatch.setattr(spinaltri.polytope, "_lift_normal", forbidden)
+        star = star_triangulation(list(sm.star_points))
+        assert validate(star, hull)
+
+
 class TestPerCellVolumeLaw:
     @staticmethod
     def _check_cells(p, sp):
