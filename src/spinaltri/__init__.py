@@ -40,11 +40,10 @@ from .triangulation import (
     star_triangulation,
     validate,
 )
-from .volume import VolumeReport, polytope_volume, verify_lifting_relation
+from .volume import VolumeReport, lifting_relation_report, polytope_volume
 from .everest import (
     EverestParams,
     c_constant,
-    everest_membership,
     everest_polytope,
     everest_volume,
     g_eval,

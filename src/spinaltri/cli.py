@@ -142,8 +142,12 @@ def cmd_triangulate(args) -> int:
     if args.spinal:
         if args.set is None:
             raise ValueError("--spinal needs --set with the spine indices")
+        if args.order is not None:
+            raise ValueError("--spinal pulls the spine first and takes no --order")
         t = spinal_triangulation(spine(p, _parse_spine_set(args.set)))
     else:
+        if args.set is not None:
+            raise ValueError("--set applies only with --spinal")
         order = _parse_index_set(args.order, "--order") if args.order else None
         t = pulling_triangulation(p, order)
     _emit(sio.triangulation_to_doc(t), _triangulation_lines(t), args)
@@ -218,6 +222,10 @@ def cmd_verify_lifting(args) -> int:
 
 
 def cmd_everest(args) -> int:
+    if args.method is not None and args.action != "volume":
+        raise ValueError("--method applies only to everest volume")
+    if args.lifting and args.action != "verify":
+        raise ValueError("--lifting applies only to everest verify")
     params = EverestParams(
         _parse_int(args.n, f"n {args.n!r}"), _parse_int(args.s, f"s {args.s!r}")
     )
@@ -236,18 +244,17 @@ def cmd_everest(args) -> int:
         _emit(doc, lines, args)
         return 0
     if args.action == "volume":
-        value = everest_volume(params, args.method)
+        method = args.method or "formula"
+        value = everest_volume(params, method)
         doc = {
             "n": params.n,
             "s": params.s,
-            "method": args.method,
+            "method": method,
             "volume": format_rational(value),
         }
         _emit(doc, [format_rational(value)], args)
         return 0
-    if args.action == "verify":
-        return _everest_verify(params, args)
-    raise ValueError(f"unknown everest action {args.action!r}")
+    return _everest_verify(params, args)
 
 
 def _everest_verify(params: EverestParams, args) -> int:
@@ -279,6 +286,8 @@ def _everest_verify(params: EverestParams, args) -> int:
 
 
 def cmd_birkhoff(args) -> int:
+    if args.volume and args.action != "verify":
+        raise ValueError("--volume applies only to birkhoff verify")
     n = _parse_int(args.n, f"n {args.n!r}")
     if args.action == "context":
         ctx = birkhoff_context(n)
@@ -312,32 +321,30 @@ def cmd_birkhoff(args) -> int:
         lines.extend("(" + ", ".join(sio.vector_to_strings(v)) + ")" for v in p.vertices)
         _emit(doc, lines, args)
         return 0
-    if args.action == "verify":
-        ctx = birkhoff_context(n)
-        rep = determinant_identities(ctx)
-        doc = {
-            "n": n,
-            "identities_ok": rep.all_ok,
-        }
-        lines = [f"identities: {'pass' if rep.all_ok else 'FAIL'}"]
-        ok = rep.all_ok
-        if args.volume:
-            vol = verify_birkhoff_volume_relation(ctx)
-            doc.update(
-                {
-                    "vol_truncated": format_rational(vol.vol_ab),
-                    "vol_birkhoff": format_rational(vol.vol_birkhoff),
-                    "vol_projected": format_rational(vol.vol_projected),
-                    "volume_relation_ok": vol.all_ok,
-                }
-            )
-            lines.append(f"vol(B_{n}) = {format_rational(vol.vol_birkhoff)}")
-            lines.append(f"vol(projected) = {format_rational(vol.vol_projected)}")
-            lines.append(f"volume relation: {'pass' if vol.all_ok else 'FAIL'}")
-            ok = ok and vol.all_ok
-        _emit(doc, lines, args)
-        return 0 if ok else 1
-    raise ValueError(f"unknown birkhoff action {args.action!r}")
+    ctx = birkhoff_context(n)
+    rep = determinant_identities(ctx)
+    doc = {
+        "n": n,
+        "identities_ok": rep.all_ok,
+    }
+    lines = [f"identities: {'pass' if rep.all_ok else 'FAIL'}"]
+    ok = rep.all_ok
+    if args.volume:
+        vol = verify_birkhoff_volume_relation(ctx)
+        doc.update(
+            {
+                "vol_truncated": format_rational(vol.vol_ab),
+                "vol_birkhoff": format_rational(vol.vol_birkhoff),
+                "vol_projected": format_rational(vol.vol_projected),
+                "volume_relation_ok": vol.all_ok,
+            }
+        )
+        lines.append(f"vol(B_{n}) = {format_rational(vol.vol_birkhoff)}")
+        lines.append(f"vol(projected) = {format_rational(vol.vol_projected)}")
+        lines.append(f"volume relation: {'pass' if vol.all_ok else 'FAIL'}")
+        ok = ok and vol.all_ok
+    _emit(doc, lines, args)
+    return 0 if ok else 1
 
 
 def cmd_selftest(args) -> int:
@@ -398,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["vertices", "volume", "verify"])
     p.add_argument("n")
     p.add_argument("s")
-    p.add_argument("--method", choices=["formula", "hull", "lifting"], default="formula")
+    p.add_argument("--method", choices=["formula", "hull", "lifting"])
     p.add_argument("--lifting", action="store_true", help="include the lifting route in verify")
 
     p = add("birkhoff", cmd_birkhoff, help="Birkhoff projection pipeline")

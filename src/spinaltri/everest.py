@@ -143,40 +143,15 @@ def vertex_families(params: EverestParams) -> Families:
     )
 
 
-@dataclass(frozen=True)
-class GaugeDetail:
-    column_maxima: tuple[Fraction, ...]
-    row_deficits: tuple[Fraction, ...]
-    deficit_max: Fraction
-    value: Fraction
-
-
-def g_eval_detail(params: EverestParams, x: QVector) -> GaugeDetail:
-    """Evaluate the gauge and expose its intermediate quantities."""
+def g_eval(params: EverestParams, x: QVector) -> Fraction:
+    """The gauge sum_j max(0, max_i x_ij) + max(0, max_i -sum_j x_ij) with
+    x_ij = x[i * s + j]; x lies in E(n, s) iff it is at most 1."""
     n, s = params.n, params.s
     if len(x) != n * s:
         raise DimensionError(f"expected dimension {n * s}, got {len(x)}")
-    column_maxima = tuple(
-        max(Fraction(0), *(x[i * s + j] for i in range(n))) for j in range(s)
-    )
-    row_deficits = tuple(
-        -sum((x[i * s + j] for j in range(s)), Fraction(0)) for i in range(n)
-    )
-    deficit_max = max(Fraction(0), *row_deficits)
-    return GaugeDetail(
-        column_maxima,
-        row_deficits,
-        deficit_max,
-        sum(column_maxima, Fraction(0)) + deficit_max,
-    )
-
-
-def g_eval(params: EverestParams, x: QVector) -> Fraction:
-    return g_eval_detail(params, x).value
-
-
-def everest_membership(params: EverestParams, x: QVector) -> bool:
-    return g_eval(params, x) <= 1
+    rows = [x[i * s : (i + 1) * s] for i in range(n)]
+    column_maxima = sum(max(0, *col) for col in zip(*rows))
+    return Fraction(column_maxima + max(0, *(-sum(row) for row in rows)))
 
 
 def everest_polytope(params: EverestParams) -> Polytope:

@@ -73,18 +73,20 @@ class Triangulation:
 class _PullContext:
     """Recursive pulling over the face lattice of one polytope.
 
-    Faces are int bitmasks over P's vertex indices.  P's facets are
-    enumerated once and every lower face comes from facets_of_face, so the
-    recursion touches no coordinates.  facets_of_face keeps the maximal
-    candidates by popcount, largest first, so a face's facets arrive in that
-    order; the cells are gathered in a set and sorted, so the order does not
-    reach the result.  Each face's pulling triangulation is memoized because
-    neighbouring face chains share lower faces.
+    Faces are int bitmasks over P's vertex indices.  The facets of the top
+    face are P's own facet masks, pairwise incomparable, and every lower
+    face's come from facets_of_face, so the recursion touches no
+    coordinates.  facets_of_face keeps the maximal candidates by popcount,
+    largest first, so a face's facets arrive in that order; the cells are
+    gathered in a set and sorted, so the order does not reach the result.
+    Each face's pulling triangulation is memoized because neighbouring face
+    chains share lower faces.
     """
 
     def __init__(self, p: Polytope, rank: dict[int, int]):
         self.rank = rank
         self.facet_masks = p.incidence_masks()
+        self.top = (1 << p.n_vertices) - 1
         self.memo: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def pull(self, face: int) -> tuple[tuple[int, ...], ...]:
@@ -93,8 +95,10 @@ class _PullContext:
         if face not in self.memo:
             members = [i for i in range(face.bit_length()) if face >> i & 1]
             first = min(members, key=self.rank.__getitem__)
+            masks = self.facet_masks
+            subs = masks if face == self.top else facets_of_face(face, masks)
             cells: set[tuple[int, ...]] = set()
-            for sub in facets_of_face(face, self.facet_masks):
+            for sub in subs:
                 if not sub >> first & 1:
                     cells.update(tuple(sorted((first,) + tau)) for tau in self.pull(sub))
             self.memo[face] = tuple(sorted(cells))
@@ -132,9 +136,12 @@ def star_triangulation(
     Three positions of the origin are handled: strictly inside the hull of
     the others, on its boundary, or outside with the whole point set in
     convex position.  The origin alone is its own one-cell star of dim 0.
-    The optional order steers the underlying pulling triangulations, which
-    is what makes distinct star triangulations of the same shadow
-    reachable; the default is input order.
+    The star is the pulling triangulation of the hull of all points with
+    the origin pulled first, then the other points in the optional order,
+    which is what makes distinct star triangulations of the same shadow
+    reachable; the default is input order.  Pulling the origin first cones
+    it over every facet whose zero set misses it, whether or not it is a
+    vertex: when it is none, no face pulled below the top holds it.
 
     Cost: one double description on all the points, the origin included,
     and no LP or membership test.  Point i is a vertex of the hull of all
@@ -188,29 +195,14 @@ def star_triangulation(
         raise NotInConvexPosition(failing[0])
 
     base = order if order is not None else list(range(n))
-    pull_order = [z] + [i for i in base if i != z]
     # Pulling reads the facets' zero sets only, so the polytope gets the
     # double description's masks and never lifts a normal to ambient form.
     full = Polytope(pts, dim)
     full._frame, full._masks = fr, masks
     if least_face(masks, 1 << z, n) == 1 << z:
-        # Origin outside: it is a vertex of the hull of all points, and
-        # pulling with the origin first is a star triangulation.
         checked_points(pts)  # the vertex cap, now on all points
-        return pulling_triangulation(full, pull_order)
-
-    # Origin inside or on the boundary: cone from the origin over the
-    # boundary cells of every facet whose hyperplane misses the origin,
-    # that is every facet mask without the origin's bit.  The origin is no
-    # vertex of full here, but no face pulled holds it.
-    ctx = _PullContext(full, {v: r for r, v in enumerate(pull_order)})
-    cells: set[tuple[int, ...]] = set()
-    for mask in full.incidence_masks():
-        if not mask >> z & 1:
-            cells.update(tuple(sorted((z,) + tau)) for tau in ctx.pull(mask))
-    tri = Triangulation.make(pts, cells, full.dim)
-    used = set(itertools.chain.from_iterable(tri.simplices))
-    if used != set(range(n)):
+    tri = pulling_triangulation(full, [z] + [i for i in base if i != z])
+    if set(itertools.chain.from_iterable(tri.simplices)) != set(range(n)):
         raise ShadowInternalError("star construction failed to use every point")
     return tri
 
@@ -219,9 +211,9 @@ def spinal_triangulation(s: Spine) -> Triangulation:
     """Pulling triangulation with the spine pulled first; every maximal cell
     then contains the whole spine."""
     p = s.polytope
-    rest = [i for i in range(p.n_vertices) if i not in set(s.indices)]
-    t = pulling_triangulation(p, list(s.indices) + rest)
     uset = set(s.indices)
+    rest = [i for i in range(p.n_vertices) if i not in uset]
+    t = pulling_triangulation(p, list(s.indices) + rest)
     if any(not uset <= set(c) for c in t.simplices):
         raise ShadowInternalError("pulling with spine-first order was not spinal")
     return t

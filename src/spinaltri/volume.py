@@ -118,8 +118,3 @@ def lifting_relation_report(s: Spine) -> LiftingRelationReport:
 def _sq_volume(p: Polytope) -> Fraction:
     """vol(p)^2 from the polytope's cached relative volume and its frame."""
     return polytope_relative_volume(p) ** 2 * p.frame().gram_det
-
-
-def verify_lifting_relation(s: Spine) -> bool:
-    """Exact check of the squared projection volume law for a spine."""
-    return lifting_relation_report(s).holds

@@ -359,6 +359,41 @@ def test_repeated_spine_index_is_rejected(capsys, cube_file, argv):
     assert captured.err == "error: index 3 is repeated in --set '0,3,3'\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["triangulate", "{cube}", "--spinal", "--set", "0,7", "--order", "7,6,5,4,3,2,1,0"],
+         "--spinal pulls the spine first and takes no --order"),
+        (["triangulate", "{cube}", "--set", "0,7"], "--set applies only with --spinal"),
+        (["everest", "vertices", "2", "2", "--method", "hull"],
+         "--method applies only to everest volume"),
+        (["everest", "verify", "1", "2", "--method", "formula"],
+         "--method applies only to everest volume"),
+        (["everest", "vertices", "2", "2", "--lifting"], "--lifting applies only to everest verify"),
+        (["everest", "volume", "2", "2", "--lifting"], "--lifting applies only to everest verify"),
+        (["birkhoff", "context", "3", "--volume"], "--volume applies only to birkhoff verify"),
+        (["birkhoff", "project", "3", "--volume"], "--volume applies only to birkhoff verify"),
+    ],
+    ids=[
+        "spinal-order", "set-without-spinal", "vertices-method", "verify-method",
+        "vertices-lifting", "volume-lifting", "context-volume", "project-volume",
+    ],
+)
+def test_option_that_does_not_apply_is_one_error_line(capsys, cube_file, argv, message):
+    # Each option would otherwise be dropped without a word.
+    code = main([a.format(cube=cube_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_everest_volume_method_defaults_to_formula(capsys):
+    code, out = run(capsys, "everest", "volume", "1", "2")
+    assert code == 0
+    assert json.loads(out) == {"method": "formula", "n": 1, "s": 2, "volume": "3"}
+
+
 @pytest.mark.parametrize("token", ["0_7", "+7", "\u0667", "7x", "--7", "1.0"])
 @pytest.mark.parametrize(
     "argv",

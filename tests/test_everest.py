@@ -9,16 +9,14 @@ import pytest
 
 from spinaltri import everest
 from spinaltri.cli import main
-from spinaltri.linalg import QVector, det, format_rational, parse_rational
+from spinaltri.linalg import DimensionError, QVector, det, format_rational, parse_rational
 from spinaltri.everest import (
     EverestError,
     EverestParams,
     c_constant,
-    everest_membership,
     everest_polytope,
     everest_volume,
     g_eval,
-    g_eval_detail,
     se_matrix,
     se_square_matrices,
     simplotope_with_spine,
@@ -52,24 +50,25 @@ class TestGauge:
             params = EverestParams(n, s)
             for v in vertex_families(params).everest.points:
                 assert g_eval(params, 2 * v) > 1
-                assert not everest_membership(params, 2 * v)
 
     def test_membership(self):
         params = EverestParams(2, 2)
-        assert everest_membership(params, QVector([0, 0, 0, 0]))
+        assert g_eval(params, QVector([0, 0, 0, 0])) <= 1
         for v in vertex_families(params).everest.points:
-            assert everest_membership(params, v)
+            assert g_eval(params, v) <= 1
 
     def test_detail_quantities(self):
         params = EverestParams(2, 2)
-        d = g_eval_detail(params, QVector([1, 0, Fraction(-1, 2), 0]))
-        assert d.column_maxima == (1, 0)
-        assert d.row_deficits == (-1, Fraction(1, 2))
-        assert d.deficit_max == Fraction(1, 2)
-        assert d.value == Fraction(3, 2)
+        # Rows (1, -1) and (-1, 1) sum to 0: only the column maxima 1 + 1.
+        assert g_eval(params, QVector([1, -1, -1, 1])) == 2
+        # No positive entry: only the largest row deficit, max(1, 3/4).
+        q = QVector([-1, 0, Fraction(-1, 2), Fraction(-1, 4)])
+        assert g_eval(params, q) == 1
+        # Column maxima (1, 0) and row deficits (-1, 1/2).
+        assert g_eval(params, QVector([1, 0, Fraction(-1, 2), 0])) == Fraction(3, 2)
 
     def test_dimension_checked(self):
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionError, match="^expected dimension 4, got 3$"):
             g_eval(EverestParams(2, 2), QVector([1, 2, 3]))
 
 

@@ -290,6 +290,8 @@ def commands() -> list[list[str]]:
     cmds.append(["triangulate", cube, "--spinal"])
     cmds.append(["triangulate", cube, "--spinal", "--set", "0,1"])
     cmds.append(["triangulate", cube, "--order", "0,1,2"])
+    cmds.append(["triangulate", cube, "--spinal", "--set", "0,7", "--order", "7,6,5,4,3,2,1,0"])
+    cmds.append(["triangulate", cube, "--set", "0,7"])
     cmds.append(["fold", cube, "--set", "0,7", "--order", "1,0,2,3,4,5,6,7"])
     cmds.append(["spine-enum", cube, "--min-size", "0"])
     cmds.append(["spine-enum", cube, "--min-size", "-1"])
@@ -314,6 +316,11 @@ def commands() -> list[list[str]]:
     cmds.append(["everest", "volume", "2", "0"])
     cmds.append(["everest", "volume", "-1", "2"])
     cmds.append(["everest", "volume", "60", "60"])
+    cmds.append(["everest", "volume", "2", "2"])
+    cmds.append(["everest", "vertices", "2", "2", "--method", "hull"])
+    cmds.append(["everest", "verify", "2", "2", "--method", "formula"])
+    cmds.append(["everest", "vertices", "2", "2", "--lifting"])
+    cmds.append(["everest", "volume", "2", "2", "--lifting"])
     for tok in ("0_2", "+2", "٢", "2x", "x", "1.0", " 2 "):
         cmds.append(["spine-enum", cube, "--min-size", tok])
         cmds.append(["everest", "volume", tok, "2"])
@@ -332,6 +339,8 @@ def commands() -> list[list[str]]:
     cmds.append(["birkhoff", "verify", "3", "--volume"])
     cmds.append(["birkhoff", "verify", "4", "--volume"])
     cmds.append(["birkhoff", "verify", "3", "--volume", "--pretty"])
+    cmds.append(["birkhoff", "context", "3", "--volume"])
+    cmds.append(["birkhoff", "project", "3", "--volume"])
 
     cmds.append(["selftest"])
     for only in ("2", "everest-volume", "fold-lift-bijection", "99", "x"):

@@ -12,7 +12,7 @@ from spinaltri.triangulation import (
     spinal_triangulation,
     validate,
 )
-from spinaltri.volume import verify_lifting_relation
+from spinaltri.volume import lifting_relation_report
 from random_polytopes import random_polytope
 
 
@@ -27,7 +27,7 @@ def test_random_spine_pipelines():
         p = random_polytope(rng, (2, 3), lambda d: (d + 2, 9), integer)
         for idx in enumerate_spines(p, 2):
             sp = spine(p, idx)
-            assert verify_lifting_relation(sp)
+            assert lifting_relation_report(sp).holds
             sm = shadow(sp)
             t = spinal_triangulation(sp)
             assert validate(t, p)

@@ -29,6 +29,8 @@ from spinaltri.triangulation import (
 )
 from spinaltri.volume import lifting_relation_report
 from linalg_oracle import QMatrix
+from star_oracle import lp_star_triangulation
+from test_star_oracle import box
 
 
 def qv(*xs):
@@ -237,6 +239,53 @@ class TestStarOneDoubleDescription:
         lifted = lift(star, sm)
         assert lifted.simplices == t.simplices == ((0, 1, 2, 3),)
         assert fold(lifted, sm) == star
+
+
+class TestStarIsPulling:
+    @pytest.mark.parametrize(
+        "others",
+        [
+            box([(-1, 1)] * 3),
+            box([(0, 2)] + [(-1, 1)] * 2),
+            box([(0, 2)] * 2 + [(-1, 1)]),
+            box([(0, 1)] * 3)[1:],
+            box([(1, 2)] * 3)[1:],
+        ],
+        ids=["inside", "on-a-facet", "on-an-edge", "a-vertex", "outside"],
+    )
+    def test_every_star_is_one_pulling_call(self, monkeypatch, others):
+        real = spinaltri.triangulation.pulling_triangulation
+        orders = []
+
+        def counting(p, order=None):
+            orders.append(order)
+            return real(p, order)
+
+        monkeypatch.setattr(spinaltri.triangulation, "pulling_triangulation", counting)
+        pts = others[:3] + [QVector.zero(3)] + others[3:]
+        for order in (None, list(range(len(pts)))[::-1]):
+            orders.clear()
+            got = star_triangulation(pts, order)
+            want = lp_star_triangulation(pts, order)
+            assert len(orders) == 1 and orders[0][0] == 3
+            assert (got.simplices, got.dim) == (want.simplices, want.dim)
+
+    def test_no_facets_of_face_call_gets_the_top_face(self, monkeypatch):
+        real = spinaltri.triangulation.facets_of_face
+        faces = []
+
+        def recording(face, masks):
+            faces.append(face)
+            return real(face, masks)
+
+        monkeypatch.setattr(spinaltri.triangulation, "facets_of_face", recording)
+        for p in (cube(3), make_polytope(hexagon_points())):
+            faces.clear()
+            pulling_triangulation(p, list(range(p.n_vertices))[::-1])
+            assert faces and (1 << p.n_vertices) - 1 not in faces
+        faces.clear()
+        star_triangulation(box([(-1, 1)] * 3) + [QVector.zero(3)])
+        assert faces and (1 << 9) - 1 not in faces
 
 
 class TestSpinal:

@@ -26,7 +26,6 @@ from spinaltri.volume import (
     polytope_relative_volume,
     polytope_volume,
     triangulation_relative_volume,
-    verify_lifting_relation,
 )
 from random_polytopes import random_polytope
 
@@ -105,18 +104,25 @@ class TestLiftingRelation:
 
     def test_needs_two_points(self):
         with pytest.raises(SpineError):
-            verify_lifting_relation(spine(cube(3), [0]))
+            lifting_relation_report(spine(cube(3), [0]))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_all_enumerated_cube_spines(self, d):
         p = cube(d)
         for idx in enumerate_spines(p, 2):
-            assert verify_lifting_relation(spine(p, idx))
+            assert lifting_relation_report(spine(p, idx)).holds
 
     def test_all_simplex_spines(self):
         p = simplex(3)
         for idx in enumerate_spines(p, 2):
-            assert verify_lifting_relation(spine(p, idx))
+            assert lifting_relation_report(spine(p, idx)).holds
+
+    def test_the_package_exports_the_report_in_place_of_the_flag(self):
+        import spinaltri
+
+        assert spinaltri.lifting_relation_report is lifting_relation_report
+        assert not hasattr(spinaltri, "verify_lifting_relation")
+        assert not hasattr(spinaltri, "everest_membership")
 
     def test_full_spine_of_simplex(self):
         # Shadow degenerates to the origin; its zero-dimensional volume is 1.
