@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .linalg import format_rational
+from .linalg import MAX_TOKEN_DIGITS, format_rational
 from . import io as sio
 from .everest import (
     EverestParams,
@@ -43,13 +43,21 @@ from .volume import lifting_relation_report, polytope_volume
 DOMAIN_ERRORS = (ValueError, OSError)
 
 
-def _parse_int(tok: str, what: str) -> int:
+def _parse_int(tok: str, name: str, what: str | None = None) -> int:
     """Every integer on the command line goes through here.  The token,
     stripped of whitespace, must be ASCII -?[0-9]+: what else int() reads
-    (0_7, +7, non-ASCII digits) would alias a value silently."""
+    (0_7, +7, non-ASCII digits) would alias a value silently.  It may have
+    at most MAX_TOKEN_DIGITS digits, the bound on coordinates.  A token that
+    is no integer is quoted in the error as ``what`` (default "name 'tok'");
+    one past the bound is named by ``name`` alone, not echoed."""
     digits = tok.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{what} is not an integer")
+        raise ValueError(f"{what or f'{name} {tok!r}'} is not an integer")
+    if len(digits) > MAX_TOKEN_DIGITS:
+        raise ValueError(
+            f"{name}: integer of {len(digits)} digits is past the "
+            f"{MAX_TOKEN_DIGITS}-digit limit"
+        )
     return int(tok)
 
 
@@ -59,8 +67,15 @@ def _parse_index_set(raw: str, option: str) -> list[int]:
     for tok in raw.split(","):
         tok = tok.strip()
         if tok:
-            idx.append(_parse_int(tok, f"index {tok!r} in {option} {raw!r}"))
+            what = f"index {tok!r} in {option} {raw!r}"
+            idx.append(_parse_int(tok, f"index in {option}", what))
     return idx
+
+
+def _parse_order(raw: str | None) -> list[int] | None:
+    """An --order value, or None without one; an empty value is an empty
+    order, which no polytope accepts, not the default order."""
+    return None if raw is None else _parse_index_set(raw, "--order")
 
 
 def _parse_spine_set(raw: str) -> list[int]:
@@ -122,7 +137,7 @@ def cmd_spine_check(args) -> int:
 
 
 def cmd_spine_enum(args) -> int:
-    min_size = _parse_int(args.min_size, f"--min-size {args.min_size!r}")
+    min_size = _parse_int(args.min_size, "--min-size")
     p = sio.load_polytope(args.polytope)
     spines = enumerate_spines(p, min_size)
     doc = {"min_size": min_size, "spines": [list(s) for s in spines]}
@@ -148,7 +163,7 @@ def cmd_triangulate(args) -> int:
     else:
         if args.set is not None:
             raise ValueError("--set applies only with --spinal")
-        order = _parse_index_set(args.order, "--order") if args.order else None
+        order = _parse_order(args.order)
         t = pulling_triangulation(p, order)
     _emit(sio.triangulation_to_doc(t), _triangulation_lines(t), args)
     return 0
@@ -158,7 +173,7 @@ def cmd_fold(args) -> int:
     p = sio.load_polytope(args.polytope)
     sp = spine(p, _parse_spine_set(args.set))
     sm = shadow(sp)
-    order = _parse_index_set(args.order, "--order") if args.order else None
+    order = _parse_order(args.order)
     if order is not None:
         t = pulling_triangulation(p, order)
     else:
@@ -190,7 +205,7 @@ def cmd_lift(args) -> int:
 
 def cmd_volume(args) -> int:
     p = sio.load_polytope(args.polytope)
-    order = _parse_index_set(args.order, "--order") if args.order else None
+    order = _parse_order(args.order)
     rep = polytope_volume(p, order)
     if rep.volume is not None:
         lines = [format_rational(rep.volume)]
@@ -227,7 +242,7 @@ def cmd_everest(args) -> int:
     if args.lifting and args.action != "verify":
         raise ValueError("--lifting applies only to everest verify")
     params = EverestParams(
-        _parse_int(args.n, f"n {args.n!r}"), _parse_int(args.s, f"s {args.s!r}")
+        _parse_int(args.n, "n"), _parse_int(args.s, "s")
     )
     if args.action == "vertices":
         fam = vertex_families(params)
@@ -288,7 +303,7 @@ def _everest_verify(params: EverestParams, args) -> int:
 def cmd_birkhoff(args) -> int:
     if args.volume and args.action != "verify":
         raise ValueError("--volume applies only to birkhoff verify")
-    n = _parse_int(args.n, f"n {args.n!r}")
+    n = _parse_int(args.n, "n")
     if args.action == "context":
         ctx = birkhoff_context(n)
         rep = determinant_identities(ctx)

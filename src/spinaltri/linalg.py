@@ -109,12 +109,6 @@ class QVector:
     def zero(cls, dim: int) -> "QVector":
         return cls([0] * dim)
 
-    @classmethod
-    def unit(cls, dim: int, i: int) -> "QVector":
-        if not 0 <= i < dim:
-            raise DimensionError(f"unit index {i} out of range for dim {dim}")
-        return cls([1 if j == i else 0 for j in range(dim)])
-
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -168,9 +162,6 @@ class QVector:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
-
-    def concat(self, other: "QVector") -> "QVector":
-        return QVector(self.entries + other.entries)
 
 
 def scaled_ints(points: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -126,6 +126,13 @@ def pulling_triangulation(p: Polytope, order: Sequence[int] | None = None) -> Tr
     return Triangulation.make(p.vertices, cells, p.dim)
 
 
+# The last input star_triangulation accepted, as (points, frame, masks): the
+# points' tuple, the frame of their hull and the double description's zero
+# sets.  One entry, keyed on the points' value; a rejected input is never
+# kept.
+_star_memo: tuple | None = None
+
+
 def star_triangulation(
     points: Sequence[QVector], order: Sequence[int] | None = None
 ) -> Triangulation:
@@ -144,18 +151,12 @@ def star_triangulation(
     vertex: when it is none, no face pulled below the top holds it.
 
     Cost: one double description on all the points, the origin included,
-    and no LP or membership test.  Point i is a vertex of the hull of all
-    points iff `least_face` of its bit is its bit.  A point that is no
-    vertex of the hull of the others is none of the hull of all points
-    either, so the input is accepted iff every other point passes.  Then
-    either the origin is a vertex (outside), or the hull of all points is
-    the hull of the others (inside or on the boundary) and the same rays
-    are its facets.  A rejected input pays a second double description, on
-    the others alone, which names the first point in the others' hull; if
-    there is none, the origin lies outside that hull and the first other
-    point that fails in the hull of all points is named.  Points are named
-    by their input index.
+    and no LP or membership test (see _star_hull).  The frame and the zero
+    sets of the last accepted input are kept, so a call on equal points, as
+    for the stars of one shadow under many orders, runs neither again.  The
+    origin count, the order and `checked_points` run on every call.
     """
+    global _star_memo
     pts = [q if isinstance(q, QVector) else QVector(q) for q in points]
     zeros = [i for i, q in enumerate(pts) if q.is_zero()]
     if len(zeros) != 1:
@@ -171,6 +172,43 @@ def star_triangulation(
         return Triangulation.make(pts, [(0,)], 0)
     others = [i for i in range(len(pts)) if i != z]
     dim = len(checked_points([pts[i] for i in others])[0])
+    n = len(pts)
+    key = tuple(pts)
+    memo = _star_memo  # read once, so its key and its contents match
+    # Tuple equality compares each pair by identity first, so the points of
+    # one shadow's map match without hashing or comparing a coordinate.
+    if memo is not None and memo[0] == key:
+        _, fr, masks = memo
+    else:
+        fr, masks = _star_hull(pts, z, others, dim)
+        _star_memo = (key, fr, masks)
+
+    base = order if order is not None else list(range(n))
+    # Pulling reads the facets' zero sets only, so the polytope gets the
+    # double description's masks and never lifts a normal to ambient form.
+    full = Polytope(pts, dim)
+    full._frame, full._masks = fr, masks
+    tri = pulling_triangulation(full, [z] + [i for i in base if i != z])
+    if set(itertools.chain.from_iterable(tri.simplices)) != set(range(n)):
+        raise ShadowInternalError("star construction failed to use every point")
+    return tri
+
+
+def _star_hull(pts: list[QVector], z: int, others: list[int], dim: int) -> tuple:
+    """The frame of the hull of all points and the double description's
+    zero sets on them, or the error that rejects the star's input.
+
+    Point i is a vertex of the hull of all points iff `least_face` of its
+    bit is its bit.  A point that is no vertex of the hull of the others is
+    none of the hull of all points either, so the input is accepted iff
+    every other point passes.  Then either the origin is a vertex (outside),
+    or the hull of all points is the hull of the others (inside or on the
+    boundary) and the same rays are its facets.  A rejected input pays a
+    second double description, on the others alone, which names the first
+    point in the others' hull; if there is none, the origin lies outside
+    that hull and the first other point that fails in the hull of all
+    points is named.  Points are named by their input index.
+    """
     n = len(pts)
     if len(pts[z]) == dim:
         fr, raw = _hull_rays(pts)
@@ -193,18 +231,9 @@ def star_triangulation(
         # names it: the vertex cap first, then the first failing point.
         checked_points(pts)
         raise NotInConvexPosition(failing[0])
-
-    base = order if order is not None else list(range(n))
-    # Pulling reads the facets' zero sets only, so the polytope gets the
-    # double description's masks and never lifts a normal to ambient form.
-    full = Polytope(pts, dim)
-    full._frame, full._masks = fr, masks
     if least_face(masks, 1 << z, n) == 1 << z:
         checked_points(pts)  # the vertex cap, now on all points
-    tri = pulling_triangulation(full, [z] + [i for i in base if i != z])
-    if set(itertools.chain.from_iterable(tri.simplices)) != set(range(n)):
-        raise ShadowInternalError("star construction failed to use every point")
-    return tri
+    return fr, masks
 
 
 def spinal_triangulation(s: Spine) -> Triangulation:
@@ -429,7 +458,7 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
         if tuple(t.simplices) == ((0,),) and n == 1:
             return True, "ok"
         return False, "a point polytope is triangulated by itself only"
-    coords, scale, on_facet = _point_table(p, t.points)
+    coords, scale, on_facet, dets = _point_table(p, t.points)
     if isinstance(coords, str):
         return False, coords
     if not t.simplices:
@@ -444,7 +473,9 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
     abs_total = 0
     for c in t.simplices:
         s = tuple(sorted(c))
-        d = cell_det(coords, s)
+        d = dets.get(s)
+        if d is None:
+            d = dets[s] = cell_det(coords, s)
         if d == 0:
             return False, f"cell {c} is degenerate"
         cells.append((s, d > 0))
@@ -476,15 +507,18 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
 
 
 def _point_table(p: Polytope, points: tuple[QVector, ...]) -> tuple:
-    """(coords, scale, on_facet) of points against p: their hull coordinates
-    as integers at one scale, and for each point the bitmask whose bit j is
-    set iff it lies on facet j's hyperplane.  A failure is kept as its reason
-    in place of what it stops: a point off the affine hull replaces coords, a
-    point beyond a facet replaces on_facet.
+    """(coords, scale, on_facet, dets) of points against p: their hull
+    coordinates as integers at one scale, for each point the bitmask whose
+    bit j is set iff it lies on facet j's hyperplane, and a dict from each
+    sorted cell validated on them to its `cell_det` on coords, filled by
+    validate_detailed.  A failure is kept as its reason in place of what it
+    stops: a point off the affine hull replaces coords, a point beyond a
+    facet replaces on_facet.
 
     p keeps the table of the last points tuple it was given and hands it back
     while the same tuple object comes again, so the folds of one shadow,
-    which all share the map's `star_points`, build it once."""
+    which all share the map's `star_points`, build it once, and the lifts
+    and folds of its stars share their cells' determinants."""
     memo = p._point_table
     if memo is not None and memo[0] is points:
         return memo[1]
@@ -507,6 +541,7 @@ def _point_table(p: Polytope, points: tuple[QVector, ...]) -> tuple:
             except PolytopeError as exc:
                 on_facet = str(exc)
             table = (coords, scale, on_facet)
+    table += ({},)
     if type(points) is tuple:  # a list could change under the same identity
         p._point_table = (points, table)
     return table

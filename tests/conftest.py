@@ -1,6 +1,8 @@
 import hypothesis
 import pytest
 
+import spinaltri.triangulation
+
 hypothesis.settings.register_profile(
     "exact", deadline=None, max_examples=40, derandomize=True
 )
@@ -23,3 +25,10 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(autouse=True)
+def fresh_star_memo():
+    """Each test starts with an empty star memo, so a test that counts the
+    double descriptions of a star does not depend on the tests before it."""
+    spinaltri.triangulation._star_memo = None

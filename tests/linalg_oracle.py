@@ -14,6 +14,10 @@ the fraction-free Gauss-Jordan of `int_adjugate`, and `det` with
 `_int_rows`, which scales each row to integers (the library now scales the
 whole matrix at once by `scaled_ints`).  `tests/test_linalg.py` checks the library
 against them, and the other oracles use them in place of the library's.
+
+`unit`, `concat` and `hull_coords` stand in for helpers the library dropped
+once only tests called them: `QVector.unit`, `QVector.concat` and a frame's
+hull coordinates over Q.
 """
 
 from __future__ import annotations
@@ -296,3 +300,20 @@ def inverse(m: QMatrix) -> QMatrix:
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
     return QMatrix([row[n:] for row in aug], cols=n)
+
+
+def unit(dim: int, i: int) -> QVector:
+    """The i-th standard basis vector of Q^dim."""
+    if not 0 <= i < dim:
+        raise DimensionError(f"unit index {i} out of range for dim {dim}")
+    return QVector([1 if j == i else 0 for j in range(dim)])
+
+
+def concat(u: QVector, v: QVector) -> QVector:
+    return QVector(u.entries + v.entries)
+
+
+def hull_coords(fr) -> tuple[QVector, ...]:
+    """A polytope frame's hull coordinates of its vertices over Q:
+    ``icoords`` divided by ``scale``."""
+    return tuple(QVector([Fraction(x, fr.scale) for x in q]) for q in fr.icoords)

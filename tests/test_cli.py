@@ -454,6 +454,57 @@ def test_non_ascii_integer_argument_is_rejected(capsys, cube_file, argv, name, t
     assert captured.err == f"error: {name} {token!r} is not an integer\n"
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["everest", "volume", NINES, "1"], "n: integer of 5000 digits"),
+        (["everest", "vertices", "2", NINES], "s: integer of 5000 digits"),
+        (["birkhoff", "context", "-" + NINES], "n: integer of 5000 digits"),
+        (["spine-enum", "{cube}", "--min-size", NINES], "--min-size: integer of 5000 digits"),
+        (["volume", "{cube}", "--order", "0," + NINES], "index in --order: integer of 5000 digits"),
+    ],
+    ids=["everest-n", "everest-s", "birkhoff-n", "spine-enum-min-size", "volume-order"],
+)
+def test_integer_past_the_bound_is_one_error_line(capsys, cube_file, argv, message):
+    # int() refused these with the interpreter's own limit message and its
+    # hint to call sys.set_int_max_str_digits().
+    code = main([a.format(cube=cube_file) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message} is past the 4300-digit limit\n"
+
+
+def test_integer_at_the_bound_is_read(capsys, cube_file):
+    code, out = run(capsys, "spine-enum", cube_file, "--min-size", "0" * 4299 + "3")
+    assert code == 0
+    assert json.loads(out)["min_size"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "{cube}"],
+        ["fold", "{cube}", "--set", "0,7"],
+        ["triangulate", "{cube}"],
+    ],
+    ids=["volume", "fold", "triangulate"],
+)
+def test_empty_order_is_no_permutation(capsys, cube_file, argv):
+    # An empty --order was read as no order and ran the default one.
+    argv = [a.format(cube=cube_file) for a in argv]
+    errors = []
+    for order in ("", ","):
+        assert main(argv + ["--order", order]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == ["error: order must be a permutation of all vertex indices\n"] * 2
+
+
 def test_integer_arguments_may_carry_spaces_and_signs(capsys, cube_file):
     code, out = run(capsys, "spine-enum", cube_file, "--min-size", " 3 ")
     assert code == 0

@@ -24,7 +24,7 @@ from spinaltri.everest import (
     vertex_families,
 )
 from spinaltri.volume import polytope_volume
-from linalg_oracle import QMatrix, kernel_basis, rank
+from linalg_oracle import QMatrix, concat, kernel_basis, rank
 from test_birkhoff import is_int_rows
 
 GRID = [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -415,7 +415,7 @@ class TestSETransformation:
         up = vertex_families(EverestParams(n + 1, s))
         transformed = {(pi_tilde @ u).entries for u in up.v_zero.points}
         expected = {
-            (QVector([0] * (n * s)).concat(-unit_row(s, j))).entries
+            concat(QVector([0] * (n * s)), -unit_row(s, j)).entries
             for j in range(s + 1)
         }
         assert transformed == expected

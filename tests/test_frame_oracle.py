@@ -55,7 +55,7 @@ from spinaltri.triangulation import (
     validate_detailed,
 )
 from spinaltri.volume import polytope_relative_volume
-from linalg_oracle import QMatrix, det, inverse, kernel_basis, rank
+from linalg_oracle import QMatrix, det, hull_coords, inverse, kernel_basis, rank, unit
 from test_validate_oracle import simplex_relative_volume
 
 
@@ -313,7 +313,7 @@ def fraction_birkhoff_checks(n, vertices, spine_vectors, a_map, b_map, c_map, a_
         if b_map @ (a_map @ v) + a_vec != v:
             raise birkhoff.BirkhoffError("reconstruction from the truncated matrix failed")
     targets = {QVector.zero(m * m).entries} | {
-        QVector.unit(m * m, i).entries for i in range(n - 1)
+        unit(m * m, i).entries for i in range(n - 1)
     }
     images = {(c_map @ (a_map @ u) + b_vec).entries for u in spine_vectors}
     if images != targets:
@@ -387,7 +387,7 @@ def hull_points(p: Polytope, rng: random.Random):
 def assert_same_frame(p: Polytope, rng: random.Random):
     fr, old = p.frame(), oracle_frame(p)
     assert (fr.dim, fr.identity, fr.gram_det) == (old.dim, old.identity, old.gram_det)
-    assert fr.coords == old.coords
+    assert hull_coords(fr) == old.coords
     assert list(fr.icoords) == _scaled_int_coords(old.coords)
     assert (0, *fr.basis) == affine_start(p.vertices)
     assert p.facets() == oracle_facets(p)
@@ -457,7 +457,7 @@ def test_frames_whose_basis_skips_a_vertex():
 def test_single_vertex_frame():
     p = make_polytope([QVector([Fraction(1, 2), 3])])
     fr, old = p.frame(), oracle_frame(p)
-    assert (fr.dim, fr.coords, fr.gram_det) == (old.dim, old.coords, old.gram_det)
+    assert (fr.dim, hull_coords(fr), fr.gram_det) == (old.dim, old.coords, old.gram_det)
     for x in [p.vertices[0], QVector([0, 3])]:
         try:
             want = frame_coords(p, x)

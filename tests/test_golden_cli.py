@@ -293,6 +293,8 @@ def commands() -> list[list[str]]:
     cmds.append(["triangulate", cube, "--spinal", "--set", "0,7", "--order", "7,6,5,4,3,2,1,0"])
     cmds.append(["triangulate", cube, "--set", "0,7"])
     cmds.append(["fold", cube, "--set", "0,7", "--order", "1,0,2,3,4,5,6,7"])
+    for argv in (["volume", cube], ["fold", cube, "--set", "0,7"], ["triangulate", cube]):
+        cmds.append(argv + ["--order", ""])  # an empty order is no permutation
     cmds.append(["spine-enum", cube, "--min-size", "0"])
     cmds.append(["spine-enum", cube, "--min-size", "-1"])
     for tok in ("0_7", "+7", "٧", "7x", "--7", "1.0"):

@@ -45,7 +45,7 @@ from spinaltri.polytope import (
     make_polytope,
     max_ambient_dim,
 )
-from linalg_oracle import QMatrix, rank
+from linalg_oracle import QMatrix, rank, unit
 from lp_oracle import fraction_in_convex_hull
 
 
@@ -213,7 +213,7 @@ def probe_points(p: Polytope, rng: random.Random):
     yield "centroid", centroid
     edges = [v - p.vertices[0] for v in p.vertices]
     for i in range(amb):
-        e = QVector.unit(amb, i)
+        e = unit(amb, i)
         if rank(QMatrix(edges + [e])) > p.dim:
             yield "off-hull", centroid + e * Fraction(1, 3)
     if p.dim > 0:
@@ -273,7 +273,7 @@ def test_contains_on_a_skew_rational_square():
         x = a @ QVector(u) + shift
         assert p.contains(x) == fraction_contains(p, x) == inside
         for i in range(4):
-            off = x + QVector.unit(4, i) * Fraction(1, 7)
+            off = x + unit(4, i) * Fraction(1, 7)
             assert not p.contains(off) and not fraction_contains(p, off)
 
 

@@ -1,6 +1,8 @@
 import gc
 import itertools
 import math
+import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -635,6 +637,192 @@ class TestRepeatedWork:
         monkeypatch.setattr(spinaltri.polytope, "_lift_normal", forbidden)
         star = star_triangulation(list(sm.star_points))
         assert validate(star, hull)
+
+
+def _outcome(call):
+    """A call's result, or its error as (type, message)."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _fresh_star(points, order=None):
+    """star_triangulation as it runs with no memo; the memo is left empty."""
+    spinaltri.triangulation._star_memo = None
+    try:
+        return _outcome(lambda: star_triangulation(points, order))
+    finally:
+        spinaltri.triangulation._star_memo = None
+
+
+class TestSharedWork:
+    """The stars of one shadow share one frame and one double description,
+    and a point table keeps the determinants of the cells it has seen; every
+    answer and every error is the one computed afresh."""
+
+    def test_stars_of_one_shadow_run_one_dd_and_no_gram_adjugate(self, monkeypatch):
+        sm = shadow(spine(cube(4), [0, 15]))
+        dds, adjugates = [], []
+        real_dd = spinaltri.polytope._supporting_hyperplanes
+        real_adjugate = spinaltri.polytope.int_adjugate
+
+        def counting_dd(*args):
+            dds.append(args)
+            return real_dd(*args)
+
+        def counting_adjugate(rows):
+            adjugates.append(sys._getframe(1).f_code.co_name)
+            return real_adjugate(rows)
+
+        monkeypatch.setattr(spinaltri.polytope, "_supporting_hyperplanes", counting_dd)
+        monkeypatch.setattr(spinaltri.polytope, "int_adjugate", counting_adjugate)
+        rng = random.Random(21)
+        orders, stars = [], []
+        for _ in range(24):
+            order = list(range(len(sm.star_points)))
+            rng.shuffle(order)
+            orders.append(order)
+            stars.append(star_triangulation(list(sm.star_points), order))
+        # One double description, whose start cone is the only adjugate.
+        assert len(dds) == 1
+        assert adjugates == ["_supporting_hyperplanes"]
+        fr = spinaltri.triangulation._star_memo[1]
+        assert not fr.identity
+        assert {"gram_det", "normal_map"}.isdisjoint(vars(fr))
+        assert fr.normal_map and fr.gram_det > 0  # computed when first read
+        assert adjugates == ["_supporting_hyperplanes", "_gram_adjugate"]
+        monkeypatch.undo()
+        assert len({t.simplices for t in stars}) > 1
+        for order, star in zip(orders, stars):
+            assert star == _fresh_star(list(sm.star_points), order)
+
+    def test_equal_points_hit_and_changed_points_miss(self, monkeypatch):
+        dds = []
+        real_dd = spinaltri.polytope._supporting_hyperplanes
+
+        def counting_dd(*args):
+            dds.append(args)
+            return real_dd(*args)
+
+        monkeypatch.setattr(spinaltri.polytope, "_supporting_hyperplanes", counting_dd)
+        pts = [qv(0, 0)] + hexagon_points()
+        first = star_triangulation(pts)
+        # Equal values in new objects share the double description.
+        assert star_triangulation([QVector(q) for q in pts]) == first
+        assert len(dds) == 1
+        # The same list, changed after the call, misses.
+        pts[1] = qv(2, 0)
+        got = _outcome(lambda: star_triangulation(pts))
+        assert len(dds) == 2
+        assert got == _fresh_star(list(pts)) != first
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [qv(0, 0)] + hexagon_points() + [qv(Fraction(1, 2), 0)],  # not extreme
+            [qv(0, 0)] + hexagon_points() + [qv(1, 0)],  # a duplicate
+            hexagon_points(),  # no origin
+        ],
+        ids=["in-hull", "duplicate", "no-origin"],
+    )
+    def test_a_rejected_input_is_never_kept(self, bad):
+        good = [qv(0, 0)] + hexagon_points()
+        want = _fresh_star(bad)
+        assert isinstance(want, tuple) and issubclass(want[0], ValueError)
+        first = star_triangulation(good)
+        memo = spinaltri.triangulation._star_memo
+        for _ in range(2):
+            assert _outcome(lambda: star_triangulation(bad)) == want
+        assert spinaltri.triangulation._star_memo is memo
+        assert star_triangulation(good) == first
+        # A bad order is refused before the memo is read.
+        with pytest.raises(TriangulationError, match="order must be a permutation"):
+            star_triangulation(good, [0, 1])
+
+    def test_a_lowered_dimension_cap_is_read_on_every_call(self, monkeypatch):
+        sm = shadow(spine(cube(3), [0, 7]))
+        first = star_triangulation(list(sm.star_points))
+        monkeypatch.setenv("SPINALTRI_MAX_DIM", "2")
+        want = _fresh_star(list(sm.star_points))
+        monkeypatch.delenv("SPINALTRI_MAX_DIM")
+        assert star_triangulation(list(sm.star_points)) == first
+        monkeypatch.setenv("SPINALTRI_MAX_DIM", "2")
+        assert _outcome(lambda: star_triangulation(list(sm.star_points))) == want
+        assert want == (
+            spinaltri.polytope.PolytopeError,
+            "ambient dimension 3 exceeds the desk-scale cap 2; set SPINALTRI_MAX_DIM to override",
+        )
+
+    @pytest.mark.parametrize(
+        "cells,reason",
+        [
+            (None, "ok"),
+            ("drop", "cell volumes sum to 5/6, polytope volume is 1"),
+            ([(0, 1, 2, 3), (0, 1, 2, 4)], "cell (0, 1, 2, 3) is degenerate"),
+        ],
+        ids=["ok", "volume", "degenerate"],
+    )
+    def test_second_validation_of_the_same_cells_takes_no_determinant(
+        self, monkeypatch, cells, reason
+    ):
+        p = cube(3)
+        t = pulling_triangulation(p)
+        if cells == "drop":
+            cells = t.simplices[1:]
+        if cells is not None:
+            t = Triangulation.make(p.vertices, cells, 3)
+        spinaltri.volume.polytope_relative_volume(p)  # its own cells' determinants
+        dets = []
+        real = spinaltri.volume.cell_det
+
+        def counting(*args):
+            dets.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spinaltri.volume, "cell_det", counting)
+        first = validate_detailed(t, p)
+        assert first == (reason == "ok", reason)
+        assert dets
+        dets.clear()
+        assert validate_detailed(t, p) == first
+        assert dets == []
+        # A list of points is never kept, nor are its determinants.
+        as_list = Triangulation(list(p.vertices), t.simplices, 3)
+        assert validate_detailed(as_list, p) == first
+        n = len(dets)
+        assert n > 0
+        assert validate_detailed(as_list, p) == first
+        assert len(dets) == 2 * n
+
+    def test_lifts_and_folds_of_one_shadow_share_their_determinants(self, monkeypatch):
+        sm = shadow(spine(cube(4), [0, 15]))
+        p, hull = sm.spine.polytope, shadow_polytope(sm)
+        dets = []
+        real = spinaltri.volume.cell_det
+
+        def counting(icoords, cell):
+            dets.append(cell)
+            return real(icoords, cell)
+
+        monkeypatch.setattr(spinaltri.volume, "cell_det", counting)
+        rng = random.Random(19)
+        lifted_cells, star_cells = set(), set()
+        for _ in range(24):
+            order = list(range(len(sm.star_points)))
+            rng.shuffle(order)
+            star = star_triangulation(list(sm.star_points), order)
+            lifted = lift(star, sm)
+            assert fold(lifted, sm).simplices == star.simplices
+            lifted_cells.update(lifted.simplices)
+            star_cells.update(star.simplices)
+        # One determinant per distinct cell and table, besides the cells of
+        # the pulling triangulations behind the two relative volumes.
+        assert p._point_table[1][3].keys() == lifted_cells
+        assert hull._point_table[1][3].keys() == star_cells
+        relvol_cells = pulling_triangulation(p).n_simplices
+        relvol_cells += pulling_triangulation(hull).n_simplices
+        assert len(dets) == len(lifted_cells) + len(star_cells) + relvol_cells
 
 
 class TestPerCellVolumeLaw:
