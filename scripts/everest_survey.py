@@ -54,7 +54,7 @@ def main():
                 hull_str = "-"
             print(
                 f"({n},{s})".rjust(7),
-                str(len(fam.everest.points)).rjust(5),
+                str(len(fam.everest)).rjust(5),
                 format_rational(formula).rjust(10),
                 hull_str.rjust(10),
             )

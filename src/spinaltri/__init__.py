@@ -9,7 +9,6 @@ Birkhoff polytope applications.
 from .linalg import (
     DimensionError,
     QVector,
-    Rational,
     det,
     format_rational,
     gram_sq_volume,
@@ -49,7 +48,6 @@ from .everest import (
     g_eval,
     se_matrix,
     se_square_matrices,
-    simplotope,
     simplotope_with_spine,
     vertex_families,
 )

@@ -249,12 +249,12 @@ def cmd_everest(args) -> int:
         doc = {
             "n": params.n,
             "s": params.s,
-            "vertices": [sio.vector_to_strings(v) for v in fam.everest.points],
+            "vertices": [sio.vector_to_strings(v) for v in fam.everest],
         }
-        lines = [f"{len(fam.everest.points)} vertices"]
+        lines = [f"{len(fam.everest)} vertices"]
         lines.extend(
             "(" + ", ".join(sio.vector_to_strings(v)) + ")"
-            for v in fam.everest.points
+            for v in fam.everest
         )
         _emit(doc, lines, args)
         return 0
@@ -277,7 +277,7 @@ def _everest_verify(params: EverestParams, args) -> int:
     fam = vertex_families(params)  # raises on any cardinality mismatch
     checks.append(("family_cardinalities", True))
     checks.append(
-        ("vertices_on_unit_level", all(g_eval(params, v) == 1 for v in fam.everest.points))
+        ("vertices_on_unit_level", all(g_eval(params, v) == 1 for v in fam.everest))
     )
     checks.extend(se_checks(params).items())
     hull_vol = everest_volume(params, "hull")

@@ -63,44 +63,26 @@ class EverestParams:
         return self.n * self.s
 
 
-def unit_row(s: int, j: int) -> QVector:
-    """The j-th s-dimensional unit row vector, with unit_row(s, 0) = 0."""
-    if not 0 <= j <= s:
-        raise EverestError(f"unit index {j} out of range 0..{s}")
-    return QVector([1 if t == j - 1 else 0 for t in range(s)])
-
-
-def _stack(rows: Sequence[QVector]) -> QVector:
-    out: tuple = ()
-    for r in rows:
-        out = out + r.entries
-    return QVector(out)
-
-
-@dataclass(frozen=True)
-class VertexFamily:
-    kind: str
-    points: tuple[QVector, ...]
-
-
 @dataclass(frozen=True)
 class Families:
-    v_minus_one: VertexFamily
-    v_zero: VertexFamily
-    v_one: VertexFamily
-    everest: VertexFamily
+    v_minus_one: IntRows
+    v_zero: IntRows
+    v_one: IntRows
+    everest: IntRows
 
 
 def vertex_families(params: EverestParams) -> Families:
     """Generate the sign-pattern vertex families and check their sizes.
 
-    v_minus_one: one optional -1 per row (these are the simplotope vertices);
-    v_zero: all -1 entries in a single shared column;
-    v_one: pointwise differences v - u with v in v_minus_one and u a nonzero
-    member of v_zero.  The union of v_one and v_minus_one minus the origin is
-    the vertex set of the Everest polytope.  Building v_one visits
-    (s+1)^(n+1) pattern pairs; past MAX_SIGN_PATTERNS, EverestError is
-    raised before any is built, by a product that stops at the cap.
+    Each family is a tuple of integer points of R^(n*s), each read as n
+    rows of length s.  v_minus_one: every choice of n rows, each 0 or -e_j
+    (these are the simplotope vertices); v_zero: one such row repeated n
+    times; v_one: pointwise differences v - u with v in v_minus_one and u a
+    nonzero member of v_zero.  The union of v_one and v_minus_one minus the origin is
+    the vertex set of the Everest polytope; both are kept in first-seen
+    order.  Building v_one visits (s+1)^(n+1) pattern pairs; past
+    MAX_SIGN_PATTERNS, EverestError is raised before any is built, by a
+    product that stops at the cap.
     """
     n, s = params.n, params.s
     count = 1
@@ -111,21 +93,15 @@ def vertex_families(params: EverestParams) -> Families:
                 f"the vertex families of E({n},{s}) need (s+1)^(n+1) > "
                 f"{MAX_SIGN_PATTERNS} sign patterns, over the desk-scale cap"
             )
-    minus = []
-    for js in itertools.product(range(s + 1), repeat=n):
-        minus.append(_stack([-unit_row(s, j) for j in js]))
-    zero = [_stack([-unit_row(s, j)] * n) for j in range(s + 1)]
-    one_set: dict[tuple, QVector] = {}
-    for v in minus:
-        for u in zero[1:]:
-            w = v - u
-            one_set.setdefault(w.entries, w)
-    one = list(one_set.values())
-    ever_set: dict[tuple, QVector] = {}
-    for v in minus + one:
-        if not v.is_zero():
-            ever_set.setdefault(v.entries, v)
-    ever = list(ever_set.values())
+    rows = [(0,) * s] + [tuple(-int(t == j) for t in range(s)) for j in range(s)]
+    minus = tuple(sum(pick, ()) for pick in itertools.product(rows, repeat=n))
+    zero = tuple(row * n for row in rows)
+    one = tuple(
+        dict.fromkeys(
+            tuple(a - b for a, b in zip(v, u)) for v in minus for u in zero[1:]
+        )
+    )
+    ever = tuple(dict.fromkeys(v for v in minus + one if any(v)))
 
     if len(minus) != (s + 1) ** n:
         raise EverestError("family size mismatch for the -1 patterns")
@@ -135,15 +111,10 @@ def vertex_families(params: EverestParams) -> Families:
         raise EverestError("family size mismatch for the +1 patterns")
     if len(ever) != (s + 1) ** (n + 1) - s - 1:
         raise EverestError("vertex count mismatch")
-    return Families(
-        VertexFamily("v_minus_one", tuple(minus)),
-        VertexFamily("v_zero", tuple(zero)),
-        VertexFamily("v_one", tuple(one)),
-        VertexFamily("everest_vertices", tuple(ever)),
-    )
+    return Families(minus, zero, one, ever)
 
 
-def g_eval(params: EverestParams, x: QVector) -> Fraction:
+def g_eval(params: EverestParams, x: Sequence) -> Fraction:
     """The gauge sum_j max(0, max_i x_ij) + max(0, max_i -sum_j x_ij) with
     x_ij = x[i * s + j]; x lies in E(n, s) iff it is at most 1."""
     n, s = params.n, params.s
@@ -161,29 +132,23 @@ def everest_polytope(params: EverestParams) -> Polytope:
         raise EverestError(
             f"dimension {params.dim} exceeds the desk-scale cap {MAX_HULL_DIM}"
         )
-    fam = vertex_families(params)
-    for v in fam.everest.points:
+    vertices = vertex_families(params).everest
+    for v in vertices:
         if g_eval(params, v) != 1:
-            raise EverestError(f"claimed vertex {v!r} is not on the unit level set")
-    return make_polytope(fam.everest.points)
-
-
-def simplotope(n: int, s: int) -> Polytope:
-    """The n-fold product of the s-simplex conv{0, -e_1, ..., -e_s}.
-
-    Its vertex set is exactly the v_minus_one family of (n, s), and the
-    single-column family v_zero is validated to be a spine.
-    """
-    p, _ = simplotope_with_spine(n, s)
-    return p
+            raise EverestError(
+                f"claimed vertex {QVector(v)!r} is not on the unit level set"
+            )
+    return make_polytope(vertices)
 
 
 def simplotope_with_spine(n: int, s: int) -> tuple[Polytope, Spine]:
+    """The n-fold product of the s-simplex conv{0, -e_1, ..., -e_s}, whose
+    vertex set is exactly the v_minus_one family of (n, s), and the
+    single-column family v_zero, validated to be a spine."""
     fam = vertex_families(EverestParams(n, s))
-    p = make_polytope(fam.v_minus_one.points)
-    index_of = {v.entries: i for i, v in enumerate(p.vertices)}
-    v0_idx = [index_of[u.entries] for u in fam.v_zero.points]
-    return p, spine(p, v0_idx)
+    p = make_polytope(fam.v_minus_one)
+    index_of = {v: i for i, v in enumerate(fam.v_minus_one)}
+    return p, spine(p, [index_of[u] for u in fam.v_zero])
 
 
 def se_matrix(params: EverestParams) -> IntRows:
@@ -206,16 +171,14 @@ def se_checks(params: EverestParams) -> dict[str, bool]:
     n, s = params.n, params.s
     up = vertex_families(EverestParams(n + 1, s))
     pi = se_matrix(params)
-    zero_set = {u.entries for u in up.v_zero.points}
-    images = {
-        tuple(matvec(pi, v)) for v in up.v_minus_one.points if v.entries not in zero_set
-    }
-    expected = {v.entries for v in vertex_families(params).everest.points}
+    zero_set = set(up.v_zero)
+    images = {tuple(matvec(pi, v)) for v in up.v_minus_one if v not in zero_set}
+    expected = set(vertex_families(params).everest)
     basis = kernel_basis(pi)
-    nonzero = [u for u in up.v_zero.points if not u.is_zero()]
+    nonzero = [u for u in up.v_zero if any(u)]
     return {
         "se_image_is_vertex_set": images == expected,
-        "se_kills_spine": not any(any(matvec(pi, u)) for u in up.v_zero.points),
+        "se_kills_spine": not any(any(matvec(pi, u)) for u in up.v_zero),
         "kernel_spanned_by_spine": len(basis) == s and rank(basis + nonzero) == s,
     }
 
@@ -242,7 +205,7 @@ def _square_matrices(params: EverestParams, fam_up: Families) -> tuple[IntRows, 
         tuple(int(c == n * s + j) for c in range(width)) for j in range(s)
     )
     proj = tuple(tuple(int(c == i) for c in range(width)) for i in range(n * s))
-    transformed = [matvec(pi_tilde, u) for u in fam_up.v_zero.points if not u.is_zero()]
+    transformed = [matvec(pi_tilde, u) for u in fam_up.v_zero if any(u)]
     if rank(transformed) != s or any(any(w[: n * s]) for w in transformed):
         raise EverestError("transformed spine does not span the projection kernel")
     return pi_tilde, proj
@@ -292,11 +255,10 @@ def _volume_by_lifting(params: EverestParams) -> Fraction:
     pi_tilde, _ = _square_matrices(params, fam_up)
     if abs(det(pi_tilde)) != 1:
         raise EverestError("square extension is not volume preserving")
-    verts = [QVector(matvec(pi_tilde, v)) for v in fam_up.v_minus_one.points]
+    verts = [tuple(matvec(pi_tilde, v)) for v in fam_up.v_minus_one]
     p = make_polytope(verts)
-    index_of = {v.entries: i for i, v in enumerate(p.vertices)}
-    spine_idx = [index_of[tuple(matvec(pi_tilde, u))] for u in fam_up.v_zero.points]
-    sp = spine(p, spine_idx)
+    index_of = {v: i for i, v in enumerate(verts)}
+    sp = spine(p, [index_of[tuple(matvec(pi_tilde, u))] for u in fam_up.v_zero])
     vol_p = polytope_volume(p).volume
     if vol_p is None:
         raise EverestError("the transformed simplotope is not full-dimensional")

@@ -15,7 +15,6 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-Rational = Fraction
 IntRows = tuple[tuple[int, ...], ...]
 
 

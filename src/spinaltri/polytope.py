@@ -10,7 +10,6 @@ to exact coordinates in a basis of the hull first.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -91,12 +90,9 @@ class _Frame:
     A lower-dimensional hull also keeps ``solve``, an integer d x d matrix T
     with T B~ = ``den`` [I_k; 0] (den > 0): the hull coordinates of a point
     are the first k entries of T t, where the other d - k vanish iff the
-    point lies in the hull, and ``bt``, the rows of B~^T.  From those,
-    ``normal_map`` = B~ adj(B~^T B~) sends a normal in hull coordinates to a
-    positive multiple of the ambient normal that lies in the direction
-    space, and ``gram_det`` = det(B^T B).  Both are computed when first read
-    and then kept; the frames of stars and of `extreme_points` never read
-    them.
+    point lies in the hull.  ``normal_map`` = B~ adj(B~^T B~) sends a normal
+    in hull coordinates to a positive multiple of the ambient normal that
+    lies in the direction space.  ``gram_det`` = det(B^T B).
     """
 
     dim: int
@@ -105,29 +101,11 @@ class _Frame:
     vscale: int
     icoords: tuple[tuple[int, ...], ...]
     scale: int
+    gram_det: Fraction
     basis: tuple[int, ...]
     solve: tuple[tuple[int, ...], ...] = ()
     den: int = 1
-    bt: tuple[tuple[int, ...], ...] = ()
-
-    @functools.cached_property
-    def _gram_adjugate(self) -> tuple[list[list[int]], int]:
-        return int_adjugate([[int_dot(a, b) for b in self.bt] for a in self.bt])
-
-    @functools.cached_property
-    def gram_det(self) -> Fraction:
-        if self.identity:
-            return Fraction(1)
-        return Fraction(self._gram_adjugate[1], self.vscale ** (2 * self.dim))
-
-    @functools.cached_property
-    def normal_map(self) -> tuple[tuple[int, ...], ...]:
-        if self.identity:
-            return ()
-        gram_adj = self._gram_adjugate[0]
-        return tuple(
-            tuple(int_dot(row, col) for col in zip(*gram_adj)) for row in zip(*self.bt)
-        )
+    normal_map: tuple[tuple[int, ...], ...] = ()
 
 
 class Polytope:
@@ -401,10 +379,12 @@ def _build_frame(vertices: tuple[QVector, ...], ambient_dim: int) -> _Frame:
     k = len(lead)
     basis = tuple(c + 1 for c in lead)
     if k == ambient_dim:
-        return _Frame(k, True, ivertices, vscale, ivertices, vscale, basis)
+        return _Frame(k, True, ivertices, vscale, ivertices, vscale, Fraction(1), basis)
     sign = 1 if den > 0 else -1
     g = sign * math.gcd(den, *(x for row in ech[:k] for x in row[:m]))
     icoords = ((0,) * k,) + tuple(tuple(r[c] // g for r in ech[:k]) for c in range(m))
+    bt = [[row[c] for row in rows] for c in lead]  # the rows of B~^T
+    gram_adj, gram_det = int_adjugate([[int_dot(a, b) for b in bt] for a in bt])
     return _Frame(
         k,
         False,
@@ -412,10 +392,11 @@ def _build_frame(vertices: tuple[QVector, ...], ambient_dim: int) -> _Frame:
         vscale,
         icoords,
         den // g,
+        Fraction(gram_det, vscale ** (2 * k)),
         basis,
         tuple(tuple(sign * x for x in row[m:]) for row in ech),
         abs(den),
-        tuple(tuple(row[c] for row in rows) for c in lead),
+        tuple(tuple(int_dot(row, col) for col in zip(*gram_adj)) for row in zip(*bt)),
     )
 
 

@@ -147,13 +147,13 @@ def check_everest_vertex_counts(ws: Workspace):
         for s in (1, 2, 3):
             fam = vertex_families(EverestParams(n, s))  # self-checks sizes
             good = (
-                len(fam.v_minus_one.points) == (s + 1) ** n
-                and len(fam.v_zero.points) == s + 1
-                and len(fam.v_one.points) == s * (s + 1) ** n - s + 1
-                and len(fam.everest.points) == (s + 1) ** (n + 1) - s - 1
+                len(fam.v_minus_one) == (s + 1) ** n
+                and len(fam.v_zero) == s + 1
+                and len(fam.v_one) == s * (s + 1) ** n - s + 1
+                and len(fam.everest) == (s + 1) ** (n + 1) - s - 1
             )
             ok = ok and good
-            details.append(f"({n},{s}):|V|={len(fam.everest.points)}")
+            details.append(f"({n},{s}):|V|={len(fam.everest)}")
     return ok, " ".join(details)
 
 

@@ -264,7 +264,6 @@ class ShadowMap:
         d = p.ambient_dim
         fr = p.frame()
         self.spine = sp
-        self.translation = p.vertices[sp.indices[0]]
         t = fr.ivertices[sp.indices[0]]
         diffs = [[a - b for a, b in zip(v, t)] for v in fr.ivertices]
         a_cols = [diffs[i] for i in sp.indices[1:]]

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -20,10 +21,10 @@ from spinaltri.everest import (
     se_matrix,
     se_square_matrices,
     simplotope_with_spine,
-    unit_row,
     vertex_families,
 )
 from spinaltri.volume import polytope_volume
+import everest_oracle
 from linalg_oracle import QMatrix, concat, kernel_basis, rank
 from test_birkhoff import is_int_rows
 
@@ -42,19 +43,19 @@ class TestGauge:
     def test_vertices_on_unit_level(self):
         for n, s in GRID:
             params = EverestParams(n, s)
-            for v in vertex_families(params).everest.points:
+            for v in vertex_families(params).everest:
                 assert g_eval(params, v) == 1
 
     def test_doubled_vertices_outside(self):
         for n, s in GRID:
             params = EverestParams(n, s)
-            for v in vertex_families(params).everest.points:
-                assert g_eval(params, 2 * v) > 1
+            for v in vertex_families(params).everest:
+                assert g_eval(params, [2 * x for x in v]) > 1
 
     def test_membership(self):
         params = EverestParams(2, 2)
         assert g_eval(params, QVector([0, 0, 0, 0])) <= 1
-        for v in vertex_families(params).everest.points:
+        for v in vertex_families(params).everest:
             assert g_eval(params, v) <= 1
 
     def test_detail_quantities(self):
@@ -109,10 +110,15 @@ class TestPatternCap:
 
     @pytest.fixture
     def no_patterns(self, monkeypatch):
-        def refuse(*args):
+        # Every pattern comes out of itertools.product.
+        def refuse(*args, **kwargs):
             raise AssertionError("a sign pattern was built")
 
-        monkeypatch.setattr(everest, "unit_row", refuse)
+        monkeypatch.setattr(everest, "itertools", types.SimpleNamespace(product=refuse))
+
+    def test_the_probe_sees_a_pattern_built(self, no_patterns):
+        with pytest.raises(AssertionError, match="a sign pattern was built"):
+            vertex_families(EverestParams(1, 1))
 
     @pytest.mark.parametrize("n,s", [(3, 3), (2, 2), (1, 1)])
     def test_refused_just_over_the_cap(self, n, s, monkeypatch, no_patterns):
@@ -124,7 +130,7 @@ class TestPatternCap:
     def test_admitted_at_the_cap(self, n, s, monkeypatch):
         monkeypatch.setattr(everest, "MAX_SIGN_PATTERNS", (s + 1) ** (n + 1))
         fam = vertex_families(EverestParams(n, s))
-        assert len(fam.everest.points) == (s + 1) ** (n + 1) - s - 1
+        assert len(fam.everest) == (s + 1) ** (n + 1) - s - 1
 
     @pytest.mark.parametrize(
         "n,s", [(12, 1), (6, 3), (5, 4), (1, 64), (12, 12), (10**18, 10**18), (1, 10**100)]
@@ -221,30 +227,49 @@ class TestLongVolumes:
         assert Fraction(_read_digits(num), _read_digits(den)) == c_constant(EverestParams(60, 60))
 
 
+# Every (n, s) whose families vertex_families builds.
+UNDER_THE_CAP = [
+    (n, s)
+    for n in range(1, 12)
+    for s in range(1, 64)
+    if (s + 1) ** (n + 1) <= everest.MAX_SIGN_PATTERNS
+]
+
+
+def assert_equals_the_former_construction(n, s):
+    """The families equal the former QVector construction point for point
+    and in order, each family a tuple of integer tuples."""
+    fam = vertex_families(EverestParams(n, s))
+    got = (fam.v_minus_one, fam.v_zero, fam.v_one, fam.everest)
+    for family, former in zip(got, everest_oracle.vertex_families(n, s)):
+        assert type(family) is tuple
+        assert all(type(v) is tuple and len(v) == n * s for v in family)
+        assert all(type(x) is int for v in family for x in v)
+        assert family == tuple(v.entries for v in former)
+
+
 class TestVertexFamilies:
     @pytest.mark.parametrize("n,s", [(n, s) for n in (1, 2, 3) for s in (1, 2, 3)])
     def test_cardinalities(self, n, s):
         fam = vertex_families(EverestParams(n, s))
-        assert len(fam.v_minus_one.points) == (s + 1) ** n
-        assert len(fam.v_zero.points) == s + 1
-        assert len(fam.v_one.points) == s * (s + 1) ** n - s + 1
-        assert len(fam.everest.points) == (s + 1) ** (n + 1) - s - 1
+        assert len(fam.v_minus_one) == (s + 1) ** n
+        assert len(fam.v_zero) == s + 1
+        assert len(fam.v_one) == s * (s + 1) ** n - s + 1
+        assert len(fam.everest) == (s + 1) ** (n + 1) - s - 1
 
     def test_one_one_counts(self):
         fam = vertex_families(EverestParams(1, 1))
-        assert len(fam.v_minus_one.points) == 2
-        assert len(fam.v_zero.points) == 2
-        assert len(fam.v_one.points) == 2
-        assert len(fam.everest.points) == 2
+        assert len(fam.v_minus_one) == 2
+        assert len(fam.v_zero) == 2
+        assert len(fam.v_one) == 2
+        assert len(fam.everest) == 2
 
     def test_intersection_is_origin(self):
         for n, s in GRID:
             fam = vertex_families(EverestParams(n, s))
-            minus = {v.entries for v in fam.v_minus_one.points}
-            one = {v.entries for v in fam.v_one.points}
-            zero_vec = tuple([Fraction(0)] * (n * s))
-            assert minus & one == {zero_vec}
-            assert {v.entries for v in fam.v_zero.points} <= minus
+            minus = set(fam.v_minus_one)
+            assert minus & set(fam.v_one) == {(0,) * (n * s)}
+            assert set(fam.v_zero) <= minus
 
     @pytest.mark.parametrize("n,s", [(1, 2), (2, 1), (2, 2)])
     def test_sign_pattern_characterizations(self, n, s):
@@ -254,12 +279,21 @@ class TestVertexFamilies:
         grid = list(itertools.product((-1, 0, 1), repeat=n * s))
         minus = {e for e in grid if in_minus_family(e, n, s)}
         one = {e for e in grid if in_one_family(e, n, s)}
-        assert {tuple(int(x) for x in v.entries) for v in fam.v_minus_one.points} == minus
-        assert {tuple(int(x) for x in v.entries) for v in fam.v_one.points} == one
+        assert set(fam.v_minus_one) == minus
+        assert set(fam.v_one) == one
 
-    def test_unit_row_convention(self):
-        assert unit_row(3, 0).is_zero()
-        assert unit_row(3, 2) == QVector([0, 1, 0])
+    @pytest.mark.parametrize(
+        "n,s", [(n, s) for n, s in UNDER_THE_CAP if (s + 1) ** (n + 1) <= 1024]
+    )
+    def test_equals_the_former_construction(self, n, s):
+        assert_equals_the_former_construction(n, s)
+
+    @pytest.mark.slow
+    def test_equals_the_former_construction_up_to_the_cap(self):
+        # The 46 pairs past 1,024 patterns; the oracle takes about 22 s on them.
+        for n, s in UNDER_THE_CAP:
+            if (s + 1) ** (n + 1) > 1024:
+                assert_equals_the_former_construction(n, s)
 
 
 class TestEverestPolytope:
@@ -300,9 +334,7 @@ class TestSimplotope:
         assert len(p.facets()) == 4
 
     def test_plain_constructor(self):
-        from spinaltri.everest import simplotope
-
-        p = simplotope(1, 2)
+        p = simplotope_with_spine(1, 2)[0]
         assert p.n_vertices == 3 and p.dim == 2
 
     def test_s22(self):
@@ -314,9 +346,7 @@ class TestSimplotope:
         assert sp.n == 3
 
     def test_s32_facets(self):
-        from spinaltri.everest import simplotope
-
-        p = simplotope(3, 2)
+        p = simplotope_with_spine(3, 2)[0]
         assert p.n_vertices == 27 and p.dim == 6
         fs = p.facets()
         assert len(fs) == 9
@@ -379,21 +409,17 @@ class TestSETransformation:
     def test_kills_single_column_family(self, n, s):
         pi = QMatrix(se_matrix(EverestParams(n, s)))
         up = vertex_families(EverestParams(n + 1, s))
-        for u in up.v_zero.points:
-            assert (pi @ u).is_zero()
+        for u in up.v_zero:
+            assert (pi @ QVector(u)).is_zero()
 
     @pytest.mark.parametrize("n,s", GRID)
     def test_image_is_everest_vertex_set(self, n, s):
         params = EverestParams(n, s)
         pi = QMatrix(se_matrix(params))
         up = vertex_families(EverestParams(n + 1, s))
-        zero = {u.entries for u in up.v_zero.points}
-        images = {
-            (pi @ v).entries
-            for v in up.v_minus_one.points
-            if v.entries not in zero
-        }
-        expected = {v.entries for v in vertex_families(params).everest.points}
+        zero = set(up.v_zero)
+        images = {(pi @ QVector(v)).entries for v in up.v_minus_one if v not in zero}
+        expected = set(vertex_families(params).everest)
         assert images == expected
 
     @pytest.mark.parametrize("n,s", GRID)
@@ -401,7 +427,7 @@ class TestSETransformation:
         pi = QMatrix(se_matrix(EverestParams(n, s)))
         basis = kernel_basis(pi)
         up = vertex_families(EverestParams(n + 1, s))
-        nonzero = [u for u in up.v_zero.points if not u.is_zero()]
+        nonzero = [u for u in up.v_zero if any(u)]
         assert len(basis) == len(nonzero) == s
         stacked = QMatrix([list(v) for v in basis + nonzero], cols=(n + 1) * s)
         assert rank(stacked) == s
@@ -413,9 +439,9 @@ class TestSETransformation:
         assert proj @ pi_tilde == QMatrix(se_matrix(params))
         assert abs(det(pi_tilde.entries)) == 1
         up = vertex_families(EverestParams(n + 1, s))
-        transformed = {(pi_tilde @ u).entries for u in up.v_zero.points}
+        transformed = {(pi_tilde @ QVector(u)).entries for u in up.v_zero}
         expected = {
-            concat(QVector([0] * (n * s)), -unit_row(s, j)).entries
+            concat(QVector([0] * (n * s)), -everest_oracle.unit_row(s, j)).entries
             for j in range(s + 1)
         }
         assert transformed == expected
@@ -426,7 +452,7 @@ class TestSETransformation:
         pi = QMatrix(se_matrix(params))
         pi_tilde, proj = map(QMatrix, se_square_matrices(params))
         up = vertex_families(EverestParams(n + 1, s))
-        for v in up.v_minus_one.points:
+        for v in map(QVector, up.v_minus_one):
             assert proj @ (pi_tilde @ v) == pi @ v
 
 

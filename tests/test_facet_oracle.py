@@ -21,7 +21,7 @@ import pytest
 
 from spinaltri import polytope
 from spinaltri.birkhoff import birkhoff_context
-from spinaltri.everest import simplotope
+from spinaltri.everest import simplotope_with_spine
 from spinaltri.linalg import QVector
 from spinaltri.polytope import frame_coords, make_polytope
 from linalg_oracle import QMatrix, kernel_basis
@@ -200,7 +200,7 @@ def truncated_b4():
 LARGE_INSTANCES = pytest.mark.parametrize(
     "build",
     [
-        lambda: simplotope(3, 2),
+        lambda: simplotope_with_spine(3, 2)[0],
         lambda: make_polytope(
             [QVector(b) for b in itertools.product((0, 1), repeat=5)],
             max_vertices=32,

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from spinaltri import triangulation
 from spinaltri.birkhoff import birkhoff_context, projected_birkhoff
-from spinaltri.everest import simplotope
+from spinaltri.everest import simplotope_with_spine
 from spinaltri.linalg import QVector
 from spinaltri.polytope import (
     DegeneratePolytope,
@@ -212,7 +212,7 @@ def test_random_face_steps_match_oracle(d):
     [
         lambda: cube(4),
         lambda: cube(5),
-        lambda: simplotope(3, 2),
+        lambda: simplotope_with_spine(3, 2)[0],
         truncated_b4,
         lambda: projected_birkhoff(birkhoff_context(4)),
     ],

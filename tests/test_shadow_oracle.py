@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from spinaltri.everest import EverestParams, everest_polytope, simplotope
+from spinaltri.everest import EverestParams, everest_polytope, simplotope_with_spine
 from spinaltri.linalg import QVector, gram_sq_volume
 from spinaltri.polytope import Polytope, extreme_points, make_polytope
 from spinaltri.spine import enumerate_spines, spine
@@ -59,7 +59,7 @@ def named_instances():
         yield f"cube{d}", cube(d)
         yield f"cross{d}", cross_polytope(d)
     for n, s in [(1, 3), (2, 1), (2, 2), (2, 3), (3, 1)]:
-        yield f"S({n},{s})", simplotope(n, s)
+        yield f"S({n},{s})", simplotope_with_spine(n, s)[0]
     for n, s in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4)]:
         yield f"E({n},{s})", everest_polytope(EverestParams(n, s))
     yield "point", make_polytope([QVector([2, 3])])
