@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import IntRows, QVector, det, int_det, int_dot, matvec
-from .polytope import Polytope, make_polytope
+from .linalg import IntRows, det, int_det, int_dot, matvec, scaled_ints
+from .polytope import Polytope, PolytopeError, facet_masks, make_polytope
 from .spine import spine
 from .volume import lifting_relation_report, polytope_volume
 
@@ -25,17 +25,13 @@ class BirkhoffError(ValueError):
     pass
 
 
-def _permutation_ints(perm: Sequence[int]) -> list[int]:
-    n = len(perm)
-    entries = [0] * (n * n)
-    for i, j in enumerate(perm):
-        entries[i * n + j] = 1
-    return entries
+IntVector = tuple[int, ...]
 
 
-def permutation_vector(perm: Sequence[int]) -> QVector:
+def permutation_vector(perm: Sequence[int]) -> IntVector:
     """Flatten the permutation matrix with rows concatenated."""
-    return QVector(_permutation_ints(perm))
+    n = len(perm)
+    return tuple(int(perm[i] == j) for i in range(n) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -47,22 +43,22 @@ class BirkhoffContext:
     block up to the translation a; C (m^2 x m^2, |det| = 1) and b move the
     spine onto {0, e_1, ..., e_(n-1)}; D (m(m-1) x m^2) drops the first m
     coordinates, projecting away the repositioned spine span.  The maps and
-    J are integer rows.
+    J are integer rows, and the vectors integer tuples.
     """
 
     n: int
     m: int
     perms: tuple[tuple[int, ...], ...]
-    vertices: tuple[QVector, ...]
+    vertices: tuple[IntVector, ...]
     spine_perms: tuple[tuple[int, ...], ...]
-    spine_vectors: tuple[QVector, ...]
+    spine_vectors: tuple[IntVector, ...]
     spine_vertex_indices: tuple[int, ...]
     a_map: IntRows
     b_map: IntRows
     c_map: IntRows
     d_map: IntRows
-    a_vec: QVector
-    b_vec: QVector
+    a_vec: IntVector
+    b_vec: IntVector
     j_mat: IntRows
 
 
@@ -163,34 +159,13 @@ def birkhoff_context(n: int) -> BirkhoffContext:
         spine_perms.append(cur)
         cur = tuple(shift[cur[i]] for i in range(n))
     spine_vectors = tuple(permutation_vector(p) for p in spine_perms)
-    index_of = {p: i for i, p in enumerate(perms)}
-    spine_idx = tuple(index_of[p] for p in spine_perms)
+    spine_idx = tuple(perms.index(p) for p in spine_perms)
 
     a_map, b_map, c_map, d_map = (
         tuple(map(tuple, build(n))) for build in (_build_a, _build_b, _build_c, _build_d)
     )
-    a_off, b_off = _build_a_vec(n), _build_b_vec(n)
     j_mat = tuple(tuple(2 if i == j else 1 for j in range(m)) for i in range(m))
-
-    ident = _permutation_ints(tuple(range(n)))
-    if matvec(a_map, ident) != _permutation_ints(tuple(range(m))):
-        raise BirkhoffError("dropping the last row and column broke on the identity")
-    for p in perms:
-        v = _permutation_ints(p)
-        rebuilt = matvec(b_map, matvec(a_map, v))
-        if [x + y for x, y in zip(rebuilt, a_off)] != v:
-            raise BirkhoffError("reconstruction from the truncated matrix failed")
-    targets = {(0,) * (m * m)} | {
-        tuple(int(j == i) for j in range(m * m)) for i in range(n - 1)
-    }
-    images = set()
-    for p in spine_perms:
-        moved = matvec(c_map, matvec(a_map, _permutation_ints(p)))
-        images.add(tuple(x + y for x, y in zip(moved, b_off)))
-    if images != targets:
-        raise BirkhoffError("spine did not land on the coordinate vectors")
-
-    return BirkhoffContext(
+    ctx = BirkhoffContext(
         n,
         m,
         perms,
@@ -202,10 +177,24 @@ def birkhoff_context(n: int) -> BirkhoffContext:
         b_map,
         c_map,
         d_map,
-        QVector(a_off),
-        QVector(b_off),
+        tuple(_build_a_vec(n)),
+        tuple(_build_b_vec(n)),
         j_mat,
     )
+
+    # vertices[0] is the identity permutation.
+    if tuple(matvec(a_map, vertices[0])) != permutation_vector(range(m)):
+        raise BirkhoffError("dropping the last row and column broke on the identity")
+    for v in vertices:
+        rebuilt = matvec(b_map, matvec(a_map, v))
+        if tuple(x + y for x, y in zip(rebuilt, ctx.a_vec)) != v:
+            raise BirkhoffError("reconstruction from the truncated matrix failed")
+    targets = {(0,) * (m * m)} | {
+        tuple(int(j == i) for j in range(m * m)) for i in range(n - 1)
+    }
+    if {_reposition(ctx, u) for u in spine_vectors} != targets:
+        raise BirkhoffError("spine did not land on the coordinate vectors")
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -263,7 +252,7 @@ def projected_birkhoff(ctx: BirkhoffContext) -> Polytope:
         )
     images = _projected_images(ctx)
     for i in ctx.spine_vertex_indices:
-        if not images[i].is_zero():
+        if any(images[i]):
             raise BirkhoffError("a spine vertex has a nonzero projected image")
     # The spine images are the origin, interior for n >= 3, and every other
     # image is a vertex: the map's kernel on the hull is the spine's span,
@@ -271,25 +260,31 @@ def projected_birkhoff(ctx: BirkhoffContext) -> Polytope:
     spine_set = set(ctx.spine_vertex_indices)
     p = make_polytope([v for i, v in enumerate(images) if i not in spine_set])
     if n >= 3 and not (
-        p.dim == m * (m - 1) and _strictly_inside(QVector.zero(m * (m - 1)), p)
+        p.dim == m * (m - 1) and _strictly_inside((0,) * (m * (m - 1)), p)
     ):
         raise BirkhoffError("origin should be interior to the projected polytope")
     return p
 
 
-def _projected_images(ctx: BirkhoffContext) -> list[QVector]:
-    """D(C(A v) + b) for every vertex v, on integer coordinates."""
-    b = [x.numerator for x in ctx.b_vec]
-    images = []
-    for v in ctx.vertices:
-        moved = matvec(ctx.c_map, matvec(ctx.a_map, [x.numerator for x in v]))
-        images.append(QVector(matvec(ctx.d_map, [x + y for x, y in zip(moved, b)])))
-    return images
+def _reposition(ctx: BirkhoffContext, v: Sequence[int]) -> IntVector:
+    """C(A v) + b, which moves the spine onto {0, e_1, ..., e_(n-1)}."""
+    return tuple(x + y for x, y in zip(matvec(ctx.c_map, matvec(ctx.a_map, v)), ctx.b_vec))
 
 
-def _strictly_inside(x: QVector, p: Polytope) -> bool:
-    # For a full-dimensional p, the interior is strict on every facet.
-    return all(f.normal.dot(x) < f.offset for f in p.facets())
+def _projected_images(ctx: BirkhoffContext) -> list[IntVector]:
+    """D(C(A v) + b) for every vertex v."""
+    return [tuple(matvec(ctx.d_map, _reposition(ctx, v))) for v in ctx.vertices]
+
+
+def _strictly_inside(x: Sequence, p: Polytope) -> bool:
+    """Whether the rational point x is on no facet hyperplane of p and beyond
+    none, by the validator's integer facet test; for a full-dimensional p
+    that is the interior."""
+    amb, q = scaled_ints([x])
+    try:
+        return facet_masks(p.facets(), amb, q) == [0]
+    except PolytopeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -317,7 +312,7 @@ def verify_birkhoff_volume_relation(ctx: BirkhoffContext) -> VolumeRelationRepor
     n, m = ctx.n, ctx.m
     if n not in (3, 4):
         raise BirkhoffError("the volume relation is computed for n = 3 or 4 only")
-    truncated = make_polytope([QVector(matvec(ctx.a_map, v)) for v in ctx.vertices])
+    truncated = make_polytope([matvec(ctx.a_map, v) for v in ctx.vertices])
     vol_ab = polytope_volume(truncated).volume
     if vol_ab is None:
         raise BirkhoffError("the truncated polytope is not full-dimensional")
@@ -330,13 +325,10 @@ def verify_birkhoff_volume_relation(ctx: BirkhoffContext) -> VolumeRelationRepor
     rhs = vol_hat * Fraction(1, math.factorial(n - 1)) * Fraction(n) ** (n - 1)
     relation_ok = lhs == rhs
 
-    def reposition(v: QVector) -> QVector:
-        return QVector(matvec(ctx.c_map, matvec(ctx.a_map, v))) + ctx.b_vec
-
-    repositioned = make_polytope([reposition(v) for v in ctx.vertices])
-    index_of = {v: i for i, v in enumerate(repositioned.vertices)}
-    spine_idx = [index_of[reposition(u)] for u in ctx.spine_vectors]
-    rep = lifting_relation_report(spine(repositioned, spine_idx))
+    # make_polytope keeps the input order and C is unimodular, so vertex i
+    # of the repositioned polytope is the image of vertex i.
+    repositioned = make_polytope([_reposition(ctx, v) for v in ctx.vertices])
+    rep = lifting_relation_report(spine(repositioned, ctx.spine_vertex_indices))
     # The coordinate-drop projection is an isometry on the spine's
     # orthogonal complement, so the shadow volume is the projected volume.
     cross_ok = rep.holds and rep.vol_shadow_sq == vol_hat * vol_hat

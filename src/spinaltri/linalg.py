@@ -75,9 +75,12 @@ def _check_token(s: str) -> None:
 
 def parse_rational(s: str) -> Fraction:
     """The rational a string names, as Fraction() reads it, within
-    MAX_TOKEN_DIGITS."""
+    MAX_TOKEN_DIGITS.  The stripped token must be ASCII with no underscore,
+    so that 1_0 or a non-ASCII digit never aliases a plain number."""
     token = s.strip()
     _check_token(token)
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"{s!r} has an underscore or a non-ASCII character")
     try:
         return Fraction(token)
     except ZeroDivisionError:

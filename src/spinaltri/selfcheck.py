@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction
 
-from .linalg import QVector, det, matvec
+from .linalg import det, matvec
 from .polytope import Polytope, extreme_points, make_polytope
 from .spine import enumerate_spines, spine
 from .everest import (
@@ -95,9 +95,7 @@ class Workspace:
     def cube(self, d: int) -> Polytope:
         return self._get(
             ("cube", d),
-            lambda: make_polytope(
-                [QVector(b) for b in itertools.product((0, 1), repeat=d)]
-            ),
+            lambda: make_polytope(list(itertools.product((0, 1), repeat=d))),
         )
 
     def cube_spine(self, d: int):
@@ -107,9 +105,7 @@ class Workspace:
 
     def simplex(self, d: int) -> Polytope:
         def build():
-            pts = [QVector([0] * d)] + [
-                QVector([1 if j == i else 0 for j in range(d)]) for i in range(d)
-            ]
+            pts = [(0,) * d] + [tuple(int(j == i) for j in range(d)) for i in range(d)]
             return make_polytope(pts)
 
         return self._get(("simplex", d), build)
@@ -280,7 +276,7 @@ def check_birkhoff_identities(ws: Workspace):
     for n in (3, 4, 5):
         ctx = ws.birkhoff(n)  # context construction verifies B(Av) + a = v
         recon = all(
-            QVector(matvec(ctx.b_map, matvec(ctx.a_map, v))) + ctx.a_vec == v
+            tuple(map(sum, zip(matvec(ctx.b_map, matvec(ctx.a_map, v)), ctx.a_vec))) == v
             for v in ctx.vertices
         )
         rep = determinant_identities(ctx)
@@ -339,7 +335,7 @@ def _random_polytope(rng: random.Random, dims=(2, 2, 3, 3, 3)) -> Polytope:
             q = tuple(rng.randint(-3, 3) for _ in range(d))
             if q not in seen:
                 seen.add(q)
-                pts.append(QVector(q))
+                pts.append(q)
         ext = extreme_points(pts)
         if len(ext) < d + 1:
             continue
@@ -401,9 +397,9 @@ def run_selftest(only: str | None = None) -> int:
     for number, (name, fn) in enumerate(CRITERIA, start=1):
         if only is not None and only not in (str(number), name):
             continue
-        start = time.time()
+        start = time.perf_counter()
         ok, detail = fn(ws)
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         status = "PASS" if ok else "FAIL"
         print(f"criterion {number:2d} {name:28s} {status}  ({elapsed:.1f}s)")
         if not ok:

@@ -44,13 +44,13 @@ class TestContext:
         for n in (3, 4, 5):
             ctx = birkhoff_context(n)
             a, b = QMatrix(ctx.a_map), QMatrix(ctx.b_map)
-            for v in ctx.vertices:
-                assert b @ (a @ v) + ctx.a_vec == v
+            for v in map(QVector, ctx.vertices):
+                assert b @ (a @ v) + QVector(ctx.a_vec) == v
 
     def test_truncation_of_identity(self):
         ctx = birkhoff_context(4)
-        ident4 = permutation_vector((0, 1, 2, 3))
-        ident3 = permutation_vector((0, 1, 2))
+        ident4 = QVector(permutation_vector((0, 1, 2, 3)))
+        ident3 = QVector(permutation_vector((0, 1, 2)))
         assert QMatrix(ctx.a_map) @ ident4 == ident3
 
     def test_out_of_range(self):
@@ -66,10 +66,9 @@ class TestContext:
         assert len(p.facets()) == 9
         assert is_spine(p, ctx.spine_vertex_indices)
 
-
     def test_truncated_n4_facets(self):
         ctx = birkhoff_context(4)
-        p = make_polytope([QMatrix(ctx.a_map) @ v for v in ctx.vertices])
+        p = make_polytope([QMatrix(ctx.a_map) @ QVector(v) for v in ctx.vertices])
         assert p.dim == 9
         fs = p.facets()
         assert len(fs) == 16
@@ -80,6 +79,31 @@ def is_int_rows(m) -> bool:
     return type(m) is tuple and all(
         type(r) is tuple and all(type(x) is int for x in r) for r in m
     )
+
+
+def former_permutation_ints(perm) -> list[int]:
+    """The former flattening of a permutation matrix, rows concatenated."""
+    n = len(perm)
+    entries = [0] * (n * n)
+    for i, j in enumerate(perm):
+        entries[i * n + j] = 1
+    return entries
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_vectors_are_int_tuples(n):
+    """Every vector of the context is a tuple of int, each vector family a
+    tuple of those, equal entry by entry to the former construction."""
+    ctx = birkhoff_context(n)
+    for name in ("vertices", "spine_vectors"):
+        assert is_int_rows(getattr(ctx, name)), name
+    for name in ("a_vec", "b_vec"):
+        assert is_int_rows((getattr(ctx, name),)), name
+    assert ctx.a_vec == tuple(birkhoff._build_a_vec(n))
+    assert ctx.b_vec == tuple(birkhoff._build_b_vec(n))
+    for perms, vectors in ((ctx.perms, ctx.vertices), (ctx.spine_perms, ctx.spine_vectors)):
+        assert [list(v) for v in vectors] == [former_permutation_ints(q) for q in perms]
+    assert is_int_rows((permutation_vector(range(n)),))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -134,7 +158,7 @@ class TestProjection:
     def test_n3_three_nonzero_images(self):
         ctx = birkhoff_context(3)
         a, c, d = QMatrix(ctx.a_map), QMatrix(ctx.c_map), QMatrix(ctx.d_map)
-        images = [d @ (c @ (a @ v) + ctx.b_vec) for v in ctx.vertices]
+        images = [d @ (c @ (a @ QVector(v)) + QVector(ctx.b_vec)) for v in ctx.vertices]
         nonzero = [w for w in images if not w.is_zero()]
         assert len(nonzero) == 3
         p = projected_birkhoff(ctx)
@@ -153,7 +177,7 @@ class TestProjection:
         the former LP extreme_points keeps, in order; n = 5 then fails the
         vertex cap."""
         ctx = birkhoff_context(n)
-        images = _projected_images(ctx)
+        images = [QVector(w) for w in _projected_images(ctx)]
         ext = lp_extreme_points(images)
         spine_set = set(ctx.spine_vertex_indices)
         assert ext == [v for i, v in enumerate(images) if i not in spine_set]
@@ -167,15 +191,47 @@ class TestProjection:
         ctx = birkhoff_context(4)
         a, c, d = QMatrix(ctx.a_map), QMatrix(ctx.c_map), QMatrix(ctx.d_map)
         for i in ctx.spine_vertex_indices:
-            img = d @ (c @ (a @ ctx.vertices[i]) + ctx.b_vec)
+            img = d @ (c @ (a @ QVector(ctx.vertices[i])) + QVector(ctx.b_vec))
             assert img.is_zero()
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_strictly_inside_agrees_with_the_lp(self, n):
+        """The origin and a rational interior point, a vertex, twice a vertex
+        (outside), and a facet's vertex centroid (on the boundary, no
+        vertex)."""
         p = projected_birkhoff(birkhoff_context(n))
-        origin = QVector.zero(p.ambient_dim)
-        for x, inside in ((origin, True), (p.vertices[0], False)):
-            assert _strictly_inside(x, p) == lp_strictly_inside(x, p) == inside
+        v0, v1 = p.vertices[:2]
+        incident = p.facets()[0].incident
+        centroid = sum((p.vertices[i] for i in incident), QVector.zero(p.ambient_dim))
+        centroid = centroid * Fraction(1, len(incident))
+        assert centroid not in p.vertices
+        probes = [
+            (QVector.zero(p.ambient_dim), True),
+            ((v0 + v1) * Fraction(1, 3), True),
+            (v0, False),
+            (v0 * 2, False),
+            (centroid, False),
+        ]
+        for x, inside in probes:
+            assert _strictly_inside(x, p) == lp_strictly_inside(x, p) == inside, x
+        assert _strictly_inside((0,) * p.ambient_dim, p)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_repositioned_spine_keeps_the_context_indices(self, n):
+        """The former Fraction reposition C(A v) + b agrees with the integer
+        one, and the former lookup of each repositioned spine vector among
+        the repositioned polytope's vertices gives the context's indices."""
+        ctx = birkhoff_context(n)
+        a, c = QMatrix(ctx.a_map), QMatrix(ctx.c_map)
+
+        def reposition(v):
+            return c @ (a @ QVector(v)) + QVector(ctx.b_vec)
+
+        moved = [reposition(v) for v in ctx.vertices]
+        assert [QVector(birkhoff._reposition(ctx, v)) for v in ctx.vertices] == moved
+        index_of = {v: i for i, v in enumerate(make_polytope(moved).vertices)}
+        got = tuple(index_of[reposition(u)] for u in ctx.spine_vectors)
+        assert got == ctx.spine_vertex_indices
 
 
 def lp_strictly_inside(x: QVector, p: Polytope) -> bool:

@@ -194,7 +194,7 @@ def test_agrees_on_lower_dimensional_embedding():
 
 def truncated_b4():
     ctx = birkhoff_context(4)
-    return make_polytope([QMatrix(ctx.a_map) @ v for v in ctx.vertices])
+    return make_polytope([QMatrix(ctx.a_map) @ QVector(v) for v in ctx.vertices])
 
 
 LARGE_INSTANCES = pytest.mark.parametrize(

@@ -17,7 +17,7 @@ The library's former Fraction code is kept here verbatim as the oracle:
 - `fraction_projected_images` and `fraction_determinant_identities`: the
   former images D(C(A v) + b) of `projected_birkhoff` and the former
   `determinant_identities`, both on the context's integer rows wrapped in
-  the oracle `QMatrix`.
+  the oracle `QMatrix` and its integer vectors wrapped in `QVector`.
 
 The library must give equal coordinates, Gram determinants, facets (normal,
 offset and incidence), projectors, images and accept/reject answers with
@@ -56,6 +56,7 @@ from spinaltri.triangulation import (
 )
 from spinaltri.volume import polytope_relative_volume
 from linalg_oracle import QMatrix, det, hull_coords, inverse, kernel_basis, rank, unit
+from test_birkhoff import is_int_rows
 from test_validate_oracle import simplex_relative_volume
 
 
@@ -306,8 +307,8 @@ def kernel_validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
 
 def fraction_birkhoff_checks(n, vertices, spine_vectors, a_map, b_map, c_map, a_vec, b_vec):
     m = n - 1
-    ident = birkhoff.permutation_vector(tuple(range(n)))
-    if a_map @ ident != birkhoff.permutation_vector(tuple(range(m))):
+    ident = QVector(birkhoff.permutation_vector(tuple(range(n))))
+    if a_map @ ident != QVector(birkhoff.permutation_vector(tuple(range(m)))):
         raise birkhoff.BirkhoffError("dropping the last row and column broke on the identity")
     for v in vertices:
         if b_map @ (a_map @ v) + a_vec != v:
@@ -322,7 +323,7 @@ def fraction_birkhoff_checks(n, vertices, spine_vectors, a_map, b_map, c_map, a_
 
 def fraction_projected_images(ctx) -> list[QVector]:
     a, c, d = QMatrix(ctx.a_map), QMatrix(ctx.c_map), QMatrix(ctx.d_map, cols=ctx.m**2)
-    return [d @ (c @ (a @ v) + ctx.b_vec) for v in ctx.vertices]
+    return [d @ (c @ (a @ QVector(v)) + QVector(ctx.b_vec)) for v in ctx.vertices]
 
 
 def fraction_determinant_identities(ctx) -> birkhoff.DeterminantReport:
@@ -561,13 +562,24 @@ def test_validators_agree_on_mapped_double_covers():
 def test_birkhoff_checks_match(n):
     ctx = birkhoff.birkhoff_context(n)
     a, b, c = map(QMatrix, (ctx.a_map, ctx.b_map, ctx.c_map))
-    fraction_birkhoff_checks(n, ctx.vertices, ctx.spine_vectors, a, b, c, ctx.a_vec, ctx.b_vec)
+    fraction_birkhoff_checks(
+        n,
+        [QVector(v) for v in ctx.vertices],
+        [QVector(u) for u in ctx.spine_vectors],
+        a,
+        b,
+        c,
+        QVector(ctx.a_vec),
+        QVector(ctx.b_vec),
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_birkhoff_images_and_determinants_match(n):
     ctx = birkhoff.birkhoff_context(n)
-    assert birkhoff._projected_images(ctx) == fraction_projected_images(ctx)
+    images = birkhoff._projected_images(ctx)
+    assert is_int_rows(tuple(images))
+    assert [QVector(w) for w in images] == fraction_projected_images(ctx)
     report = birkhoff.determinant_identities(ctx)
     assert report == fraction_determinant_identities(ctx)
     assert type(report.det_btb) is Fraction and report.all_ok
@@ -578,7 +590,7 @@ def test_birkhoff_polytopes_match(n):
     """The truncated and the projected B3 and B4, and B3 itself in R^9."""
     ctx = birkhoff.birkhoff_context(n)
     rng = random.Random(n)
-    assert_same_frame(make_polytope([QMatrix(ctx.a_map) @ v for v in ctx.vertices]), rng)
+    assert_same_frame(make_polytope([QMatrix(ctx.a_map) @ QVector(v) for v in ctx.vertices]), rng)
     assert_same_frame(birkhoff.projected_birkhoff(ctx), rng)
     if n == 3:
         assert_same_frame(make_polytope(ctx.vertices), rng)
@@ -618,8 +630,8 @@ def test_birkhoff_checks_reject_alike(n, builder):
     with pytest.raises(birkhoff.BirkhoffError) as want:
         fraction_birkhoff_checks(
             n,
-            [birkhoff.permutation_vector(q) for q in perms],
-            [birkhoff.permutation_vector(q) for q in spine_perms],
+            [QVector(birkhoff.permutation_vector(q)) for q in perms],
+            [QVector(birkhoff.permutation_vector(q)) for q in spine_perms],
             maps["_build_a"],
             maps["_build_b"],
             maps["_build_c"],

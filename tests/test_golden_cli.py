@@ -173,6 +173,15 @@ _BAD_DOCS = {
     "bad-long-numerator": json.dumps(
         {"ambient_dim": 2, "vertices": [["7" * 5000, "0"], ["0", "1"]]}
     ),
+    # Fraction() reads each of these as 3 or 10; as coordinates they are refused.
+    **{
+        name: json.dumps({"ambient_dim": 2, "vertices": [[tok, "0"], ["0", "1"], ["0", "0"]]})
+        for name, tok in (
+            ("bad-arabic-indic-digit", "\u0663"),
+            ("bad-fullwidth-digit", "\uff13"),
+            ("bad-underscore", "1_0"),
+        )
+    },
 }
 
 _BAD_STARS = {

@@ -512,6 +512,18 @@ class TestTokenBound:
         assert parse_rational(" 1.5e-3 ") == Fraction(3, 2000)
         assert parse_rational("-.5") == Fraction(-1, 2)
 
+    @pytest.mark.parametrize(
+        "token,alias",
+        [("٣", 3), ("３", 3), ("1_0", 10), (" 1_0 ", 10), ("1/٢", Fraction(1, 2)), ("1e1_0", 10**10)],
+    )
+    def test_aliases_refused(self, token, alias):
+        """Fraction() reads these as another spelling of a value; as input
+        they are refused, quoted as given."""
+        assert Fraction(token) == alias
+        with pytest.raises(ValueError) as err:
+            parse_rational(token)
+        assert str(err.value) == f"{token!r} has an underscore or a non-ASCII character"
+
     def test_other_errors_unchanged(self):
         with pytest.raises(ValueError, match="zero denominator in ' 1/0'"):
             parse_rational(" 1/0")

@@ -194,7 +194,7 @@ def cube(d: int) -> Polytope:
 
 def truncated_b4() -> Polytope:
     ctx = birkhoff_context(4)
-    return make_polytope([QMatrix(ctx.a_map) @ v for v in ctx.vertices])
+    return make_polytope([QMatrix(ctx.a_map) @ QVector(v) for v in ctx.vertices])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import math
 import random
@@ -947,3 +948,83 @@ class TestValidate:
             order = list(range(8))
             rng.shuffle(order)
             assert validate(pulling_triangulation(p, order), p)
+
+
+HEXAGON = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
+HEXAGON_FAN = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5))
+
+
+class TestEveryReason:
+    """One hand-made cell set for each reason validate_detailed gives, with
+    the exact reason: a check that names another failure first fails here.
+    Each case is (vertices of P, points or None for the vertices, cells,
+    reason)."""
+
+    CASES = [
+        ([(2, 3)], None, ((0,), (0,)), "a point polytope is triangulated by itself only"),
+        (
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+            [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
+            ((0, 1, 3), (0, 2, 3)),
+            "a point lies outside the affine hull of the polytope",
+        ),
+        (HEXAGON, None, (), "no maximal simplices"),
+        (HEXAGON, None, ((0, 1, 1),), "cell (0, 1, 1) does not have 3 distinct vertices"),
+        (HEXAGON, None, ((0, 1, 6),), "cell (0, 1, 6) references a missing point"),
+        (HEXAGON, HEXAGON + [(0, 0)], ((0, 3, 6),), "cell (0, 3, 6) is degenerate"),
+        (HEXAGON, None, ((0, 1, 2),), "cell volumes sum to 1/2, polytope volume is 3"),
+        (HEXAGON, HEXAGON + [(0, 0)], HEXAGON_FAN, "some points are not vertices of any cell"),
+        (
+            HEXAGON,
+            [(x + 5, y + 5) for x, y in HEXAGON],
+            HEXAGON_FAN,
+            "point 0 lies outside the polytope",
+        ),
+        # The last three are the first sets of the hexagon's triangles with
+        # their reason, the 20 triangles taken in combinations order and the
+        # sets in the order of their bitmasks.
+        (
+            HEXAGON,
+            None,
+            ((0, 1, 2), (0, 1, 5), (0, 2, 3), (0, 3, 4)),
+            "boundary ridge (0, 1) belongs to 2 cells",
+        ),
+        (
+            HEXAGON,
+            None,
+            ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)),
+            "interior ridge (0, 2) belongs to 1 cells",
+        ),
+        (
+            HEXAGON,
+            None,
+            ((0, 1, 3), (0, 2, 3), (0, 4, 5), (1, 2, 3)),
+            "the cells on ridge (0, 3) lie on the same side of it",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "verts,points,cells,reason",
+        CASES,
+        ids=[
+            "point-polytope",
+            "off-the-hull",
+            "no-cells",
+            "repeated-vertex",
+            "missing-point",
+            "degenerate",
+            "volume",
+            "unused-point",
+            "beyond-a-facet",
+            "boundary-ridge",
+            "interior-ridge",
+            "same-side",
+        ],
+    )
+    def test_names_this_failure(self, verts, points, cells, reason):
+        p = make_polytope([QVector(v) for v in verts])
+        pts = p.vertices if points is None else tuple(QVector(q) for q in points)
+        assert validate_detailed(Triangulation(pts, cells, p.dim), p) == (False, reason)
+
+    def test_every_reason_has_a_case(self):
+        assert inspect.getsource(validate_detailed).count("return False") == len(self.CASES)
