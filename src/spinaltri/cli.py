@@ -197,6 +197,7 @@ def cmd_lift(args) -> int:
     sm = shadow(sp)
     doc = sio.load_json(args.star, "triangulation")
     simplices = sio.simplices_from_doc(doc, len(sm.star_points))
+    sio.check_star_doc(doc, sm.e, sm.star_points)
     star = Triangulation.make(sm.star_points, simplices, sm.e)
     lifted = lift(star, sm)
     _emit(sio.triangulation_to_doc(lifted), _triangulation_lines(lifted), args)

@@ -8,7 +8,7 @@ meaningful: it is the default total order used by the pulling constructions.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Sequence
 
 from .linalg import QVector, format_rational, parse_rational
 from .polytope import Polytope, make_polytope
@@ -50,30 +50,37 @@ def polytope_to_doc(p: Polytope) -> dict[str, Any]:
 def polytope_from_doc(doc: dict[str, Any]) -> Polytope:
     dim, raw = _json_object(doc, "polytope", ("ambient_dim", "vertices"))
     dim = _json_int(dim, "ambient_dim")
+    vertices = _rational_rows(raw, "vertices", "vertex")
+    if any(len(v) != dim for v in vertices):
+        raise DocumentError("vertex dimension disagrees with ambient_dim")
+    return make_polytope(vertices)
+
+
+def _rational_rows(raw: Any, name: str, item: str) -> list[QVector]:
+    """A JSON list of coordinate lists as QVectors.  Errors call the list
+    ``name`` and a row ``item``."""
     if type(raw) is not list:
-        raise DocumentError(f"vertices is {json.dumps(raw)}, not a list of coordinate lists")
+        raise DocumentError(f"{name} is {json.dumps(raw)}, not a list of coordinate lists")
     for i, row in enumerate(raw):
         if type(row) is not list:
-            raise DocumentError(f"vertex {i} is {json.dumps(row)}, not a list of coordinates")
+            raise DocumentError(f"{item} {i} is {json.dumps(row)}, not a list of coordinates")
         for j, x in enumerate(row):
             # JSON strings and numbers only; floats arrive as strings from
-            # load_polytope, so they are read exactly.
+            # load_json, so they are read exactly.
             if type(x) not in (str, int, float):
                 raise DocumentError(
-                    f"vertex {i} coordinate {j} is {json.dumps(x)}, not a rational"
+                    f"{item} {i} coordinate {j} is {json.dumps(x)}, not a rational"
                 )
-    vertices = []
+    rows = []
     for i, row in enumerate(raw):
         coords = []
         for j, x in enumerate(row):
             try:
                 coords.append(parse_rational(str(x)))
             except ValueError as exc:
-                raise DocumentError(f"vertex {i} coordinate {j}: {exc}") from None
-        vertices.append(QVector(coords))
-    if any(len(v) != dim for v in vertices):
-        raise DocumentError("vertex dimension disagrees with ambient_dim")
-    return make_polytope(vertices)
+                raise DocumentError(f"{item} {i} coordinate {j}: {exc}") from None
+        rows.append(QVector(coords))
+    return rows
 
 
 def _json_int_token(token: str) -> int:
@@ -134,3 +141,15 @@ def simplices_from_doc(doc: dict[str, Any], n_points: int) -> list[tuple[int, ..
             raise DocumentError(f"cell {list(c)} is given twice")
         seen.add(frozenset(c))
     return cells
+
+
+def check_star_doc(doc: dict[str, Any], dim: int, points: Sequence[QVector]) -> None:
+    """A star file's optional "dim" and "shadow_points", as ``fold`` writes
+    them, must be the shadow's dimension and its point table."""
+    if "dim" in doc and _json_int(doc["dim"], "dim") != dim:
+        raise DocumentError(f"dim {doc['dim']} is not the shadow's dimension {dim}")
+    if "shadow_points" not in doc:
+        return
+    rows = _rational_rows(doc["shadow_points"], "shadow_points", "shadow point")
+    if rows != list(points):
+        raise DocumentError("shadow_points are not the shadow points of this spine")

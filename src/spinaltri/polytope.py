@@ -46,10 +46,6 @@ class NotInConvexPosition(PolytopeError):
         self.index = index
 
 
-class DegeneratePolytope(PolytopeError):
-    pass
-
-
 def max_ambient_dim() -> int:
     """Desk-scale ambient dimension cap; override via SPINALTRI_MAX_DIM."""
     raw = os.environ.get(ENV_MAX_DIM)
@@ -144,14 +140,9 @@ class Polytope:
         return self._facets
 
     def incidence_masks(self) -> list[int]:
-        """The facets' vertex sets as bitmasks, in facet order; none for a
-        single point."""
+        """The facets' vertex sets as bitmasks, in facet order."""
         if self._masks is None:
-            self._masks = (
-                [vertex_mask(f.incident) for f in self.facets()]
-                if self.n_vertices > 1
-                else []
-            )
+            self._masks = [vertex_mask(f.incident) for f in self.facets()]
         return self._masks
 
     def contains(self, x: QVector) -> bool:
@@ -161,8 +152,6 @@ class Polytope:
             raise DimensionError(
                 f"point of dim {len(x)} against ambient dim {self.ambient_dim}"
             )
-        if self.n_vertices == 1:
-            return x == self.vertices[0]
         amb, q = scaled_ints([x])
         try:
             hull_ints(self.frame(), amb, q)
@@ -412,10 +401,10 @@ def frame_coords(p: Polytope, point: QVector) -> QVector:
 
 def _enumerate_facets(p: Polytope) -> list[Facet]:
     """The canonical facets, sorted, from one double description on p's
-    hull coordinates."""
+    hull coordinates.  A point is its own affine hull, so it has none."""
     k = p.dim
     if k == 0:
-        raise DegeneratePolytope("a single point has no facets")
+        return []
     fr = p.frame()
     keyed = []
     n = len(fr.ivertices)

@@ -49,11 +49,8 @@ def triangulation_relative_volume(p: Polytope, simplices) -> Fraction:
 def polytope_relative_volume(p: Polytope) -> Fraction:
     """Hull-frame volume of p via a pulling triangulation (cached)."""
     if p._relvol is None:
-        if p.dim == 0:
-            p._relvol = Fraction(0)
-        else:
-            t = pulling_triangulation(p)
-            p._relvol = triangulation_relative_volume(p, t.simplices)
+        t = pulling_triangulation(p)
+        p._relvol = triangulation_relative_volume(p, t.simplices)
     return p._relvol
 
 
@@ -61,16 +58,15 @@ def polytope_volume(p: Polytope, order: Sequence[int] | None = None) -> VolumeRe
     """Triangulate-and-sum volume.
 
     Full-dimensional polytopes report the rational volume and its square;
-    lower-dimensional ones report the (rational) squared volume only.
+    lower-dimensional ones, a point among them, report the (rational)
+    squared volume only.  An identity frame has ``gram_det`` 1.
     """
-    if p.dim == 0:
-        return VolumeReport(0, 0, Fraction(0), Fraction(0))
     t = pulling_triangulation(p, order)
     rel = triangulation_relative_volume(p, t.simplices)
     fr = p.frame()
-    if fr.identity:
-        return VolumeReport(p.dim, t.n_simplices, rel * rel, rel)
-    return VolumeReport(p.dim, t.n_simplices, rel * rel * fr.gram_det, None)
+    return VolumeReport(
+        fr.dim, t.n_simplices, rel * rel * fr.gram_det, rel if fr.identity else None
+    )
 
 
 @dataclass(frozen=True)
@@ -106,10 +102,7 @@ def lifting_relation_report(s: Spine) -> LiftingRelationReport:
     vol_p_sq = _sq_volume(p)
     sm = shadow(s)
     vol_u_sq = sm.spine_sq_volume
-    if sm.e == 0:
-        vol_shadow_sq = Fraction(1)  # the shadow is a single point
-    else:
-        vol_shadow_sq = _sq_volume(shadow_polytope(sm))
+    vol_shadow_sq = _sq_volume(shadow_polytope(sm))
     return LiftingRelationReport(
         math.comb(d, s.n - 1), vol_p_sq, vol_u_sq, vol_shadow_sq
     )

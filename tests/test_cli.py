@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -199,6 +200,97 @@ def test_lift_rejects_bad_star(capsys, cube_file, tmp_path, edit, message):
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _unreduced(doc):
+    """fold's document with every shadow coordinate p/q written as 2p/2q."""
+    rows = [[Fraction(x) for x in row] for row in doc["shadow_points"]]
+    points = [[f"{2 * x.numerator}/{2 * x.denominator}" for x in row] for row in rows]
+    return {**doc, "shadow_points": points}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda doc: doc, lambda doc: {**doc, "dim": 2}, _unreduced],
+    ids=["as-folded", "dim", "unreduced-rationals"],
+)
+def test_lift_reads_folds_whole_document(capsys, cube_file, tmp_path, edit):
+    _, out = run(capsys, "fold", cube_file, "--set", "0,7")
+    star_path = tmp_path / "star.json"
+    star_path.write_text(json.dumps(edit(json.loads(out))))
+    code, out = run(capsys, "lift", cube_file, "--set", "0,7", "--star", str(star_path))
+    assert code == 0
+    assert len(json.loads(out)["simplices"]) == 6
+
+
+SHADOW_MISMATCH = "shadow_points are not the shadow points of this spine"
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: {**doc, "dim": 9}, "dim 9 is not the shadow's dimension 2"),
+        (lambda doc: {**doc, "dim": 3}, "dim 3 is not the shadow's dimension 2"),
+        (lambda doc: {**doc, "dim": "x"}, 'dim "x" is not an integer'),
+        (lambda doc: {**doc, "dim": True}, "dim true is not an integer"),
+        (lambda doc: {**doc, "dim": None}, "dim null is not an integer"),
+        (
+            lambda doc: {**doc, "shadow_points": 5},
+            "shadow_points is 5, not a list of coordinate lists",
+        ),
+        (
+            lambda doc: {**doc, "shadow_points": doc["shadow_points"][:1] + ["000"]},
+            'shadow point 1 is "000", not a list of coordinates',
+        ),
+        (
+            lambda doc: {**doc, "shadow_points": [[None, "0", "0"]]},
+            "shadow point 0 coordinate 0 is null, not a rational",
+        ),
+        (
+            lambda doc: {**doc, "shadow_points": [["1/0", "0", "0"]]},
+            "shadow point 0 coordinate 0: zero denominator in '1/0'",
+        ),
+        (lambda doc: {**doc, "shadow_points": doc["shadow_points"][:-1]}, SHADOW_MISMATCH),
+        (lambda doc: {**doc, "shadow_points": doc["shadow_points"][::-1]}, SHADOW_MISMATCH),
+        (lambda doc: {**doc, "shadow_points": []}, SHADOW_MISMATCH),
+    ],
+    ids=[
+        "dim-9",
+        "dim-of-the-polytope",
+        "string-dim",
+        "boolean-dim",
+        "null-dim",
+        "number-points",
+        "string-point",
+        "null-coordinate",
+        "zero-denominator",
+        "dropped-point",
+        "reversed-points",
+        "no-points",
+    ],
+)
+def test_lift_checks_star_dim_and_shadow_points(capsys, cube_file, tmp_path, edit, message):
+    _, out = run(capsys, "fold", cube_file, "--set", "0,7")
+    star_path = tmp_path / "star.json"
+    star_path.write_text(json.dumps(edit(json.loads(out))))
+    code = main(["lift", cube_file, "--set", "0,7", "--star", str(star_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_lift_refuses_another_spines_fold(capsys, cube_file, tmp_path):
+    # Without the shadow points this star fails only in validation.
+    _, out = run(capsys, "fold", cube_file, "--set", "0,7")
+    star_path = tmp_path / "star.json"
+    star_path.write_text(out)
+    code = main(["lift", cube_file, "--set", "1,6", "--star", str(star_path)])
+    assert (code, capsys.readouterr().err) == (1, f"error: {SHADOW_MISMATCH}\n")
+    star_path.write_text(json.dumps({"simplices": json.loads(out)["simplices"]}))
+    code = main(["lift", cube_file, "--set", "1,6", "--star", str(star_path)])
+    assert code == 1
+    assert "lie on the same side of it" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

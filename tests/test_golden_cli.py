@@ -74,8 +74,19 @@ def test_corpus_replays_byte_for_byte(monkeypatch):
     monkeypatch.chdir(GOLDEN)
     monkeypatch.delenv("SPINALTRI_MAX_DIM", raising=False)
     corpus = load_corpus()
-    changed = [want["argv"] for want in corpus if record(want["argv"]) != want]
-    assert not changed, f"{len(changed)} of {len(corpus)} commands changed: {changed[:10]}"
+    changed = [want for want in corpus if record(want["argv"]) != want]
+    assert not changed, f"{len(changed)} of {len(corpus)} commands changed:\n" + "\n".join(
+        describe_change(want) for want in changed[:10]
+    )
+
+
+def describe_change(want: dict) -> str:
+    """One line on how a recorded command now behaves: its argv, the old and
+    new exit codes, and the first line of the new stdout, or of the new
+    stderr when stdout is empty."""
+    code, out, err = run_command(want["argv"])
+    first = (out or err).partition("\n")[0]
+    return f"  {want['argv']}: exit {want['exit']} -> {code}, now {first!r}"
 
 
 def test_corpus_records_each_argv_once():
@@ -296,6 +307,13 @@ def commands() -> list[list[str]]:
         path = write(f"star-{label}.json", json.dumps({"simplices": cells}) + "\n")
         cmds.append(["lift", cube, "--set", "0,7", "--star", path])
     cmds.append(["lift", cube, "--set", "0,7", "--star", "inputs/missing.json"])
+    # A star file's "dim" and "shadow_points" must be those of the shadow.
+    for label, dim in (("wrong", 9), ("string", "x")):
+        path = write(f"star-dim-{label}.json", json.dumps({**star, "dim": dim}) + "\n")
+        cmds.append(["lift", cube, "--set", "0,7", "--star", path])
+    _, folded, _ = run_command(["fold", str(inputs / "cube3.json"), "--set", "0,7"])
+    path = write("star-folded-cube3-0-7.json", folded)
+    cmds.append(["lift", cube, "--set", "1,6", "--star", path])
     cmds.append(["triangulate", cube, "--spinal"])
     cmds.append(["triangulate", cube, "--spinal", "--set", "0,1"])
     cmds.append(["triangulate", cube, "--order", "0,1,2"])
@@ -304,6 +322,9 @@ def commands() -> list[list[str]]:
     cmds.append(["fold", cube, "--set", "0,7", "--order", "1,0,2,3,4,5,6,7"])
     for argv in (["volume", cube], ["fold", cube, "--set", "0,7"], ["triangulate", cube]):
         cmds.append(argv + ["--order", ""])  # an empty order is no permutation
+    # A point has one vertex, so only the order "0" is a permutation.
+    for order in ("5", "", "0,0"):
+        cmds.append(["volume", "inputs/point.json", "--order", order])
     cmds.append(["spine-enum", cube, "--min-size", "0"])
     cmds.append(["spine-enum", cube, "--min-size", "-1"])
     for tok in ("0_7", "+7", "٧", "7x", "--7", "1.0"):

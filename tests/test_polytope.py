@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from spinaltri.linalg import QVector
 from spinaltri.polytope import (
-    DegeneratePolytope,
     DuplicatePoint,
     NotInConvexPosition,
     extreme_points,
@@ -101,9 +100,12 @@ class TestFacets:
         assert sorted(f.incident for f in fs) == [(0,), (1,)]
 
     def test_point_degenerate(self):
+        # A point is its own affine hull: no inequality defines it.
         p = make_polytope([qv(3, 4)])
-        with pytest.raises(DegeneratePolytope):
-            p.facets()
+        assert p.facets() == []
+        assert p.incidence_masks() == []
+        assert p.contains(qv(3, 4))
+        assert not p.contains(qv(3, 5)) and not p.contains(qv(Fraction(7, 2), 4))
 
     def test_lower_dimensional_triangle_in_r3(self):
         # A triangle embedded in the plane z = 1.

@@ -25,7 +25,6 @@ from spinaltri.birkhoff import birkhoff_context, projected_birkhoff
 from spinaltri.everest import simplotope_with_spine
 from spinaltri.linalg import QVector
 from spinaltri.polytope import (
-    DegeneratePolytope,
     Polytope,
     facets_of_face,
     make_polytope,
@@ -143,8 +142,8 @@ def test_projected_b4_matches_oracle():
 def test_one_vertex_polytope_needs_no_facets():
     p = make_polytope([QVector((1, 2))])
     assert pulling_triangulation(p).simplices == ((0,),)
-    with pytest.raises(DegeneratePolytope):
-        p.facets()
+    assert p.facets() == []
+    assert p.incidence_masks() == []
 
 
 def test_pulling_enumerates_facets_once():

@@ -6,7 +6,6 @@ import pytest
 from spinaltri.everest import EverestParams, everest_polytope, simplotope_with_spine
 from spinaltri.linalg import QVector, gram_sq_volume
 from spinaltri.polytope import (
-    DegeneratePolytope,
     Facet,
     PolytopeError,
     facets_of_face,
@@ -78,7 +77,7 @@ def is_spine_geometric(p, indices):
     if not idx:
         raise SpineError("a spine must be nonempty")
     if p.dim == 0:
-        raise DegeneratePolytope("degenerate polytope")
+        raise PolytopeError("degenerate polytope")
     order = list(idx) + [i for i in range(p.n_vertices) if i not in idx]
     t = pulling_triangulation(p, order)
     spinal = [s for s in t.simplices if set(idx) <= set(s)]

@@ -60,8 +60,12 @@ class TestPolytopeVolume:
         assert rep.volume == 3
 
     def test_point_convention(self):
-        rep = polytope_volume(make_polytope([QVector([2, 3])]))
-        assert rep.volume == 0 and rep.n_simplices == 0
+        # A point is the 0-simplex: one 0-cell, relative volume 1, and no
+        # rational volume, as for every lower-dimensional polytope.
+        p = make_polytope([QVector([2, 3])])
+        rep = polytope_volume(p)
+        assert (rep.dim, rep.n_simplices, rep.sq_volume, rep.volume) == (0, 1, 1, None)
+        assert polytope_relative_volume(p) == 1
 
     def test_lower_dimensional_square_root_free(self):
         # Unit segment along the diagonal of the plane: squared length 2.
