@@ -336,8 +336,6 @@ def gram_sq_volume(points: Sequence[QVector], k: int) -> Fraction:
     dims = {len(p) for p in points}
     if len(dims) > 1:
         raise DimensionError("points of mixed dimension")
-    if k == 0:
-        return Fraction(1)
     ints, q = scaled_ints(points)
     edges = [[a - b for a, b in zip(v, ints[0])] for v in ints[1:]]
     f = math.factorial(k)

@@ -270,7 +270,10 @@ def facets_of_face(face: int, facet_masks: Sequence[int]) -> list[int]:
     """Facets of a face of P as vertex bitmasks: the inclusion-maximal
     nonempty proper sets face & g over the facets g of P (Kaibel and Pfetsch,
     "Computing the face lattice of a polytope from its vertex-facet
-    incidences", Comput. Geom. 2002).
+    incidences", Comput. Geom. 2002).  facet_masks may be the facets of any
+    face E of P that contains `face`, P itself included: every face of
+    `face` is a face of E, cut out by E's facets alone (the diamond
+    property; Ziegler, Lectures on Polytopes, Thm 2.7).
 
     The distinct candidates are visited by popcount, largest first, and one
     is kept unless it lies in a kept one: a candidate that is not maximal

@@ -75,12 +75,15 @@ class _PullContext:
 
     Faces are int bitmasks over P's vertex indices.  The facets of the top
     face are P's own facet masks, pairwise incomparable, and every lower
-    face's come from facets_of_face, so the recursion touches no
-    coordinates.  facets_of_face keeps the maximal candidates by popcount,
-    largest first, so a face's facets arrive in that order; the cells are
-    gathered in a set and sorted, so the order does not reach the result.
-    Each face's pulling triangulation is memoized because neighbouring face
-    chains share lower faces.
+    face's come from facets_of_face on its parent's facet list (a face of
+    a face E is cut out by E's facets alone), so the recursion touches no
+    coordinates and a face scans its parent's few facets, not all of P's.
+    A face pulled with no parent falls back to P's masks.  facets_of_face
+    keeps the maximal candidates by popcount, largest first, so a face's
+    facets arrive in that order; the cells are gathered in a set and
+    sorted, so neither the order nor the parent reaches the result.  Each
+    face's pulling triangulation is memoized on the face alone because
+    neighbouring face chains share lower faces.
     """
 
     def __init__(self, p: Polytope, rank: dict[int, int]):
@@ -89,18 +92,23 @@ class _PullContext:
         self.top = (1 << p.n_vertices) - 1
         self.memo: dict[int, tuple[tuple[int, ...], ...]] = {}
 
-    def pull(self, face: int) -> tuple[tuple[int, ...], ...]:
+    def pull(
+        self, face: int, parent: Sequence[int] | None = None
+    ) -> tuple[tuple[int, ...], ...]:
         if face & (face - 1) == 0:  # a single vertex
             return ((face.bit_length() - 1,),)
         if face not in self.memo:
             members = [i for i in range(face.bit_length()) if face >> i & 1]
             first = min(members, key=self.rank.__getitem__)
-            masks = self.facet_masks
-            subs = masks if face == self.top else facets_of_face(face, masks)
+            if parent is None:
+                parent = self.facet_masks
+            subs = self.facet_masks if face == self.top else facets_of_face(face, parent)
             cells: set[tuple[int, ...]] = set()
             for sub in subs:
                 if not sub >> first & 1:
-                    cells.update(tuple(sorted((first,) + tau)) for tau in self.pull(sub))
+                    cells.update(
+                        tuple(sorted((first,) + tau)) for tau in self.pull(sub, subs)
+                    )
             self.memo[face] = tuple(sorted(cells))
         return self.memo[face]
 
@@ -128,8 +136,9 @@ def pulling_triangulation(p: Polytope, order: Sequence[int] | None = None) -> Tr
 
 # The last input star_triangulation accepted, as (points, frame, masks): the
 # points' tuple, the frame of their hull and the double description's zero
-# sets.  One entry, keyed on the points' value; a rejected input is never
-# kept.
+# sets.  One entry, keyed on the points' value and re-keyed on every hit, so
+# the next call on the same objects matches by identity; a rejected input is
+# never kept.
 _star_memo: tuple | None = None
 
 
@@ -181,7 +190,7 @@ def star_triangulation(
         _, fr, masks = memo
     else:
         fr, masks = _star_hull(pts, z, others, dim)
-        _star_memo = (key, fr, masks)
+    _star_memo = (key, fr, masks)
 
     base = order if order is not None else list(range(n))
     # Pulling reads the facets' zero sets only, so the polytope gets the

@@ -121,6 +121,23 @@ class TestGramSqVolume:
     def test_point(self):
         assert gram_sq_volume([QVector([5, 7])], 0) == 1
 
+    @pytest.mark.parametrize(
+        "point",
+        [(5, -7), (Fraction(1, 3), Fraction(-2, 7)), QVector([5, 7]), QVector([Fraction(9, 4)])],
+        ids=["int", "fraction", "qvector-int", "qvector-fraction"],
+    )
+    def test_point_by_the_general_rule(self, point):
+        # One point: an empty edge Gram matrix, int_det([]) = 1, and the
+        # divisor q^0 (0!)^2 = 1.
+        got = gram_sq_volume([point], 0)
+        assert type(got) is Fraction and got == 1
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_mixed_dimension(self, k):
+        pts = [(0, 0), (1, 0, 0), (0, 1)][: k + 1]
+        with pytest.raises(DimensionError, match="points of mixed dimension"):
+            gram_sq_volume(pts, k)
+
     def test_wrong_count(self):
         with pytest.raises(DimensionError):
             gram_sq_volume([QVector([0]), QVector([1])], 2)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from spinaltri import triangulation
 from spinaltri.birkhoff import birkhoff_context, projected_birkhoff
-from spinaltri.everest import simplotope_with_spine
+from spinaltri.everest import EverestParams, everest_polytope, simplotope_with_spine
 from spinaltri.linalg import QVector
 from spinaltri.polytope import (
     Polytope,
@@ -244,3 +244,106 @@ def test_face_step_matches_oracle_on_mask_families(case):
     got = facets_of_face(face, family)
     assert len(set(got)) == len(got)
     assert set(got) == set(quadratic_facets_of_face(face, family))
+
+
+def assert_parent_route_matches(build, *args) -> int:
+    """One pulling or star call, with every face step recorded: each face's
+    facets, computed from the list its caller passed, equal the quadratic
+    step's over all of P's facet masks; the list passed is P's masks or the
+    facets of a face the recursion already stepped, one that holds the
+    face.  Returns the number of face steps."""
+    real_step = triangulation.facets_of_face
+    real_init = triangulation._PullContext.__init__
+    steps, tops = [], []
+
+    def recording(face, masks):
+        got = real_step(face, masks)
+        steps.append((face, list(masks), got))
+        return got
+
+    def init(self, p, rank):
+        real_init(self, p, rank)
+        tops.append(self.facet_masks)
+
+    with mock.patch.object(triangulation, "facets_of_face", recording), mock.patch.object(
+        triangulation._PullContext, "__init__", init
+    ):
+        build(*args)
+    (masks,) = tops
+    stepped = {face: got for face, _, got in steps}
+    for face, passed, got in steps:
+        assert len(set(got)) == len(got)
+        assert set(got) == set(quadratic_facets_of_face(face, masks))
+        assert passed == masks or any(
+            passed == subs and face in subs for subs in stepped.values()
+        )
+    return len(steps)
+
+
+def box(lo_hi) -> list[QVector]:
+    return [QVector(c) for c in itertools.product(*lo_hi)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_random_parent_route_matches_oracle(d):
+    # The polytopes and orders of test_random_face_steps_match_oracle.
+    rng = random.Random(3000 + d)
+    checked = 0
+    for _ in range(5):
+        p = _random_polytope(rng, (d,))
+        for order in _orders(rng, p.n_vertices, 3):
+            checked += assert_parent_route_matches(pulling_triangulation, p, order)
+    assert checked >= 15
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cube(4),
+        lambda: cube(5),
+        lambda: simplotope_with_spine(3, 2)[0],
+        truncated_b4,
+        lambda: projected_birkhoff(birkhoff_context(4)),
+        lambda: everest_polytope(EverestParams(2, 2)),
+    ],
+    ids=["4-cube", "5-cube", "S(3,2)", "truncated-B4", "projected-B4", "E(2,2)"],
+)
+def test_named_parent_route_matches_oracle(build):
+    p = build()
+    for order in _orders(random.Random(7), p.n_vertices, 3):
+        assert assert_parent_route_matches(pulling_triangulation, p, order)
+
+
+@pytest.mark.parametrize(
+    "others",
+    [
+        box([(-1, 1)] * 3),
+        box([(0, 2)] + [(-1, 1)] * 2),
+        box([(1, 2)] * 3)[1:],
+    ],
+    ids=["inside", "on-a-facet", "outside"],
+)
+def test_star_parent_route_matches_oracle(others):
+    pts = others[:3] + [QVector.zero(3)] + others[3:]
+    for order in _orders(random.Random(11), len(pts), 3):
+        assert assert_parent_route_matches(star_triangulation, pts, order)
+
+
+def test_projected_b4_face_step_scans_its_parents_facets():
+    """A work counter, the same on every machine: pulling projected B4 in
+    the default order steps 499 faces, and the masks they scan add up to
+    at most a quarter of the 499 * 136 = 67,864 that scanning all of P's
+    facets costs (14,457 when this test was written)."""
+    p = projected_birkhoff(birkhoff_context(4))
+    real_step = triangulation.facets_of_face
+    scanned = []
+
+    def counting(face, masks):
+        scanned.append(len(masks))
+        return real_step(face, masks)
+
+    with mock.patch.object(triangulation, "facets_of_face", counting):
+        t = pulling_triangulation(p)
+    assert t.n_simplices == 220 and len(p.facets()) == 136
+    assert len(scanned) == 499
+    assert sum(scanned) <= 67_864 // 4

@@ -716,6 +716,31 @@ class TestSharedWork:
         assert len(dds) == 2
         assert got == _fresh_star(list(pts)) != first
 
+    def test_a_value_hit_rekeys_the_memo(self, monkeypatch):
+        # Two builds of one shadow: equal points in different objects.  The
+        # first star on the second build matches by value, one comparison per
+        # point; the memo then holds the new objects, so every later star on
+        # them matches by identity and compares no point.
+        old = shadow(spine(cube(4), [0, 15])).star_points
+        new = shadow(spine(cube(4), [0, 15])).star_points
+        assert old == new and all(a is not b for a, b in zip(old, new))
+        orders = (None, list(range(len(old)))[::-1])
+        stars = [star_triangulation(list(old), order) for order in orders]
+        real_eq = QVector.__eq__
+        compared = []
+
+        def counting_eq(a, b):
+            compared.append(a)
+            return real_eq(a, b)
+
+        monkeypatch.setattr(QVector, "__eq__", counting_eq)
+        again = [star_triangulation(list(new), order) for order in orders * 3]
+        monkeypatch.undo()
+        assert len(compared) == len(new) == 15
+        assert spinaltri.triangulation._star_memo[0] == tuple(new)
+        assert all(a is b for a, b in zip(spinaltri.triangulation._star_memo[0], new))
+        assert [t.simplices for t in again] == [t.simplices for t in stars] * 3
+
     @pytest.mark.parametrize(
         "bad",
         [
