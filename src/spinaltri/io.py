@@ -40,13 +40,6 @@ def _json_object(doc: Any, what: str, keys: tuple[str, ...]) -> list[Any]:
     return [doc[key] for key in keys]
 
 
-def polytope_to_doc(p: Polytope) -> dict[str, Any]:
-    return {
-        "ambient_dim": p.ambient_dim,
-        "vertices": [vector_to_strings(v) for v in p.vertices],
-    }
-
-
 def polytope_from_doc(doc: dict[str, Any]) -> Polytope:
     dim, raw = _json_object(doc, "polytope", ("ambient_dim", "vertices"))
     dim = _json_int(dim, "ambient_dim")
@@ -107,12 +100,6 @@ def load_json(path: str, what: str) -> Any:
 
 def load_polytope(path: str) -> Polytope:
     return polytope_from_doc(load_json(path, "polytope"))
-
-
-def save_polytope(p: Polytope, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(polytope_to_doc(p), fh, indent=1)
-        fh.write("\n")
 
 
 def triangulation_to_doc(t: Triangulation) -> dict[str, Any]:

@@ -100,7 +100,8 @@ def sqrt_rational(q) -> Fraction | None:
 
 
 class QVector:
-    """Immutable vector with Fraction entries."""
+    """Immutable vector with Fraction entries: the points the library takes
+    and returns.  It has no arithmetic; the kernels run on integer tuples."""
 
     __slots__ = ("entries",)
 
@@ -110,10 +111,6 @@ class QVector:
     @classmethod
     def zero(cls, dim: int) -> "QVector":
         return cls([0] * dim)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -134,33 +131,6 @@ class QVector:
 
     def __repr__(self) -> str:
         return "QVector((%s))" % ", ".join(format_rational(x) for x in self.entries)
-
-    def _require_same_dim(self, other: "QVector") -> None:
-        if len(self.entries) != len(other.entries):
-            raise DimensionError(
-                f"dimension mismatch: {len(self.entries)} vs {len(other.entries)}"
-            )
-
-    def __add__(self, other: "QVector") -> "QVector":
-        self._require_same_dim(other)
-        return QVector(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        self._require_same_dim(other)
-        return QVector(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> "QVector":
-        return QVector(-a for a in self.entries)
-
-    def __mul__(self, scalar) -> "QVector":
-        c = Fraction(scalar)
-        return QVector(c * a for a in self.entries)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "QVector") -> Fraction:
-        self._require_same_dim(other)
-        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)

@@ -258,9 +258,9 @@ def spinal_triangulation(s: Spine) -> Triangulation:
 
 
 class ShadowMap:
-    """Projection data for a spine: the orthogonal projector onto the
-    complement of the spine's span, the projected vertex images, and the
-    bijection from nonzero images back to original vertices.
+    """Projection data for a spine: the vertex images under the orthogonal
+    projector onto the complement of the spine's span, and the bijection
+    from nonzero images back to original vertices.
 
     With A~ the integer spine directions (columns vscale * (u_j - u_0)) and
     G = A~^T A~, the projector is P'/det G for the integer numerator
@@ -290,7 +290,7 @@ class ShadowMap:
             for c in range(d)
         ):
             raise ShadowInternalError("projector is not symmetric idempotent")
-        self._num, self._den = num, den
+        self._den = den
         inum = [tuple(int_dot(row, w) for row in num) for w in diffs]
         uset = set(sp.indices)
         for i in sp.indices:
@@ -315,11 +315,6 @@ class ShadowMap:
         self._shadow_poly: Polytope | None = None
 
     @property
-    def projection(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The orthogonal projector P'/det G over Q, as Fraction rows."""
-        return tuple(tuple(Fraction(x, self._den) for x in row) for row in self._num)
-
-    @property
     def spine_sq_volume(self) -> Fraction:
         """vol(U)^2 of the spine simplex: det G / (vscale^(2k) (k!)^2) with
         k = |U| - 1, as `gram_sq_volume` would give on the spine's points."""
@@ -330,11 +325,6 @@ class ShadowMap:
     @functools.cached_property
     def _lift_map(self) -> dict[QVector, int]:
         return dict(zip(self.star_points[1:], self.lift_indices[1:]))
-
-    @property
-    def lift_table(self) -> dict[QVector, int]:
-        """Each nonzero star point's original vertex index, as a new dict."""
-        return dict(self._lift_map)
 
 
 def shadow(sp: Spine) -> ShadowMap:
@@ -462,10 +452,6 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
 
     k = p.dim
     n = len(t.points)
-    if k == 0:
-        if tuple(t.simplices) == ((0,),) and n == 1:
-            return True, "ok"
-        return False, "a point polytope is triangulated by itself only"
     coords, scale, on_facet, dets = _point_table(p, t.points)
     if isinstance(coords, str):
         return False, coords
@@ -502,8 +488,11 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
         for j in range(k + 1):
             side = positive != bool((k - j) & 1)
             ridges.setdefault(c[:j] + c[j + 1 :], []).append(side)
+    # A ridge is on the boundary iff its points share a facet.  The AND
+    # starts from -1, all facets, so the empty ridge of a point's one cell
+    # is a boundary ridge.
     for ridge, sides in ridges.items():
-        if functools.reduce(operator.and_, map(on_facet.__getitem__, ridge)):
+        if functools.reduce(operator.and_, map(on_facet.__getitem__, ridge), -1):
             if len(sides) != 1:
                 return False, f"boundary ridge {ridge} belongs to {len(sides)} cells"
             continue

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .linalg import int_det
 from .polytope import Polytope
-from .spine import Spine, SpineError
+from .spine import Spine
 from .triangulation import pulling_triangulation, shadow, shadow_polytope
 
 
@@ -95,8 +95,6 @@ class LiftingRelationReport:
 
 
 def lifting_relation_report(s: Spine) -> LiftingRelationReport:
-    if s.n < 2:
-        raise SpineError("the volume relation needs a spine with at least 2 points")
     p = s.polytope
     d = p.dim
     vol_p_sq = _sq_volume(p)

@@ -16,19 +16,20 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+from linalg_oracle import Vec
 from spinaltri.linalg import QVector
 
 
-def unit_row(s: int, j: int) -> QVector:
+def unit_row(s: int, j: int) -> Vec:
     """The j-th s-dimensional unit row vector, with unit_row(s, 0) = 0."""
-    return QVector([1 if t == j - 1 else 0 for t in range(s)])
+    return Vec([1 if t == j - 1 else 0 for t in range(s)])
 
 
-def _stack(rows: Sequence[QVector]) -> QVector:
+def _stack(rows: Sequence[QVector]) -> Vec:
     out: tuple = ()
     for r in rows:
         out = out + r.entries
-    return QVector(out)
+    return Vec(out)
 
 
 def vertex_families(n: int, s: int) -> tuple[list[QVector], ...]:

@@ -15,6 +15,11 @@ the fraction-free Gauss-Jordan of `int_adjugate`, and `det` with
 whole matrix at once by `scaled_ints`).  `tests/test_linalg.py` checks the library
 against them, and the other oracles use them in place of the library's.
 
+`Vec` is `QVector` with the library's former vector arithmetic, kept
+verbatim: the library's points have no arithmetic, so oracles wrap them in
+`Vec` where they add, scale or take dot products, and `QMatrix`, `unit`,
+`concat`, `kernel_basis` and `hull_coords` return `Vec`.
+
 `unit`, `concat` and `hull_coords` stand in for helpers the library dropped
 once only tests called them: `QVector.unit`, `QVector.concat` and a frame's
 hull coordinates over Q.
@@ -27,6 +32,43 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from spinaltri.linalg import DimensionError, QVector, format_rational, int_det
+
+
+class Vec(QVector):
+    """A `QVector` with exact vector arithmetic."""
+
+    __slots__ = ()
+
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
+
+    def _require_same_dim(self, other: QVector) -> None:
+        if len(self.entries) != len(other.entries):
+            raise DimensionError(
+                f"dimension mismatch: {len(self.entries)} vs {len(other.entries)}"
+            )
+
+    def __add__(self, other: QVector) -> "Vec":
+        self._require_same_dim(other)
+        return Vec(a + b for a, b in zip(self.entries, other.entries))
+
+    def __sub__(self, other: QVector) -> "Vec":
+        self._require_same_dim(other)
+        return Vec(a - b for a, b in zip(self.entries, other.entries))
+
+    def __neg__(self) -> "Vec":
+        return Vec(-a for a in self.entries)
+
+    def __mul__(self, scalar) -> "Vec":
+        c = Fraction(scalar)
+        return Vec(c * a for a in self.entries)
+
+    __rmul__ = __mul__
+
+    def dot(self, other: QVector) -> Fraction:
+        self._require_same_dim(other)
+        return sum((a * b for a, b in zip(self.entries, other.entries)), Fraction(0))
 
 
 class QMatrix:
@@ -70,11 +112,11 @@ class QMatrix:
         d = len(cols[0])
         return cls([[c[i] for c in cols] for i in range(d)], cols=len(cols))
 
-    def row(self, i: int) -> QVector:
-        return QVector(self.entries[i])
+    def row(self, i: int) -> Vec:
+        return Vec(self.entries[i])
 
-    def col(self, j: int) -> QVector:
-        return QVector(r[j] for r in self.entries)
+    def col(self, j: int) -> Vec:
+        return Vec(r[j] for r in self.entries)
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
@@ -136,7 +178,7 @@ class QMatrix:
                 raise DimensionError(
                     f"matrix-vector mismatch: {self.cols} cols vs dim {len(other)}"
                 )
-            return QVector(
+            return Vec(
                 sum((r[j] * other[j] for j in range(self.cols)), Fraction(0))
                 for r in self.entries
             )
@@ -262,7 +304,7 @@ def _rref(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
     return mat, pivots
 
 
-def kernel_basis(m: QMatrix) -> list[QVector]:
+def kernel_basis(m: QMatrix) -> list[Vec]:
     """Rational basis of the null space; empty iff the kernel is trivial."""
     rref, pivots = _rref(m)
     pivot_set = set(pivots)
@@ -274,7 +316,7 @@ def kernel_basis(m: QMatrix) -> list[QVector]:
         v[free] = Fraction(1)
         for r, c in enumerate(pivots):
             v[c] = -rref[r][free]
-        basis.append(QVector(v))
+        basis.append(Vec(v))
     return basis
 
 
@@ -302,18 +344,18 @@ def inverse(m: QMatrix) -> QMatrix:
     return QMatrix([row[n:] for row in aug], cols=n)
 
 
-def unit(dim: int, i: int) -> QVector:
+def unit(dim: int, i: int) -> Vec:
     """The i-th standard basis vector of Q^dim."""
     if not 0 <= i < dim:
         raise DimensionError(f"unit index {i} out of range for dim {dim}")
-    return QVector([1 if j == i else 0 for j in range(dim)])
+    return Vec([1 if j == i else 0 for j in range(dim)])
 
 
-def concat(u: QVector, v: QVector) -> QVector:
-    return QVector(u.entries + v.entries)
+def concat(u: QVector, v: QVector) -> Vec:
+    return Vec(u.entries + v.entries)
 
 
-def hull_coords(fr) -> tuple[QVector, ...]:
+def hull_coords(fr) -> tuple[Vec, ...]:
     """A polytope frame's hull coordinates of its vertices over Q:
     ``icoords`` divided by ``scale``."""
-    return tuple(QVector([Fraction(x, fr.scale) for x in q]) for q in fr.icoords)
+    return tuple(Vec([Fraction(x, fr.scale) for x in q]) for q in fr.icoords)

@@ -21,7 +21,7 @@ from spinaltri.birkhoff import (
     projected_birkhoff,
     verify_birkhoff_volume_relation,
 )
-from linalg_oracle import QMatrix
+from linalg_oracle import QMatrix, Vec
 from lp_oracle import EQ, LT, fraction_lp_feasible
 from test_membership_oracle import lp_extreme_points
 
@@ -200,9 +200,9 @@ class TestProjection:
         (outside), and a facet's vertex centroid (on the boundary, no
         vertex)."""
         p = projected_birkhoff(birkhoff_context(n))
-        v0, v1 = p.vertices[:2]
+        v0, v1 = map(Vec, p.vertices[:2])
         incident = p.facets()[0].incident
-        centroid = sum((p.vertices[i] for i in incident), QVector.zero(p.ambient_dim))
+        centroid = sum((p.vertices[i] for i in incident), Vec.zero(p.ambient_dim))
         centroid = centroid * Fraction(1, len(incident))
         assert centroid not in p.vertices
         probes = [

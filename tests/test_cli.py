@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from polytope_writer import save_polytope
 from spinaltri.cli import main
 from spinaltri.linalg import QVector
 from spinaltri.polytope import make_polytope
-from spinaltri import io as sio
 
 
 @pytest.fixture
 def cube_file(tmp_path):
     p = make_polytope([QVector(b) for b in itertools.product((0, 1), repeat=3)])
     path = tmp_path / "cube.json"
-    sio.save_polytope(p, str(path))
+    save_polytope(p, str(path))
     return str(path)
 
 
@@ -22,7 +22,7 @@ def cube_file(tmp_path):
 def square_file(tmp_path):
     p = make_polytope([QVector(b) for b in itertools.product((0, 1), repeat=2)])
     path = tmp_path / "square.json"
-    sio.save_polytope(p, str(path))
+    save_polytope(p, str(path))
     return str(path)
 
 

@@ -64,5 +64,4 @@ def test_point_shadows_have_squared_volume_one(name, p):
             continue
         assert shadow_polytope(sm).dim == 0
         assert polytope_volume(shadow_polytope(sm)).sq_volume == 1
-        if sp.n > 1:  # the volume law refuses one-point spines
-            assert lifting_relation_report(sp).vol_shadow_sq == 1
+        assert lifting_relation_report(sp).vol_shadow_sq == 1

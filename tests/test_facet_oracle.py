@@ -24,7 +24,7 @@ from spinaltri.birkhoff import birkhoff_context
 from spinaltri.everest import simplotope_with_spine
 from spinaltri.linalg import QVector
 from spinaltri.polytope import frame_coords, make_polytope
-from linalg_oracle import QMatrix, kernel_basis
+from linalg_oracle import QMatrix, Vec, kernel_basis
 from random_polytopes import random_polytope
 from test_frame_oracle import affine_start, instances
 
@@ -144,7 +144,7 @@ def assert_matches_brute_force(p):
 def naive_facets(p):
     """Supporting hyperplanes via direct rational linear algebra."""
     k = p.dim
-    coords = [frame_coords(p, v) for v in p.vertices]
+    coords = [Vec(frame_coords(p, v)) for v in p.vertices]
     found = {}
     for combo in itertools.combinations(range(len(coords)), k):
         base = coords[combo[0]]

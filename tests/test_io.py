@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polytope_writer import polytope_to_doc, save_polytope
 from spinaltri.linalg import QVector
 from spinaltri.polytope import make_polytope
 from spinaltri.triangulation import pulling_triangulation
@@ -15,7 +16,7 @@ def test_polytope_roundtrip(tmp_path):
     pts = [QVector([Fraction(1, 2), Fraction(-3, 4)]), QVector([1, 1]), QVector([0, 0])]
     p = make_polytope(pts)
     path = tmp_path / "p.json"
-    sio.save_polytope(p, str(path))
+    save_polytope(p, str(path))
     q = sio.load_polytope(str(path))
     assert q.vertices == p.vertices
     assert q.ambient_dim == 2
@@ -25,12 +26,12 @@ def test_vertex_order_preserved(tmp_path):
     pts = [QVector(b) for b in itertools.product((0, 1), repeat=2)]
     p = make_polytope(list(reversed(pts)))
     path = tmp_path / "p.json"
-    sio.save_polytope(p, str(path))
+    save_polytope(p, str(path))
     assert sio.load_polytope(str(path)).vertices == tuple(reversed(pts))
 
 
 def test_rational_strings():
-    doc = sio.polytope_to_doc(make_polytope([QVector([Fraction(-1, 3)]), QVector([2])]))
+    doc = polytope_to_doc(make_polytope([QVector([Fraction(-1, 3)]), QVector([2])]))
     assert doc["vertices"] == [["-1/3"], ["2"]]
 
 
@@ -83,7 +84,7 @@ def test_json_numbers_parse_exactly(tmp_path):
     )
     p = sio.load_polytope(str(path))
     assert p.vertices[1][0] == Fraction("0.12345678901234567890123")
-    assert sio.polytope_to_doc(p)["vertices"] == [
+    assert polytope_to_doc(p)["vertices"] == [
         ["0"],
         ["12345678901234567890123/100000000000000000000000"],
     ]

@@ -27,7 +27,7 @@ from spinaltri.linalg import (
 )
 
 import linalg_oracle as oracle
-from linalg_oracle import QMatrix
+from linalg_oracle import QMatrix, Vec
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -170,7 +170,7 @@ def gram_sq_volume_fraction(points, k):
         raise DimensionError("points of mixed dimension")
     if k == 0:
         return Fraction(1)
-    edges = [p - points[0] for p in points[1:]]
+    edges = [Vec(p) - points[0] for p in points[1:]]
     gram = QMatrix([[e1.dot(e2) for e2 in edges] for e1 in edges], cols=k)
     f = math.factorial(k)
     return oracle.det(gram) / (f * f)
@@ -206,12 +206,12 @@ class TestGramSqVolumeOracle:
         for _ in range(200):
             k = rng.randint(1, 4)
             d = rng.randint(1, k + 2)
-            pts = [QVector([random_rational(rng) for _ in range(d)]) for _ in range(k)]
+            pts = [Vec([random_rational(rng) for _ in range(d)]) for _ in range(k)]
             # The last point is an affine combination of the others (or a
             # repeat of one of them when there is only one).
             weights = [random_rational(rng) for _ in range(k - 1)]
             last = pts[0] + sum(
-                (w * (q - pts[0]) for w, q in zip(weights, pts[1:])), QVector.zero(d)
+                (w * (q - pts[0]) for w, q in zip(weights, pts[1:])), Vec.zero(d)
             )
             pts.insert(rng.randint(0, k), last)
             assert gram_sq_volume(pts, k) == 0 == gram_sq_volume_fraction(pts, k)

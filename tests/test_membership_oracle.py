@@ -45,7 +45,7 @@ from spinaltri.polytope import (
     make_polytope,
     max_ambient_dim,
 )
-from linalg_oracle import QMatrix, rank, unit
+from linalg_oracle import QMatrix, Vec, rank, unit
 from lp_oracle import fraction_in_convex_hull
 
 
@@ -143,7 +143,7 @@ def fraction_contains(self: Polytope, x: QVector) -> bool:
         frame_coords(self, x)
     except PolytopeError:
         return False
-    return all(f.normal.dot(x) <= f.offset for f in self.facets())
+    return all(Vec(f.normal).dot(x) <= f.offset for f in self.facets())
 
 
 # --- instances ----------------------------------------------------------------
@@ -161,7 +161,7 @@ def _embed(rng: random.Random, pts, k: int, amb: int):
         a = QMatrix([[_coord(rng, True) for _ in range(k)] for _ in range(amb)])
         if rank(a) == k:
             break
-    shift = QVector([_coord(rng, True) for _ in range(amb)])
+    shift = Vec([_coord(rng, True) for _ in range(amb)])
     return [a @ v + shift for v in pts]
 
 
@@ -175,7 +175,7 @@ def point_sets(seed: int, count: int):
         k = rng.randint(1, 4)
         rational = rng.random() < 0.5
         pts = [
-            QVector([_coord(rng, rational) for _ in range(k)])
+            Vec([_coord(rng, rational) for _ in range(k)])
             for _ in range(rng.randint(1, 8))
         ]
         if rng.random() < 0.3:
@@ -183,7 +183,7 @@ def point_sets(seed: int, count: int):
         if rng.random() < 0.4 and len(pts) > 1:
             picks = rng.sample(pts, min(len(pts), rng.randint(2, 3)))
             w = [Fraction(rng.randint(1, 3)) for _ in picks]
-            combo = sum((c * v for c, v in zip(w, picks)), QVector.zero(k))
+            combo = sum((c * v for c, v in zip(w, picks)), Vec.zero(k))
             pts.insert(rng.randrange(len(pts) + 1), combo * Fraction(1, sum(w)))
         extra = rng.randint(1, 4 - k) if k < 4 and rng.random() < 0.5 else 0
         if extra or rng.random() < 0.3:
@@ -205,8 +205,9 @@ def probe_points(p: Polytope, rng: random.Random):
     vertices, random ambient points, and the centroid moved along each unit
     vector that leaves the affine hull."""
     n, amb = p.n_vertices, p.ambient_dim
-    centroid = sum(p.vertices, QVector.zero(amb)) * Fraction(1, n)
-    for v in p.vertices:
+    vertices = [Vec(v) for v in p.vertices]
+    centroid = sum(vertices, Vec.zero(amb)) * Fraction(1, n)
+    for v in vertices:
         yield "vertex", v
         if n > 1:
             yield "beyond", v + (v - centroid)
@@ -219,12 +220,12 @@ def probe_points(p: Polytope, rng: random.Random):
     if p.dim > 0:
         for f in p.facets():
             pts = [p.vertices[i] for i in f.incident]
-            yield "facet", sum(pts, QVector.zero(amb)) * Fraction(1, len(pts))
+            yield "facet", sum(pts, Vec.zero(amb)) * Fraction(1, len(pts))
     for _ in range(3):
         w = [Fraction(rng.randint(-2, 4), rng.randint(1, 3)) for _ in p.vertices]
         w[0] += 1 - sum(w)
-        yield "combination", sum((c * v for c, v in zip(w, p.vertices)), QVector.zero(amb))
-        yield "random", QVector([_coord(rng, True) for _ in range(amb)])
+        yield "combination", sum((c * v for c, v in zip(w, vertices)), Vec.zero(amb))
+        yield "random", Vec([_coord(rng, True) for _ in range(amb)])
 
 
 # --- tests --------------------------------------------------------------------
@@ -306,7 +307,7 @@ def boundary_point_sets(seed: int, count: int):
     while count:
         k = rng.randint(1, 4)
         cloud = [
-            QVector([_coord(rng, rng.random() < 0.5) for _ in range(k)])
+            Vec([_coord(rng, rng.random() < 0.5) for _ in range(k)])
             for _ in range(rng.randint(k + 1, 7))
         ]
         ext = lp_extreme_points(cloud)
@@ -335,8 +336,8 @@ def boundary_point_sets(seed: int, count: int):
         facet = rng.choice(p.facets()).incident
         extra = {
             "edge": ext[i] * w + ext[j] * (1 - w),
-            "facet": sum((ext[v] for v in facet), QVector.zero(k)) * Fraction(1, len(facet)),
-            "centroid": sum(ext, QVector.zero(k)) * Fraction(1, len(ext)),
+            "facet": sum((ext[v] for v in facet), Vec.zero(k)) * Fraction(1, len(facet)),
+            "centroid": sum(ext, Vec.zero(k)) * Fraction(1, len(ext)),
             "repeat": rng.choice(ext),
         }
         kinds = rng.sample(sorted(extra), rng.randint(1, 4))

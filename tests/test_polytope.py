@@ -12,6 +12,7 @@ from spinaltri.polytope import (
     extreme_points,
     make_polytope,
 )
+from linalg_oracle import Vec
 from lp_oracle import fraction_in_convex_hull
 
 
@@ -119,7 +120,7 @@ class TestFacets:
         p = make_polytope(cube_vertices(3))
         for f in p.facets():
             for i, v in enumerate(p.vertices):
-                side = f.normal.dot(v)
+                side = Vec(f.normal).dot(v)
                 if i in f.incident:
                     assert side == f.offset
                 else:

@@ -31,8 +31,8 @@ from spinaltri.triangulation import (
     validate_detailed,
 )
 from spinaltri.volume import lifting_relation_report
-from linalg_oracle import QMatrix
 from star_oracle import lp_star_triangulation
+from test_frame_oracle import fraction_projector
 from test_star_oracle import box
 
 
@@ -330,20 +330,17 @@ class TestShadow:
 
     def test_projection_is_symmetric_idempotent(self):
         sm = shadow(spine(cube(3), [0, 7]))
-        proj = QMatrix(sm.projection)
+        proj, images = fraction_projector(sm.spine)
         assert proj.transpose() == proj
         assert proj @ proj == proj
+        assert sm.shadow_points == images
 
     @pytest.mark.parametrize("idx", [[0, 7], [0], [1, 6]])
     def test_projection_is_fraction_rows_equal_to_the_former_matrix(self, idx):
         sm = shadow(spine(cube(3), idx))
-        got = sm.projection
-        assert type(got) is tuple and all(type(r) is tuple for r in got)
-        assert all(type(x) is Fraction for r in got for x in r)
-        want = QMatrix(
-            [[Fraction(x, sm._den) for x in row] for row in sm._num], cols=len(sm._num)
-        )
-        assert got == want.entries
+        got = sm.shadow_points
+        assert all(type(x) is Fraction for q in got for x in q)
+        assert got == fraction_projector(sm.spine)[1]
 
     def test_full_spine_shadow_is_origin(self):
         p = simplex(3)
@@ -490,7 +487,7 @@ class TestFoldLift:
 def former_lift_cells(star, sm):
     """The cells of the former lift, which looked every vertex of every cell
     up in a fresh lift table, with its errors."""
-    table = sm.lift_table
+    table = dict(zip(sm.star_points[1:], sm.lift_indices[1:]))
     cells = []
     for c in star.simplices:
         pts = [star.points[i] for i in c]
@@ -554,13 +551,6 @@ class TestRepeatedWork:
         padded = Triangulation.make(star.points + (qv(5, 5, 5),), star.simplices, star.dim)
         assert former_lift_cells(padded, sm) == former_lift_cells(star, sm)
         assert lift(padded, sm) == lift(star, sm)
-
-    def test_lift_table_is_a_fresh_dict(self):
-        sm = shadow(spine(cube(3), [0, 7]))
-        table = sm.lift_table
-        table.clear()
-        assert len(sm.lift_table) == 6
-        assert sm.lift_table is not sm.lift_table
 
     @pytest.mark.parametrize(
         "verts,points,cells,reason",
@@ -986,7 +976,6 @@ class TestEveryReason:
     reason)."""
 
     CASES = [
-        ([(2, 3)], None, ((0,), (0,)), "a point polytope is triangulated by itself only"),
         (
             [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
             [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
@@ -1032,7 +1021,6 @@ class TestEveryReason:
         "verts,points,cells,reason",
         CASES,
         ids=[
-            "point-polytope",
             "off-the-hull",
             "no-cells",
             "repeated-vertex",
@@ -1050,6 +1038,23 @@ class TestEveryReason:
         p = make_polytope([QVector(v) for v in verts])
         pts = p.vertices if points is None else tuple(QVector(q) for q in points)
         assert validate_detailed(Triangulation(pts, cells, p.dim), p) == (False, reason)
+
+    def test_a_point_gets_the_general_reasons(self):
+        # A point is the 0-simplex: its one cell's empty ridge is a boundary
+        # ridge, and every other cell set fails a general check.
+        p = make_polytope([QVector((2, 3))])
+        cases = [
+            (p.vertices, ((0,),), (True, "ok")),
+            (p.vertices, ((0,), (0,)), (False, "cell volumes sum to 2, polytope volume is 1")),
+            (p.vertices * 2, ((0,),), (False, "some points are not vertices of any cell")),
+            (
+                p.vertices + (QVector((2, 4)),),
+                ((0,),),
+                (False, "a point lies outside the affine hull of the polytope"),
+            ),
+        ]
+        for pts, cells, want in cases:
+            assert validate_detailed(Triangulation(pts, cells, 0), p) == want
 
     def test_every_reason_has_a_case(self):
         assert inspect.getsource(validate_detailed).count("return False") == len(self.CASES)

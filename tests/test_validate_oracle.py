@@ -28,7 +28,7 @@ from spinaltri.triangulation import (
     validate_detailed,
 )
 from spinaltri.volume import polytope_relative_volume
-from linalg_oracle import QMatrix, det, kernel_basis
+from linalg_oracle import QMatrix, Vec, det, kernel_basis
 from lp_oracle import EQ, LT, fraction_lp_feasible
 
 
@@ -52,7 +52,7 @@ def pairwise_validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str
             return True, "ok"
         return False, "a point polytope is triangulated by itself only"
     try:
-        coords = [frame_coords(p, q) for q in t.points]
+        coords = [Vec(frame_coords(p, q)) for q in t.points]
     except PolytopeError:
         return False, "a point lies outside the affine hull of the polytope"
     if not t.simplices:

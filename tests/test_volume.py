@@ -9,7 +9,7 @@ import spinaltri.triangulation
 import spinaltri.volume
 from spinaltri.linalg import QVector, gram_sq_volume
 from spinaltri.polytope import make_polytope
-from spinaltri.spine import SpineError, enumerate_spines, spine
+from spinaltri.spine import enumerate_spines, spine
 from spinaltri.everest import EverestParams, everest_polytope, simplotope_with_spine
 from spinaltri.triangulation import (
     ShadowMap,
@@ -106,9 +106,11 @@ class TestLiftingRelation:
         assert rep.vol_shadow_sq == 2
         assert rep.holds
 
-    def test_needs_two_points(self):
-        with pytest.raises(SpineError):
-            lifting_relation_report(spine(cube(3), [0]))
+    def test_one_point_spine_holds(self):
+        rep = lifting_relation_report(spine(cube(3), [0]))
+        assert rep.binom == 1 and rep.vol_spine_sq == 1
+        assert rep.lhs == rep.rhs == 1
+        assert rep.holds
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_all_enumerated_cube_spines(self, d):
@@ -139,8 +141,6 @@ def lifting_relation_report_by_volumes(s):
     """Oracle: the former volume law, which took vol(P)^2 and vol(shadow)^2
     from fresh `polytope_volume` calls, vol(U)^2 from `gram_sq_volume` and
     the shadow from a fresh `ShadowMap`, never the one kept on the spine."""
-    if s.n < 2:
-        raise SpineError("the volume relation needs a spine with at least 2 points")
     p = s.polytope
     d = p.dim
     vol_p_sq = polytope_volume(p).sq_volume
@@ -182,7 +182,7 @@ class TestVolumeLawOracle:
                 assert shadow(sp) is sm
                 fresh = ShadowMap(sp)
                 assert fresh is not sm
-                for name in ("shadow_points", "star_points", "lift_indices", "e", "projection"):
+                for name in ("shadow_points", "star_points", "lift_indices", "e", "spine_sq_volume"):
                     assert getattr(sm, name) == getattr(fresh, name), (p, idx, name)
                 got, want = shadow_polytope(sm), shadow_polytope(fresh)
                 assert got.vertices == want.vertices
