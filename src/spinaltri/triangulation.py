@@ -163,7 +163,8 @@ def star_triangulation(
     and no LP or membership test (see _star_hull).  The frame and the zero
     sets of the last accepted input are kept, so a call on equal points, as
     for the stars of one shadow under many orders, runs neither again.  The
-    origin count, the order and `checked_points` run on every call.
+    origin count, the order and `checked_points` run on every call, so the
+    vertex cap counts the points other than the origin.
     """
     global _star_memo
     pts = [q if isinstance(q, QVector) else QVector(q) for q in points]
@@ -236,12 +237,8 @@ def _star_hull(pts: list[QVector], z: int, others: list[int], dim: int) -> tuple
         if len(pts[z]) != dim:
             raise DimensionError(f"point of dim {len(pts[z])} against ambient dim {dim}")
         # The others are in convex position, so the origin lies outside
-        # their hull and the input is named as make_polytope on all points
-        # names it: the vertex cap first, then the first failing point.
-        checked_points(pts)
+        # their hull and swallows the first failing point.
         raise NotInConvexPosition(failing[0])
-    if least_face(masks, 1 << z, n) == 1 << z:
-        checked_points(pts)  # the vertex cap, now on all points
     return fr, masks
 
 
@@ -259,8 +256,10 @@ def spinal_triangulation(s: Spine) -> Triangulation:
 
 class ShadowMap:
     """Projection data for a spine: the vertex images under the orthogonal
-    projector onto the complement of the spine's span, and the bijection
-    from nonzero images back to original vertices.
+    projector onto the complement of the spine's span (`shadow_points`),
+    the star point table (`star_points`: the origin, then the non-spine
+    images in vertex order) and, for each star point, its vertex index
+    (`lift_indices`, -1 for the origin), the one table `lift` reads.
 
     With A~ the integer spine directions (columns vscale * (u_j - u_0)) and
     G = A~^T A~, the projector is P'/det G for the integer numerator
@@ -322,10 +321,6 @@ class ShadowMap:
         scale = self.spine.polytope.frame().vscale
         return Fraction(self._den, scale ** (2 * k) * math.factorial(k) ** 2)
 
-    @functools.cached_property
-    def _lift_map(self) -> dict[QVector, int]:
-        return dict(zip(self.star_points[1:], self.lift_indices[1:]))
-
 
 def shadow(sp: Spine) -> ShadowMap:
     """The spine's shadow map, built on the first call and kept on the spine,
@@ -382,6 +377,7 @@ def fold(t: Triangulation, sm: ShadowMap) -> Triangulation:
         raise TriangulationError("triangulation is not over the spine's polytope")
     uset = set(sm.spine.indices)
     star_of = {g: k for k, g in enumerate(sm.lift_indices) if g >= 0}
+    _check_indices(t.simplices, len(t.points))
     cells = []
     for c in t.simplices:
         if not uset <= set(c):
@@ -399,28 +395,22 @@ def fold(t: Triangulation, sm: ShadowMap) -> Triangulation:
 def lift(star: Triangulation, sm: ShadowMap) -> Triangulation:
     """Reconstruct the spinal triangulation over the original polytope from a
     star triangulation of the shadow: the origin expands to the whole spine,
-    nonzero shadow vertices are replaced by their unique preimages.  The
-    result is validated against the polytope."""
+    nonzero shadow vertices are replaced by their unique preimages.  The star
+    must be over the map's own point table, `sm.star_points`; its cells are
+    read off `sm.lift_indices`.  The result is validated against the
+    polytope."""
     p = sm.spine.polytope
-    # Each star point once: -1 for the origin, else its preimage's vertex
-    # index, or None if it has none.  A star built on the map's own points
-    # holds the same objects, which tuple equality compares by identity
-    # first, so it is read off lift_indices without hashing a point.
-    if star.points == sm.star_points:
-        image = sm.lift_indices
-    else:
-        table, image = sm._lift_map, []
-        for q in star.points:
-            g = table.get(q)
-            image.append(-1 if g is None and q.is_zero() else g)
+    # Tuple equality compares each pair by identity first, so a star built
+    # on the map's own points is accepted without comparing a coordinate.
+    if star.points != sm.star_points:
+        raise TriangulationError("star is not over the shadow's point table")
+    image = sm.lift_indices
+    _check_indices(star.simplices, len(image))
     cells = []
     for c in star.simplices:
         lifted = [image[i] for i in c]
         if lifted.count(-1) != 1:
             raise TriangulationError("star cell must contain the origin exactly once")
-        if None in lifted:
-            q = star.points[c[lifted.index(None)]]
-            raise TriangulationError(f"star vertex {q!r} not in the lift table")
         lifted.remove(-1)
         cells.append(tuple(sorted([*sm.spine.indices, *lifted])))
     result = Triangulation.make(p.vertices, cells, p.dim)
@@ -428,6 +418,15 @@ def lift(star: Triangulation, sm: ShadowMap) -> Triangulation:
     if not ok:
         raise TriangulationError(f"lift is not a triangulation of the polytope: {reason}")
     return result
+
+
+def _check_indices(cells: Sequence[Sequence[int]], n: int) -> None:
+    """Refuse the first cell with an index outside range(n), as
+    validate_detailed words it, before any cell is read through a table."""
+    used = set().union(*cells)
+    if used and (min(used) < 0 or max(used) >= n):
+        bad = next(c for c in cells if any(not 0 <= i < n for i in c))
+        raise TriangulationError(f"cell {bad} references a missing point")
 
 
 def validate(t: Triangulation, p: Polytope) -> bool:

@@ -243,10 +243,6 @@ def kernel_validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
     other ridge in exactly two cells on opposite sides of it."""
     k = p.dim
     n = len(t.points)
-    if k == 0:
-        if tuple(t.simplices) == ((0,),) and n == 1:
-            return True, "ok"
-        return False, "a point polytope is triangulated by itself only"
     try:
         coords = [frame_coords(p, q) for q in t.points]
     except PolytopeError:
@@ -288,8 +284,10 @@ def kernel_validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
         c = sorted(c)
         for drop in c:
             ridges.setdefault(tuple(i for i in c if i != drop), []).append(drop)
+    # The AND starts from -1, all facets, as the library's does, so the
+    # empty ridge of a point's one cell lies on the boundary.
     for ridge, apexes in ridges.items():
-        if functools.reduce(lambda a, b: a & b, (on_facet[i] for i in ridge)):
+        if functools.reduce(lambda a, b: a & b, (on_facet[i] for i in ridge), -1):
             if len(apexes) != 1:
                 return False, f"boundary ridge {ridge} belongs to {len(apexes)} cells"
             continue
@@ -501,8 +499,6 @@ def test_validators_agree_on_polytopes_and_shadows(seed):
         for idx in enumerate_spines(p, 2)[:3]:
             sp = spine(p, idx)
             sm = shadow(sp)
-            if sm.e == 0:
-                continue
             star = fold(spinal_triangulation(sp), sm)
             q = shadow_polytope(sm)
             for t in corruptions(star, rng):
@@ -512,6 +508,24 @@ def test_validators_agree_on_polytopes_and_shadows(seed):
     reasons = {r.split(" ")[0] for ok, r in verdicts if not ok}
     assert sum(ok for ok, _ in verdicts) > 50
     assert {"cell", "interior", "boundary"} & reasons
+
+
+def point_cases():
+    """A point polytope with its one cell, the cell twice, a repeated point
+    and a point off the vertex, as (triangulation, polytope)."""
+    p = make_polytope([QVector((2, 3))])
+    for pts, cells in [
+        (p.vertices, ((0,),)),
+        (p.vertices, ((0,), (0,))),
+        (p.vertices * 2, ((0,),)),
+        (p.vertices + (QVector((2, 4)),), ((0,),)),
+    ]:
+        yield Triangulation(pts, cells, 0), p
+
+
+def test_validators_agree_on_a_point():
+    verdicts = [assert_same_verdict(t, p) for t, p in point_cases()]
+    assert [ok for ok, _ in verdicts] == [True, False, False, False]
 
 
 def test_validators_agree_on_random_cell_subsets():

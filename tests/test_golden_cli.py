@@ -212,6 +212,15 @@ def _star_edits(cells):
     yield "fractional", [[0, 1.5, 3]] + cells[1:]
 
 
+# Stars in range that lift refuses: the origin count, then validation.
+_LIFT_FAILURES = {
+    "star-no-origin": [[1, 2, 3]],
+    "star-two-origins": [[0, 0, 1]],
+    "star-short-cell": [[0, 1]],
+    "star-flat-cell": [[0, 1, 6]],
+}
+
+
 def _polytope_commands(name: str, path: str, n: int, spines: list, others: list):
     rev = ",".join(str(i) for i in reversed(range(n)))
     yield ["facets", path]
@@ -305,6 +314,9 @@ def commands() -> list[list[str]]:
         cmds.append(["lift", cube, "--set", "0,7", "--star", write(f"{fname}.json", text)])
     for label, cells in _star_edits(star["simplices"]):
         path = write(f"star-{label}.json", json.dumps({"simplices": cells}) + "\n")
+        cmds.append(["lift", cube, "--set", "0,7", "--star", path])
+    for fname, cells in _LIFT_FAILURES.items():
+        path = write(f"{fname}.json", json.dumps({"simplices": cells}) + "\n")
         cmds.append(["lift", cube, "--set", "0,7", "--star", path])
     cmds.append(["lift", cube, "--set", "0,7", "--star", "inputs/missing.json"])
     # A star file's "dim" and "shadow_points" must be those of the shadow.

@@ -7,8 +7,11 @@ shuffled orders.  The inputs are the stars that `selftest`,
 `test_pulling_oracle.py` and the shadows of `test_shadow_oracle.py` build,
 hand-picked positions of the origin in dimensions 2 to 4, lower-dimensional
 hulls in R^3, and seeded random point sets with duplicates, non-extreme
-points and more than 30 non-origin points.  The one deliberate difference
-is the origin alone, which the former route rejected as an empty hull.
+points and more than 30 non-origin points.  There are two deliberate
+differences: the origin alone, which the former route rejected as an empty
+hull, and 30 non-origin points with the origin outside their hull, which the
+former route refused under the 30-vertex cap on all points and which is now
+accepted, since the cap counts the points other than the origin.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from fractions import Fraction
 import pytest
 
 from spinaltri.linalg import QVector
-from spinaltri.polytope import PolytopeError, extreme_points
+from spinaltri.polytope import PolytopeError, extreme_points, make_polytope
 from spinaltri.selfcheck import Workspace, _random_polytope, _star_orders
 from spinaltri.spine import enumerate_spines, spine
-from spinaltri.triangulation import shadow, star_triangulation
+from spinaltri.triangulation import shadow, star_triangulation, validate
 from star_oracle import lp_star_triangulation
 from test_pulling_oracle import _orders
 from test_shadow_oracle import named_instances, random_instances, skew_instances
@@ -238,15 +241,21 @@ def test_random_point_sets_match_oracle():
 
 
 def test_cap_errors_match_oracle():
-    # 30 others are allowed; with the origin outside, 31 points are not.
+    # The cap counts the others: 30 are allowed wherever the origin lies,
+    # and 31 are not.  The oracle capped all points, the origin included,
+    # so it refuses 30 others with the origin outside.
     inside = [QVector([t, t * t - 50]) for t in range(-15, 16) if t]
     outside = [QVector([t, t * t]) for t in range(1, 31)]
     many = [QVector([t, t * t]) for t in range(1, 32)]
-    for others in (inside, outside, many):
+    for others in (inside, many):
         assert_same([QVector([0, 0])] + others, [None])
     assert star_triangulation([QVector([0, 0])] + inside).n_simplices == 30
+    pts = [QVector([0, 0])] + outside
+    star = star_triangulation(pts)
+    assert star.n_simplices == 29
+    assert validate(star, make_polytope(pts, max_vertices=31))
     with pytest.raises(PolytopeError, match="^31 vertices exceed"):
-        star_triangulation([QVector([0, 0])] + outside)
+        lp_star_triangulation(pts, None)
 
 
 def test_mixed_dimension_and_bad_orders_match_oracle():

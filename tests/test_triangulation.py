@@ -186,9 +186,10 @@ class TestStarOneDoubleDescription:
              "point of dim 3 against ambient dim 2", 1),
             ([qv(1, 1), qv(-1, 1), qv(0, 0, 0), qv(-1, -1), qv(1, -1), qv(0, 1)],
              "point 5 lies", 1),
-            # 31 points with the origin outside: the vertex cap on all points.
+            # 31 points with the origin outside: the vertex cap counts the 30
+            # others only, and the origin swallows point 30.
             ([qv(0, 0)] + [qv(t, t * t) for t in range(1, 30)] + [qv(1, 2)],
-             "31 vertices exceed", 2),
+             "point 30 lies", 2),
         ],
         ids=["in-others", "swallowed", "origin-dim", "origin-dim-in-others", "cap"],
     )
@@ -484,73 +485,83 @@ class TestFoldLift:
             lift(bogus, sm)
 
 
-def former_lift_cells(star, sm):
-    """The cells of the former lift, which looked every vertex of every cell
-    up in a fresh lift table, with its errors."""
-    table = dict(zip(sm.star_points[1:], sm.lift_indices[1:]))
-    cells = []
-    for c in star.simplices:
-        pts = [star.points[i] for i in c]
-        if sum(1 for q in pts if q.is_zero()) != 1:
-            raise TriangulationError("star cell must contain the origin exactly once")
-        lifted = list(sm.spine.indices)
-        for q in pts:
-            if q.is_zero():
-                continue
-            orig = table.get(q)
-            if orig is None:
-                raise TriangulationError(f"star vertex {q!r} not in the lift table")
-            lifted.append(orig)
-        cells.append(tuple(sorted(lifted)))
-    return tuple(sorted(cells))
-
-
 class TestRepeatedWork:
-    """Fold, lift and star reuse per-shadow tables and skip unused work, with
-    the same cells and errors as before."""
+    """Fold, lift and star reuse per-shadow tables and skip unused work, and
+    a cell is read through a table only after its indices are checked."""
 
     ORIGIN = "star cell must contain the origin exactly once"
-    FOREIGN = "star vertex QVector((5, 5, 5)) not in the lift table"
+    OTHER_TABLE = "star is not over the shadow's point table"
 
     @pytest.mark.parametrize(
-        "extra,cells,message",
+        "cells",
         [
-            # A cell with two origins, after a good cell.
-            (QVector.zero(3), [(0, 1, 2), (0, 3, 7)], ORIGIN),
-            # A missing point first used in the second cell, before a cell
-            # without the origin.
-            (qv(5, 5, 5), [(0, 1, 2), (0, 3, 7), (1, 2, 3)], FOREIGN),
-            # The origin count of a cell comes before its missing point.
-            (qv(5, 5, 5), [(1, 2, 7)], ORIGIN),
-            # An origin of another dimension still counts as the origin, so
-            # the cell is lifted and only validation rejects it.
-            (
-                QVector.zero(2),
-                [(1, 2, 7)],
-                "lift is not a triangulation of the polytope: "
-                "cell volumes sum to 1/6, polytope volume is 1",
-            ),
+            # A cell without the origin, after a good cell.
+            [(0, 1, 2), (1, 2, 6)],
+            # A cell with the origin twice.
+            [(0, 1, 2), (0, 0, 6)],
         ],
-        ids=["two-origins", "missing-in-second-cell", "count-first", "other-dim-origin"],
+        ids=["no-origin", "two-origins"],
     )
-    def test_lift_errors_match_the_former_lift(self, extra, cells, message):
+    def test_lift_counts_the_origin_in_each_cell(self, cells):
         sm = shadow(spine(cube(3), [0, 7]))
-        star = Triangulation.make(sm.star_points + (extra,), cells, 2)
+        star = Triangulation.make(sm.star_points, cells, 2)
         with pytest.raises(TriangulationError) as exc:
             lift(star, sm)
-        assert str(exc.value) == message
-        try:
-            former_lift_cells(star, sm)
-        except TriangulationError as former:
-            assert str(former) == message
+        assert str(exc.value) == self.ORIGIN
 
-    def test_unused_foreign_point_raises_nothing(self):
-        sp = spine(cube(3), [0, 7])
-        sm = shadow(sp)
+    @pytest.mark.parametrize(
+        "table",
+        [
+            # An unused point after the map's own.
+            lambda pts: pts + (qv(5, 5, 5),),
+            # The map's points in another order.
+            lambda pts: pts[:1] + pts[:0:-1],
+            # The last point replaced by one with no preimage.
+            lambda pts: pts[:-1] + (qv(5, 5, 5),),
+            # An origin of another dimension after the map's points.
+            lambda pts: pts + (QVector.zero(2),),
+        ],
+        ids=["padded", "permuted", "foreign", "other-dim-origin"],
+    )
+    def test_lift_refuses_another_point_table(self, table):
+        sm = shadow(spine(cube(3), [0, 7]))
         star = star_triangulation(list(sm.star_points))
-        padded = Triangulation.make(star.points + (qv(5, 5, 5),), star.simplices, star.dim)
-        assert former_lift_cells(padded, sm) == former_lift_cells(star, sm)
-        assert lift(padded, sm) == lift(star, sm)
+        other = Triangulation(table(sm.star_points), star.simplices, star.dim)
+        with pytest.raises(TriangulationError) as exc:
+            lift(other, sm)
+        assert str(exc.value) == self.OTHER_TABLE
+
+    def test_lift_takes_the_map_points_by_value(self):
+        sm = shadow(spine(cube(3), [0, 7]))
+        star = star_triangulation(list(sm.star_points))
+        copy = tuple(QVector(list(q)) for q in sm.star_points)
+        assert all(a is not b for a, b in zip(copy, sm.star_points))
+        assert lift(Triangulation(copy, star.simplices, star.dim), sm) == lift(star, sm)
+
+    @pytest.mark.parametrize(
+        "edit,cell",
+        [
+            # Every 6 of the diagonal star read as -1, the last point.
+            (lambda cells: [[-1 if i == 6 else i for i in c] for c in cells], (-1, 0, 2)),
+            (lambda cells: [(0, 1, 99)] + cells[1:], (0, 1, 99)),
+        ],
+        ids=["negative", "out-of-range"],
+    )
+    def test_lift_names_a_cell_with_a_missing_point(self, edit, cell):
+        sm = shadow(spine(cube(3), [0, 7]))
+        star = star_triangulation(list(sm.star_points))
+        bad = Triangulation.make(sm.star_points, edit(list(star.simplices)), star.dim)
+        with pytest.raises(TriangulationError) as exc:
+            lift(bad, sm)
+        assert str(exc.value) == f"cell {cell} references a missing point"
+
+    def test_fold_names_a_cell_with_a_missing_point(self):
+        p = cube(3)
+        sm = shadow(spine(p, [0, 7]))
+        t = Triangulation.make(p.vertices, [(0, 7, 8, 9)], 3)
+        with pytest.raises(TriangulationError) as exc:
+            fold(t, sm)
+        assert str(exc.value) == "cell (0, 7, 8, 9) references a missing point"
 
     @pytest.mark.parametrize(
         "verts,points,cells,reason",

@@ -7,8 +7,9 @@ same shape, volume and usage checks it compares every pair of cells, first
 by the facet planes of each and then by an exact LP for a common interior
 point, solved by the general LP oracle `lp_oracle.fraction_lp_feasible`.
 It never checks that the points lie in the polytope, so a point set
-outside P is the one case on which the two validators may disagree;
-everywhere else they must accept and reject the same triangulations.
+outside P is one case on which the two validators may disagree; a point
+polytope's one cell, which has no facet planes to compare, is the other.
+Everywhere else they must accept and reject the same triangulations.
 """
 
 import itertools
@@ -47,10 +48,6 @@ def pairwise_validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str
     to the polytope volume, pairwise disjoint interiors, every point used."""
     k = p.dim
     n = len(t.points)
-    if k == 0:
-        if tuple(t.simplices) == ((0,),) and n == 1:
-            return True, "ok"
-        return False, "a point polytope is triangulated by itself only"
     try:
         coords = [Vec(frame_coords(p, q)) for q in t.points]
     except PolytopeError:
@@ -183,6 +180,19 @@ def test_agreement_on_random_cell_subsets(dims):
             ridge_rejects += "ridge" in reason
     # Both outcomes past the volume check are exercised.
     assert accepted and ridge_rejects
+
+
+def test_agreement_on_a_point():
+    """The point cases of the library's own tests.  The pairwise rule needs
+    each cell's facet planes, which a 0-simplex does not have, so the one
+    accepted case is beyond the oracle: it raises where the library says ok."""
+    from test_frame_oracle import point_cases
+
+    (t, p), *rejected = point_cases()
+    assert validate_detailed(t, p) == (True, "ok")
+    with pytest.raises(ValueError):
+        pairwise_validate_detailed(t, p)
+    assert [_verdict(t, p)[0] for t, p in rejected] == [False, False, False]
 
 
 SQUARE = [QVector(v) for v in [(0, 0), (1, 0), (0, 1), (1, 1)]]
