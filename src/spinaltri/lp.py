@@ -27,7 +27,7 @@ def _pivot(tab: list[list[int]], row: int, col: int, d: int) -> int:
     """Pivot on (row, col) over denominator d; returns the new denominator.
 
     T'[i][j] = (T[i][j] p - T[i][col] T[row][j]) / d, exact; the pivot row
-    keeps its entries.  A negative pivot negates the tableau, so D stays > 0.
+    keeps its entries.
     """
     p = tab[row][col]
     pivoted = tab[row]
@@ -39,9 +39,6 @@ def _pivot(tab: list[list[int]], row: int, col: int, d: int) -> int:
             tab[i] = [(a * p - f * b) // d for a, b in zip(r, pivoted)]
         elif p != d:
             tab[i] = [a * p // d for a in r]
-    if p < 0:
-        tab[:] = [[-a for a in r] for r in tab]
-        p = -p
     return p
 
 

@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 from .linalg import DimensionError, QVector, int_adjugate, int_dot, scaled_ints
 from .polytope import (
-    DuplicatePoint,
     NotInConvexPosition,
     Polytope,
     PolytopeError,
@@ -147,24 +146,26 @@ def star_triangulation(
 ) -> Triangulation:
     """Star triangulation with respect to the origin.
 
-    The input points must contain the origin exactly once, with the other
-    points in convex position; non-extreme nonzero points are rejected.
-    Three positions of the origin are handled: strictly inside the hull of
-    the others, on its boundary, or outside with the whole point set in
-    convex position.  The origin alone is its own one-cell star of dim 0.
-    The star is the pulling triangulation of the hull of all points with
-    the origin pulled first, then the other points in the optional order,
-    which is what makes distinct star triangulations of the same shadow
-    reachable; the default is input order.  Pulling the origin first cones
-    it over every facet whose zero set misses it, whether or not it is a
-    vertex: when it is none, no face pulled below the top holds it.
+    The input points must contain the origin exactly once, of the others'
+    dimension, and every other point must be a vertex of the hull of all
+    points; the origin may lie inside the others' hull, on its boundary, or
+    outside it as a vertex.  The origin alone is its own one-cell star of
+    dim 0.  The star is the pulling triangulation of the hull of all points
+    with the origin pulled first, then the other points in the optional
+    order, which is what makes distinct star triangulations of the same
+    shadow reachable; the default is input order.  Pulling the origin first
+    cones it over every facet whose zero set misses it, whether or not it is
+    a vertex: when it is none, no face pulled below the top holds it.
 
-    Cost: one double description on all the points, the origin included,
-    and no LP or membership test (see _star_hull).  The frame and the zero
+    Cost: one double description on all the points, which may be redundant
+    (Fukuda and Prodon 1996), and no LP.  Point i is a vertex iff
+    `least_face` of its bit is its bit: make_polytope's rule on the same
+    list, the origin exempt.  A rejected input names the first other point
+    that fails, or a repeated point, by input index.  The frame and the zero
     sets of the last accepted input are kept, so a call on equal points, as
     for the stars of one shadow under many orders, runs neither again.  The
-    origin count, the order and `checked_points` run on every call, so the
-    vertex cap counts the points other than the origin.
+    origin count, the order, `checked_points` and the origin's dimension run
+    on every call, so the vertex cap counts the points other than the origin.
     """
     global _star_memo
     pts = [q if isinstance(q, QVector) else QVector(q) for q in points]
@@ -182,6 +183,8 @@ def star_triangulation(
         return Triangulation.make(pts, [(0,)], 0)
     others = [i for i in range(len(pts)) if i != z]
     dim = len(checked_points([pts[i] for i in others])[0])
+    if len(pts[z]) != dim:
+        raise DimensionError(f"point of dim {len(pts[z])} against ambient dim {dim}")
     n = len(pts)
     key = tuple(pts)
     memo = _star_memo  # read once, so its key and its contents match
@@ -190,7 +193,11 @@ def star_triangulation(
     if memo is not None and memo[0] == key:
         _, fr, masks = memo
     else:
-        fr, masks = _star_hull(pts, z, others, dim)
+        fr, raw = _hull_rays(pts)
+        masks = [m for *_, m in raw]
+        for i in others:
+            if least_face(masks, 1 << i, n) != 1 << i:
+                raise NotInConvexPosition(i)
     _star_memo = (key, fr, masks)
 
     base = order if order is not None else list(range(n))
@@ -202,44 +209,6 @@ def star_triangulation(
     if set(itertools.chain.from_iterable(tri.simplices)) != set(range(n)):
         raise ShadowInternalError("star construction failed to use every point")
     return tri
-
-
-def _star_hull(pts: list[QVector], z: int, others: list[int], dim: int) -> tuple:
-    """The frame of the hull of all points and the double description's
-    zero sets on them, or the error that rejects the star's input.
-
-    Point i is a vertex of the hull of all points iff `least_face` of its
-    bit is its bit.  A point that is no vertex of the hull of the others is
-    none of the hull of all points either, so the input is accepted iff
-    every other point passes.  Then either the origin is a vertex (outside),
-    or the hull of all points is the hull of the others (inside or on the
-    boundary) and the same rays are its facets.  A rejected input pays a
-    second double description, on the others alone, which names the first
-    point in the others' hull; if there is none, the origin lies outside
-    that hull and the first other point that fails in the hull of all
-    points is named.  Points are named by their input index.
-    """
-    n = len(pts)
-    if len(pts[z]) == dim:
-        fr, raw = _hull_rays(pts)
-        masks = [m for *_, m in raw]
-        failing = [i for i in others if least_face(masks, 1 << i, n) != 1 << i]
-    else:
-        failing = others  # no double description on mixed dimensions
-    if failing:
-        try:
-            sub = [m for *_, m in _hull_rays([pts[i] for i in others])[1]]
-        except DuplicatePoint as exc:
-            raise DuplicatePoint(others[exc.index], others[exc.first]) from None
-        for j, i in enumerate(others):
-            if least_face(sub, 1 << j, n - 1) != 1 << j:
-                raise NotInConvexPosition(i)
-        if len(pts[z]) != dim:
-            raise DimensionError(f"point of dim {len(pts[z])} against ambient dim {dim}")
-        # The others are in convex position, so the origin lies outside
-        # their hull and swallows the first failing point.
-        raise NotInConvexPosition(failing[0])
-    return fr, masks
 
 
 def spinal_triangulation(s: Spine) -> Triangulation:
@@ -384,8 +353,12 @@ def fold(t: Triangulation, sm: ShadowMap) -> Triangulation:
             raise TriangulationError("triangulation is not spinal for this spine")
         cells.append(tuple(sorted([0] + [star_of[i] for i in c if i not in uset])))
     result = Triangulation.make(sm.star_points, cells, sm.e)
+    _check_repeats(t.simplices, cells, result)
     ok, reason = validate_detailed(result, shadow_polytope(sm))
     if not ok:
+        ok, why = validate_detailed(t, p)
+        if not ok:
+            raise TriangulationError(f"cells are not a triangulation of P: {why}")
         raise ShadowInternalError(
             f"fold of a spinal triangulation failed validation: {reason}"
         )
@@ -404,6 +377,8 @@ def lift(star: Triangulation, sm: ShadowMap) -> Triangulation:
     # on the map's own points is accepted without comparing a coordinate.
     if star.points != sm.star_points:
         raise TriangulationError("star is not over the shadow's point table")
+    if star.dim != sm.e:
+        raise TriangulationError(f"dim {star.dim} is not the shadow's dimension {sm.e}")
     image = sm.lift_indices
     _check_indices(star.simplices, len(image))
     cells = []
@@ -414,6 +389,7 @@ def lift(star: Triangulation, sm: ShadowMap) -> Triangulation:
         lifted.remove(-1)
         cells.append(tuple(sorted([*sm.spine.indices, *lifted])))
     result = Triangulation.make(p.vertices, cells, p.dim)
+    _check_repeats(star.simplices, cells, result)
     ok, reason = validate_detailed(result, p)
     if not ok:
         raise TriangulationError(f"lift is not a triangulation of the polytope: {reason}")
@@ -427,6 +403,13 @@ def _check_indices(cells: Sequence[Sequence[int]], n: int) -> None:
     if used and (min(used) < 0 or max(used) >= n):
         bad = next(c for c in cells if any(not 0 <= i < n for i in c))
         raise TriangulationError(f"cell {bad} references a missing point")
+
+
+def _check_repeats(given: Sequence, cells: list, made: Triangulation) -> None:
+    """Refuse a given cell whose image repeats an earlier one's in made."""
+    if made.n_simplices < len(cells):
+        i = next(i for i, c in enumerate(cells) if c in cells[:i])
+        raise TriangulationError(f"cell {given[i]} is given twice")
 
 
 def validate(t: Triangulation, p: Polytope) -> bool:

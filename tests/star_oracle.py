@@ -8,6 +8,14 @@ builds and enumerates the polytope of all points a second time.
 `star_triangulation` now reads all of that off one double description of all
 the points; `tests/test_star_oracle.py` checks that both give the same cells
 and dimension, or the same exception type and message.
+
+Deliberate differences: the origin alone is its own star, which this route
+rejects as an empty hull; the 30-vertex cap counts the points other than
+the origin, not all points; an origin of another dimension is refused
+before the others' convex position is checked, not after; and a rejected
+input names the first point other than the origin that is no vertex of the
+hull of all points, where this route names the first point in the hull of
+the others and only then one that the origin swallows.
 """
 
 from __future__ import annotations

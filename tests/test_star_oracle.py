@@ -7,11 +7,15 @@ shuffled orders.  The inputs are the stars that `selftest`,
 `test_pulling_oracle.py` and the shadows of `test_shadow_oracle.py` build,
 hand-picked positions of the origin in dimensions 2 to 4, lower-dimensional
 hulls in R^3, and seeded random point sets with duplicates, non-extreme
-points and more than 30 non-origin points.  There are two deliberate
-differences: the origin alone, which the former route rejected as an empty
-hull, and 30 non-origin points with the origin outside their hull, which the
-former route refused under the 30-vertex cap on all points and which is now
-accepted, since the cap counts the points other than the origin.
+points and more than 30 non-origin points.  There are four deliberate
+differences, all listed in `star_oracle.py`: the origin alone, which the
+former route rejected as an empty hull; 30 non-origin points with the
+origin outside their hull, which the former route refused under the
+30-vertex cap on all points and which is now accepted, since the cap counts
+the points other than the origin; the point a rejected input names, which
+`check_named_point` confirms by the LP oracle where the two routes may
+differ; and an origin of another dimension, now refused before the others'
+convex position is checked.
 """
 
 from __future__ import annotations
@@ -22,11 +26,17 @@ from fractions import Fraction
 
 import pytest
 
-from spinaltri.linalg import QVector
-from spinaltri.polytope import PolytopeError, extreme_points, make_polytope
+from spinaltri.linalg import DimensionError, QVector
+from spinaltri.polytope import (
+    NotInConvexPosition,
+    PolytopeError,
+    extreme_points,
+    make_polytope,
+)
 from spinaltri.selfcheck import Workspace, _random_polytope, _star_orders
 from spinaltri.spine import enumerate_spines, spine
 from spinaltri.triangulation import shadow, star_triangulation, validate
+from lp_oracle import fraction_in_convex_hull
 from star_oracle import lp_star_triangulation
 from test_pulling_oracle import _orders
 from test_shadow_oracle import named_instances, random_instances, skew_instances
@@ -42,11 +52,31 @@ def outcome(build, pts, order):
 
 
 def assert_same(pts, orders) -> bool:
-    """Equal outcomes for every order; whether the input was accepted."""
+    """Equal outcomes for every order, but for the point that an input both
+    routes reject as not in convex position names, which `check_named_point`
+    checks; whether the input was accepted."""
     for order in orders:
         got = outcome(star_triangulation, pts, order)
-        assert got == outcome(lp_star_triangulation, pts, order), (pts, order)
+        want = outcome(lp_star_triangulation, pts, order)
+        if got[0] is not NotInConvexPosition or want[0] is not NotInConvexPosition:
+            assert got == want, (pts, order)
+    if got[0] is NotInConvexPosition:
+        check_named_point(pts)
     return not isinstance(got[0], type)
+
+
+def check_named_point(pts) -> None:
+    """The LP oracle confirms the point a rejected star names: it lies in the
+    hull of the other input points, and no earlier point but the origin
+    does.  The origin itself is never named."""
+    with pytest.raises(NotInConvexPosition) as exc:
+        star_triangulation(pts)
+    i = exc.value.index
+    in_hull = [
+        not q.is_zero() and fraction_in_convex_hull(q, pts[:j] + pts[j + 1 :])
+        for j, q in enumerate(pts[: i + 1])
+    ]
+    assert in_hull == [False] * i + [True], (pts, i)
 
 
 def shuffled(rng: random.Random, n: int, count: int = 1) -> list[list[int] | None]:
@@ -182,25 +212,34 @@ def test_named_positions_are_as_named():
 
 
 @pytest.mark.parametrize(
-    "pts,error",
+    "pts,error,former",
     [
         # Point 1 is a vertex of the others' hull and lies in the hull of
-        # all points; point 4 lies in the others' hull and is named first.
-        ([(0, 0), (1, 0), (3, 1), (3, -1), (2, 0)], "point 4 lies in the convex hull"),
-        ([(0, 0), (1, 0), (3, 1), (3, -1)], "point 1 lies in the convex hull"),
-        # The others are checked before the origin's dimension.
+        # all points; point 4 lies in the others' hull.  The library names
+        # the first point that is no vertex of the hull of all points, the
+        # former route the first one in the others' hull.
+        ([(0, 0), (1, 0), (3, 1), (3, -1), (2, 0)], "point 1 lies in the convex hull",
+         "point 4 lies in the convex hull"),
+        ([(0, 0), (1, 0), (3, 1), (3, -1)], "point 1 lies in the convex hull", None),
+        # The library refuses the origin's dimension first; the former route
+        # checked the others first.
         ([(1, 1), (0, 0, 0), (-1, 1), (0, 1), (-1, -1), (1, -1)],
-         "point 3 lies in the convex hull"),
+         "point of dim 3 against ambient dim 2", "point 3 lies in the convex hull"),
         ([(1, 1), (0, 0, 0), (-1, 1), (-1, -1), (1, -1)],
-         "point of dim 3 against ambient dim 2"),
+         "point of dim 3 against ambient dim 2", None),
     ],
     ids=["hidden-and-inside", "hidden", "origin-dim-nonconvex", "origin-dim"],
 )
-def test_rejected_inputs_name_the_oracles_point(pts, error):
+def test_rejected_inputs_name_the_oracles_point(pts, error, former):
+    # The point named is the one the LP oracle confirms; where the former
+    # route named another, both names are pinned.
     pts = [QVector(q) for q in pts]
-    assert_same(pts, [None, list(range(len(pts)))[::-1]])
-    with pytest.raises(ValueError, match=f"^{error}"):
-        star_triangulation(pts)
+    for build, message in ((star_triangulation, error), (lp_star_triangulation, former or error)):
+        for order in (None, list(range(len(pts)))[::-1]):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                build(pts, order)
+    if error.startswith("point 1"):
+        check_named_point(pts)
 
 
 def random_others(rng: random.Random) -> list[QVector]:
@@ -228,7 +267,7 @@ def random_others(rng: random.Random) -> list[QVector]:
 
 def test_random_point_sets_match_oracle():
     rng = random.Random(20261019)
-    accepted = rejected = 0
+    accepted = rejected = named = 0
     for _ in range(300):
         others = random_others(rng)
         pts = list(others)
@@ -237,7 +276,9 @@ def test_random_point_sets_match_oracle():
             accepted += 1
         else:
             rejected += 1
-    assert accepted > 60 and rejected > 60
+            named += outcome(star_triangulation, pts, None)[0] is NotInConvexPosition
+    # Each named point was confirmed by the LP oracle (check_named_point).
+    assert accepted > 60 and rejected > 60 and named > 30
 
 
 def test_cap_errors_match_oracle():
@@ -263,12 +304,18 @@ def test_mixed_dimension_and_bad_orders_match_oracle():
     cases = [
         square + [QVector([0, 0, 0])],
         [QVector([1, 1]), QVector([1, 1, 1]), QVector([0, 0])],
-        square + [QVector([Fraction(1, 2), 0]), QVector([0, 0, 0])],
         square + [QVector([0, 0]), QVector([0, 0])],
         square,
     ]
     for pts in cases:
         assert_same(pts, [None])
+    # An origin of another dimension is refused before the others' convex
+    # position; the former route named the non-extreme point 4 first.
+    pts = square + [QVector([Fraction(1, 2), 0]), QVector([0, 0, 0])]
+    with pytest.raises(DimensionError, match="^point of dim 3 against ambient dim 2$"):
+        star_triangulation(pts)
+    with pytest.raises(NotInConvexPosition, match="^point 4 lies"):
+        lp_star_triangulation(pts)
     pts = square + [QVector([0, 0])]
     for order in ([0, 1, 2, 3], [0, 1, 2, 3, 3], [4, 3, 2, 1, 0, 5]):
         assert_same(pts, [order])

@@ -18,6 +18,7 @@ from spinaltri.polytope import DuplicatePoint, NotInConvexPosition, make_polytop
 from spinaltri.spine import spine
 from spinaltri.everest import simplotope_with_spine
 from spinaltri.triangulation import (
+    ShadowInternalError,
     Triangulation,
     TriangulationError,
     fold,
@@ -178,18 +179,18 @@ class TestStarOneDoubleDescription:
         "pts,error,dd_count",
         [
             # A point in the hull of the others.
-            ([qv(0, 0), qv(3, 0), qv(0, 3), qv(-3, -3), qv(0, 1)], "point 4 lies", 2),
+            ([qv(0, 0), qv(3, 0), qv(0, 3), qv(-3, -3), qv(0, 1)], "point 4 lies", 1),
             # A vertex of the others' hull that the origin swallows.
-            ([qv(0, 0), qv(1, 0), qv(3, 1), qv(3, -1)], "point 1 lies", 2),
-            # The origin of another dimension: the others' check, then its own.
+            ([qv(0, 0), qv(1, 0), qv(3, 1), qv(3, -1)], "point 1 lies", 1),
+            # The origin of another dimension is refused before any hull.
             ([qv(1, 1), qv(-1, 1), qv(-1, -1), qv(1, -1), QVector([0, 0, 0])],
-             "point of dim 3 against ambient dim 2", 1),
+             "point of dim 3 against ambient dim 2", 0),
             ([qv(1, 1), qv(-1, 1), qv(0, 0, 0), qv(-1, -1), qv(1, -1), qv(0, 1)],
-             "point 5 lies", 1),
+             "point of dim 3 against ambient dim 2", 0),
             # 31 points with the origin outside: the vertex cap counts the 30
             # others only, and the origin swallows point 30.
             ([qv(0, 0)] + [qv(t, t * t) for t in range(1, 30)] + [qv(1, 2)],
-             "point 30 lies", 2),
+             "point 30 lies", 1),
         ],
         ids=["in-others", "swallowed", "origin-dim", "origin-dim-in-others", "cap"],
     )
@@ -474,6 +475,67 @@ class TestFoldLift:
         assert all({0, 7} <= set(c) for c in lifted.simplices)
         assert validate(lifted, cube(3))
         assert fold(lifted, sm).simplices == star.simplices
+
+    def test_fold_blames_an_input_that_is_no_triangulation(self):
+        sp = spine(cube(3), [0, 7])
+        sm = shadow(sp)
+        t = spinal_triangulation(sp)
+        dropped = Triangulation(t.points, t.simplices[1:], t.dim)
+        with pytest.raises(TriangulationError) as exc:
+            fold(dropped, sm)
+        assert str(exc.value) == (
+            "cells are not a triangulation of P: "
+            "cell volumes sum to 5/6, polytope volume is 1"
+        )
+
+    def test_fold_of_a_valid_input_validates_once(self, monkeypatch):
+        # The input is validated only after its fold fails: a fold that
+        # passes costs one validation, and a valid input whose fold fails
+        # is the library's fault.
+        sp = spine(cube(3), [0, 7])
+        sm = shadow(sp)
+        t = spinal_triangulation(sp)
+        calls = []
+        real = spinaltri.triangulation.validate_detailed
+
+        def counting(tri, p):
+            calls.append(p)
+            return real(tri, p)
+
+        monkeypatch.setattr(spinaltri.triangulation, "validate_detailed", counting)
+        fold(t, sm)
+        assert calls == [shadow_polytope(sm)]
+        wrong = make_polytope([qv(0, 0, 0), qv(1, 0, 0), qv(0, 1, 0), qv(0, 0, 1)])
+        monkeypatch.setattr(spinaltri.triangulation, "shadow_polytope", lambda sm: wrong)
+        with pytest.raises(ShadowInternalError, match="^fold of a spinal triangulation"):
+            fold(t, sm)
+
+    def test_fold_refuses_a_repeated_cell(self):
+        sp = spine(cube(3), [0, 7])
+        sm = shadow(sp)
+        t = spinal_triangulation(sp)
+        again = Triangulation(t.points, t.simplices + (t.simplices[0][::-1],), t.dim)
+        assert again.n_simplices == 7
+        with pytest.raises(TriangulationError) as exc:
+            fold(again, sm)
+        assert str(exc.value) == f"cell {t.simplices[0][::-1]} is given twice"
+
+    def test_lift_refuses_a_repeated_cell(self):
+        sm = shadow(spine(cube(3), [0, 7]))
+        star = star_triangulation(list(sm.star_points))
+        again = Triangulation(star.points, star.simplices + (star.simplices[2],), star.dim)
+        with pytest.raises(TriangulationError) as exc:
+            lift(again, sm)
+        assert str(exc.value) == f"cell {star.simplices[2]} is given twice"
+
+    @pytest.mark.parametrize("dim", [7, 1, 3])
+    def test_lift_refuses_another_dim(self, dim):
+        sm = shadow(spine(cube(3), [0, 7]))
+        star = star_triangulation(list(sm.star_points))
+        assert star.dim == sm.e == 2
+        with pytest.raises(TriangulationError) as exc:
+            lift(Triangulation(star.points, star.simplices, dim), sm)
+        assert str(exc.value) == f"dim {dim} is not the shadow's dimension 2"
 
     def test_lift_rejects_foreign_points(self):
         sp = spine(cube(3), [0, 7])
