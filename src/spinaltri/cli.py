@@ -15,10 +15,13 @@ from .linalg import MAX_TOKEN_DIGITS, format_rational
 from . import io as sio
 from .everest import (
     EverestParams,
+    _everest_polytope,
+    _hull_volume,
+    _se_checks,
+    _volume_by_lifting,
     c_constant,
     everest_volume,
     g_eval,
-    se_checks,
     vertex_families,
 )
 from .birkhoff import (
@@ -274,19 +277,20 @@ def cmd_everest(args) -> int:
 
 
 def _everest_verify(params: EverestParams, args) -> int:
-    checks: list[tuple[str, bool]] = []
+    # Each family is built once: E(n, s)'s and E(n+1, s)'s are passed on.
     fam = vertex_families(params)  # raises on any cardinality mismatch
-    checks.append(("family_cardinalities", True))
-    checks.append(
-        ("vertices_on_unit_level", all(g_eval(params, v) == 1 for v in fam.everest))
-    )
-    checks.extend(se_checks(params).items())
-    hull_vol = everest_volume(params, "hull")
-    checks.append(("hull_volume_matches_formula", hull_vol == c_constant(params)))
+    up = vertex_families(EverestParams(params.n + 1, params.s))
+    checks = [
+        ("family_cardinalities", True),
+        ("vertices_on_unit_level", all(g_eval(params, v) == 1 for v in fam.everest)),
+        *_se_checks(params, fam, up).items(),
+        ("hull_volume_matches_formula",
+         _hull_volume(_everest_polytope(params, fam)) == c_constant(params)),
+    ]
     if args.lifting:
         checks.append(
             ("lifting_volume_matches_formula",
-             everest_volume(params, "lifting") == c_constant(params))
+             _volume_by_lifting(params, up) == c_constant(params))
         )
     ok = all(flag for _, flag in checks)
     doc = {
@@ -369,75 +373,69 @@ def cmd_selftest(args) -> int:
     return run_selftest(only=args.only)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Verb -> (handler, help line, its arguments after --pretty as (name,
+# add_argument keywords)), in help order.
+VERBS = {
+    "facets": (cmd_facets, "enumerate facets of a polytope file", [("polytope", {})]),
+    "spine-check": (cmd_spine_check, "test the facet criterion for a vertex set", [
+        ("polytope", {}),
+        ("--set", dict(required=True, help="comma-separated vertex indices"))]),
+    "spine-enum": (cmd_spine_enum, "enumerate all spines", [
+        ("polytope", {}), ("--min-size", dict(default="2"))]),
+    "triangulate": (cmd_triangulate, "pulling or spinal triangulation", [
+        ("polytope", {}), ("--order", dict(help="pulling order as comma-separated indices")),
+        ("--spinal", dict(action="store_true")),
+        ("--set", dict(help="spine indices for --spinal"))]),
+    "fold": (cmd_fold, "fold a spinal triangulation to the shadow", [
+        ("polytope", {}), ("--set", dict(required=True)),
+        ("--order", dict(help="optional spinal pulling order"))]),
+    "lift": (cmd_lift, "lift a star triangulation of the shadow", [
+        ("polytope", {}), ("--set", dict(required=True)),
+        ("--star", dict(required=True, help="triangulation JSON over the shadow table"))]),
+    "volume": (cmd_volume, "exact volume by pulling triangulation", [
+        ("polytope", {}), ("--order", {})]),
+    "verify-lifting": (cmd_verify_lifting, "check the projection volume law", [
+        ("polytope", {}), ("--set", dict(required=True))]),
+    "everest": (cmd_everest, "Everest polytope operations", [
+        ("action", dict(choices=["vertices", "volume", "verify"])), ("n", {}), ("s", {}),
+        ("--method", dict(choices=["formula", "hull", "lifting"])),
+        ("--lifting", dict(action="store_true", help="include the lifting route in verify"))]),
+    "birkhoff": (cmd_birkhoff, "Birkhoff projection pipeline", [
+        ("action", dict(choices=["context", "project", "verify"])), ("n", {}),
+        ("--volume", dict(action="store_true", help="also check the volume relation"))]),
+    "selftest": (cmd_selftest, "run the acceptance checks minus long items", [
+        ("--only", dict(help="run a single criterion by number"))]),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb in VERBS, or with ``only`` of that verb
+    alone; a verb's own parser is the same either way."""
     ap = argparse.ArgumentParser(
         prog="spinaltri",
         description="Exact spinal triangulations, shadows, and polytope volumes.",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=fn)
-        p.add_argument("--pretty", action="store_true", help="human-readable output")
-        return p
-
-    p = add("facets", cmd_facets, help="enumerate facets of a polytope file")
-    p.add_argument("polytope")
-
-    p = add("spine-check", cmd_spine_check, help="test the facet criterion for a vertex set")
-    p.add_argument("polytope")
-    p.add_argument("--set", required=True, help="comma-separated vertex indices")
-
-    p = add("spine-enum", cmd_spine_enum, help="enumerate all spines")
-    p.add_argument("polytope")
-    p.add_argument("--min-size", default="2")
-
-    p = add("triangulate", cmd_triangulate, help="pulling or spinal triangulation")
-    p.add_argument("polytope")
-    p.add_argument("--order", help="pulling order as comma-separated indices")
-    p.add_argument("--spinal", action="store_true")
-    p.add_argument("--set", help="spine indices for --spinal")
-
-    p = add("fold", cmd_fold, help="fold a spinal triangulation to the shadow")
-    p.add_argument("polytope")
-    p.add_argument("--set", required=True)
-    p.add_argument("--order", help="optional spinal pulling order")
-
-    p = add("lift", cmd_lift, help="lift a star triangulation of the shadow")
-    p.add_argument("polytope")
-    p.add_argument("--set", required=True)
-    p.add_argument("--star", required=True, help="triangulation JSON over the shadow table")
-
-    p = add("volume", cmd_volume, help="exact volume by pulling triangulation")
-    p.add_argument("polytope")
-    p.add_argument("--order")
-
-    p = add("verify-lifting", cmd_verify_lifting, help="check the projection volume law")
-    p.add_argument("polytope")
-    p.add_argument("--set", required=True)
-
-    p = add("everest", cmd_everest, help="Everest polytope operations")
-    p.add_argument("action", choices=["vertices", "volume", "verify"])
-    p.add_argument("n")
-    p.add_argument("s")
-    p.add_argument("--method", choices=["formula", "hull", "lifting"])
-    p.add_argument("--lifting", action="store_true", help="include the lifting route in verify")
-
-    p = add("birkhoff", cmd_birkhoff, help="Birkhoff projection pipeline")
-    p.add_argument("action", choices=["context", "project", "verify"])
-    p.add_argument("n")
-    p.add_argument("--volume", action="store_true", help="also check the volume relation")
-
-    p = add("selftest", cmd_selftest, help="run the acceptance checks minus long items")
-    p.add_argument("--only", help="run a single criterion by number")
-
+    for name, (fn, help_line, arguments) in VERBS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            p.set_defaults(func=fn)
+            p.add_argument("--pretty", action="store_true", help="human-readable output")
+            for arg, kwargs in arguments:
+                p.add_argument(arg, **kwargs)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command.  An argv (default ``sys.argv[1:]``) that starts with
+    a verb is parsed by that verb's parser alone; any other, or one that
+    leaves a token unparsed, by the full parser, which prints its errors."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, rest = None, argv
+    if argv and argv[0] in VERBS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DOMAIN_ERRORS as exc:

@@ -128,11 +128,17 @@ def g_eval(params: EverestParams, x: Sequence) -> Fraction:
 def everest_polytope(params: EverestParams) -> Polytope:
     """Polytope on the generated vertices, validated to be in convex position
     and to sit on the gauge's unit level set; EverestError past MAX_HULL_DIM."""
+    return _everest_polytope(params, None)
+
+
+def _everest_polytope(params: EverestParams, fam: Families | None) -> Polytope:
+    """everest_polytope on the families fam of params, or on its own if fam
+    is None; the dimension cap is checked before any family is built."""
     if params.dim > MAX_HULL_DIM:
         raise EverestError(
             f"dimension {params.dim} exceeds the desk-scale cap {MAX_HULL_DIM}"
         )
-    vertices = vertex_families(params).everest
+    vertices = (fam or vertex_families(params)).everest
     for v in vertices:
         if g_eval(params, v) != 1:
             raise EverestError(
@@ -168,12 +174,17 @@ def se_checks(params: EverestParams) -> dict[str, bool]:
     image of the non-spine V_-1 points is the vertex set of E(n, s), the
     spine V_0 is killed, and the spine spans the kernel.  The families'
     sign-pattern cap is checked before the carrier is built."""
-    n, s = params.n, params.s
-    up = vertex_families(EverestParams(n + 1, s))
+    up = vertex_families(EverestParams(params.n + 1, params.s))
+    return _se_checks(params, vertex_families(params), up)
+
+
+def _se_checks(params: EverestParams, fam: Families, up: Families) -> dict[str, bool]:
+    """se_checks on the families fam of (n, s) and up of (n+1, s)."""
+    s = params.s
     pi = se_matrix(params)
     zero_set = set(up.v_zero)
     images = {tuple(matvec(pi, v)) for v in up.v_minus_one if v not in zero_set}
-    expected = set(vertex_families(params).everest)
+    expected = set(fam.everest)
     basis = kernel_basis(pi)
     nonzero = [u for u in up.v_zero if any(u)]
     return {
@@ -232,17 +243,24 @@ def everest_volume(params: EverestParams, method: str = "formula") -> Fraction:
     if method == "formula":
         return c_constant(params)
     if method == "hull":
-        report = polytope_volume(everest_polytope(params))
-        if report.volume is None:
-            raise EverestError("the Everest hull is not full-dimensional")
-        return report.volume
+        return _hull_volume(everest_polytope(params))
     if method == "lifting":
-        return _volume_by_lifting(params)
+        # The (n+1, s) families cap n and s before anything else is built.
+        return _volume_by_lifting(params, vertex_families(EverestParams(params.n + 1, params.s)))
     raise EverestError(f"unknown method {method!r}")
 
 
-def _volume_by_lifting(params: EverestParams) -> Fraction:
-    """Volume via the transformed simplotope one dimension up.
+def _hull_volume(p: Polytope) -> Fraction:
+    """The volume of the Everest hull p."""
+    report = polytope_volume(p)
+    if report.volume is None:
+        raise EverestError("the Everest hull is not full-dimensional")
+    return report.volume
+
+
+def _volume_by_lifting(params: EverestParams, fam_up: Families) -> Fraction:
+    """Volume via the transformed simplotope one dimension up, from the
+    (n+1, s) families fam_up.
 
     The square extension maps the (n+1, s)-simplotope to a polytope whose
     spine (the transformed single-column family) spans the last s
@@ -250,8 +268,6 @@ def _volume_by_lifting(params: EverestParams) -> Fraction:
     of E(n, s), so the projection volume law yields the Everest volume from
     the (easily triangulated) transformed simplotope and the spine simplex.
     """
-    n, s = params.n, params.s
-    fam_up = vertex_families(EverestParams(n + 1, s))  # caps n and s first
     pi_tilde, _ = _square_matrices(params, fam_up)
     if abs(det(pi_tilde)) != 1:
         raise EverestError("square extension is not volume preserving")

@@ -489,6 +489,40 @@ class TestVolume:
         assert everest_volume(EverestParams(2, 2), "lifting") == Fraction(15, 4)
         assert calls == [EverestParams(3, 2)]
 
+    @pytest.mark.parametrize(
+        "argv, families",
+        [
+            (["verify", "2", "2", "--lifting"], [(2, 2), (3, 2)]),
+            (["verify", "2", "2"], [(2, 2), (3, 2)]),
+            (["verify", "1", "3", "--lifting", "--pretty"], [(1, 3), (2, 3)]),
+            (["volume", "2", "2", "--method", "hull"], [(2, 2)]),
+            (["volume", "2", "2", "--method", "lifting"], [(3, 2)]),
+            (["vertices", "2", "2"], [(2, 2)]),
+        ],
+    )
+    def test_each_command_builds_each_family_once(self, argv, families, monkeypatch, capsys):
+        # Patched at every binding site, as perfbench's tracer patches it.
+        calls = []
+        real = everest.vertex_families
+
+        def counting(params):
+            calls.append((params.n, params.s))
+            return real(params)
+
+        sites = [
+            (module, name)
+            for module in list(sys.modules.values())
+            if module.__name__.split(".")[0] == "spinaltri"
+            for name, value in vars(module).items()
+            if value is real
+        ]
+        assert {m.__name__ for m, _ in sites} >= {"spinaltri.everest", "spinaltri.cli"}
+        for module, name in sites:
+            monkeypatch.setattr(module, name, counting)
+        assert main(["everest", *argv]) == 0
+        assert calls == families
+        assert capsys.readouterr().err == ""
+
     def test_unknown_method(self):
         with pytest.raises(EverestError):
             everest_volume(EverestParams(1, 1), "monte-carlo")

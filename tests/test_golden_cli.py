@@ -399,6 +399,9 @@ def commands() -> list[list[str]]:
         ["everest", "cube", "2", "2"],
         ["everest", "volume", "2", "2", "--method", "exact"],
         ["birkhoff", "context"],
+        # An option the verb does not take, and an option before the verb.
+        ["fold", cube, "--set", "0,7", "--bogus"],
+        ["--pretty", "facets", cube],
     ]
     return cmds
 
