@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import IntRows, det, int_det, int_dot, matvec, scaled_ints
-from .polytope import Polytope, PolytopeError, facet_masks, make_polytope
+from .polytope import Polytope, PolytopeError, _vertex_polytope, facet_masks
 from .spine import spine
 from .volume import lifting_relation_report, polytope_volume
 
@@ -256,9 +256,9 @@ def projected_birkhoff(ctx: BirkhoffContext) -> Polytope:
             raise BirkhoffError("a spine vertex has a nonzero projected image")
     # The spine images are the origin, interior for n >= 3, and every other
     # image is a vertex: the map's kernel on the hull is the spine's span,
-    # so (i) of triangulation.shadow_polytope applies; make_polytope checks.
+    # so (i) of triangulation.shadow_polytope applies; _vertex_polytope checks.
     spine_set = set(ctx.spine_vertex_indices)
-    p = make_polytope([v for i, v in enumerate(images) if i not in spine_set])
+    p = _vertex_polytope([v for i, v in enumerate(images) if i not in spine_set])
     if n >= 3 and not (
         p.dim == m * (m - 1) and _strictly_inside((0,) * (m * (m - 1)), p)
     ):
@@ -312,7 +312,7 @@ def verify_birkhoff_volume_relation(ctx: BirkhoffContext) -> VolumeRelationRepor
     n, m = ctx.n, ctx.m
     if n not in (3, 4):
         raise BirkhoffError("the volume relation is computed for n = 3 or 4 only")
-    truncated = make_polytope([matvec(ctx.a_map, v) for v in ctx.vertices])
+    truncated = _vertex_polytope([matvec(ctx.a_map, v) for v in ctx.vertices])
     vol_ab = polytope_volume(truncated).volume
     if vol_ab is None:
         raise BirkhoffError("the truncated polytope is not full-dimensional")
@@ -325,9 +325,9 @@ def verify_birkhoff_volume_relation(ctx: BirkhoffContext) -> VolumeRelationRepor
     rhs = vol_hat * Fraction(1, math.factorial(n - 1)) * Fraction(n) ** (n - 1)
     relation_ok = lhs == rhs
 
-    # make_polytope keeps the input order and C is unimodular, so vertex i
+    # _vertex_polytope keeps the input order and C is unimodular, so vertex i
     # of the repositioned polytope is the image of vertex i.
-    repositioned = make_polytope([_reposition(ctx, v) for v in ctx.vertices])
+    repositioned = _vertex_polytope([_reposition(ctx, v) for v in ctx.vertices])
     rep = lifting_relation_report(spine(repositioned, ctx.spine_vertex_indices))
     # The coordinate-drop projection is an isometry on the spine's
     # orthogonal complement, so the shadow volume is the projected volume.

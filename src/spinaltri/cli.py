@@ -414,11 +414,12 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="spinaltri",
         description="Exact spinal triangulations, shadows, and polytope volumes.",
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="verb", required=True)
     for name, (fn, help_line, arguments) in VERBS.items():
         if only in (None, name):
-            p = sub.add_parser(name, help=help_line)
+            p = sub.add_parser(name, help=help_line, allow_abbrev=False)
             p.set_defaults(func=fn)
             p.add_argument("--pretty", action="store_true", help="human-readable output")
             for arg, kwargs in arguments:

@@ -26,7 +26,7 @@ from .linalg import (
     rank,
     sqrt_rational,
 )
-from .polytope import Polytope, make_polytope
+from .polytope import Polytope, _vertex_polytope
 from .spine import Spine, spine
 from .volume import polytope_volume
 
@@ -144,7 +144,7 @@ def _everest_polytope(params: EverestParams, fam: Families | None) -> Polytope:
             raise EverestError(
                 f"claimed vertex {QVector(v)!r} is not on the unit level set"
             )
-    return make_polytope(vertices)
+    return _vertex_polytope(vertices)
 
 
 def simplotope_with_spine(n: int, s: int) -> tuple[Polytope, Spine]:
@@ -152,7 +152,7 @@ def simplotope_with_spine(n: int, s: int) -> tuple[Polytope, Spine]:
     vertex set is exactly the v_minus_one family of (n, s), and the
     single-column family v_zero, validated to be a spine."""
     fam = vertex_families(EverestParams(n, s))
-    p = make_polytope(fam.v_minus_one)
+    p = _vertex_polytope(fam.v_minus_one)
     index_of = {v: i for i, v in enumerate(fam.v_minus_one)}
     return p, spine(p, [index_of[u] for u in fam.v_zero])
 
@@ -272,7 +272,7 @@ def _volume_by_lifting(params: EverestParams, fam_up: Families) -> Fraction:
     if abs(det(pi_tilde)) != 1:
         raise EverestError("square extension is not volume preserving")
     verts = [tuple(matvec(pi_tilde, v)) for v in fam_up.v_minus_one]
-    p = make_polytope(verts)
+    p = _vertex_polytope(verts)
     index_of = {v: i for i, v in enumerate(verts)}
     sp = spine(p, [index_of[tuple(matvec(pi_tilde, u))] for u in fam_up.v_zero])
     vol_p = polytope_volume(p).volume

@@ -11,7 +11,7 @@ import json
 from typing import Any, Sequence
 
 from .linalg import QVector, format_rational, parse_rational
-from .polytope import Polytope, make_polytope
+from .polytope import Polytope, _vertex_polytope
 from .triangulation import Triangulation
 
 
@@ -46,7 +46,7 @@ def polytope_from_doc(doc: dict[str, Any]) -> Polytope:
     vertices = _rational_rows(raw, "vertices", "vertex")
     if any(len(v) != dim for v in vertices):
         raise DocumentError("vertex dimension disagrees with ambient_dim")
-    return make_polytope(vertices)
+    return _vertex_polytope(vertices)
 
 
 def _rational_rows(raw: Any, name: str, item: str) -> list[QVector]:

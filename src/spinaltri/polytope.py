@@ -169,14 +169,33 @@ def make_polytope(
     Points inside the hull of the others are rejected rather than filtered;
     use extreme_points() for explicit filtering.
     """
-    pts = checked_points(points, max_vertices)
-    poly = Polytope(pts, len(pts[0]))
+    poly = _distinct_polytope(points, max_vertices)
     ints = poly.frame().ivertices
-    check_distinct(ints)
     if len(ints) > 1:
         for i in range(len(ints)):  # the first, before any later LP
             if _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
                 raise NotInConvexPosition(i)
+    return poly
+
+
+def _vertex_polytope(points: Sequence[QVector]) -> Polytope:
+    """make_polytope for the library's constructors, whose polytopes all go
+    on to their facets: point i is a vertex iff its least face is its own
+    bit, on the facets the polytope keeps, so one double description, no LP."""
+    poly = _distinct_polytope(points, DEFAULT_MAX_VERTICES)
+    masks = [vertex_mask(f.incident) for f in poly.facets()]
+    n = poly.n_vertices
+    for i in range(n):
+        if least_face(masks, 1 << i, n) != 1 << i:
+            raise NotInConvexPosition(i)
+    return poly
+
+
+def _distinct_polytope(points: Sequence[QVector], max_vertices: int) -> Polytope:
+    """make_polytope's checks before convex position, in its order."""
+    pts = checked_points(points, max_vertices)
+    poly = Polytope(pts, len(pts[0]))
+    check_distinct(poly.frame().ivertices)
     return poly
 
 

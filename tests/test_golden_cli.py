@@ -178,6 +178,13 @@ _BAD_DOCS = {
     "bad-max-dim": json.dumps(_doc([[int(j == i) for j in range(9)] for i in range(9)])),
     "floats": '{"ambient_dim": 2, "vertices": [[0.5, 0], [1, 0.25], [0, 1]]}',
     "square-centre": json.dumps(_doc([[0, 0], [0, 1], [1, 0], [1, 1], ["1/2", "1/2"]])),
+    # Not in convex position: a point inside an edge, a non-vertex first,
+    # and a square in R^3 with its centre (a hull of lower dimension).
+    "edge-point": json.dumps(_doc([[0, 0], [2, 0], [0, 2], [1, 0]])),
+    "first-inside": json.dumps(_doc([[1, 1], [0, 0], [3, 0], [0, 3]])),
+    "square3-centre": json.dumps(
+        _doc([[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1], ["1/2", "1/2", 1]])
+    ),
     "duplicate": json.dumps(_doc([[0, 0], [0, 1], [1, 0], [0, 1]])),
     "bad-exponent": '{"ambient_dim": 2, "vertices": [["1e400000", "0"], ["0", "1"]]}',
     "bad-vast-exponent": '{"ambient_dim": 2, "vertices": [["1e4000000000", "0"], ["0", "1"]]}',
@@ -339,6 +346,9 @@ def commands() -> list[list[str]]:
         cmds.append(["volume", "inputs/point.json", "--order", order])
     cmds.append(["spine-enum", cube, "--min-size", "0"])
     cmds.append(["spine-enum", cube, "--min-size", "-1"])
+    # An option's prefix is not the option.
+    cmds.append(["spine-enum", cube, "--min", "3"])
+    cmds.append(["volume", cube, "--ord", "7,6,5,4,3,2,1,0"])
     for tok in ("0_7", "+7", "٧", "7x", "--7", "1.0"):
         cmds.append(["spine-check", cube, "--set", f"0,{tok}"])
         cmds.append(["volume", cube, "--order", f"0,1,2,3,4,5,6,{tok}"])

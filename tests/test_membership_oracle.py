@@ -14,6 +14,11 @@ The library's former code is kept here verbatim as the oracle:
   `extreme_points` now reads the vertices off one double description of
   all the points, with no LP, so these references stay independent of it.
 
+`make_polytope` keeps its LP per point; the library's own constructors call
+`polytope._vertex_polytope`, which reads convex position off the facets it
+keeps.  Both must build the same vertices and facets, in order, or raise
+the same error with the same message.
+
 The library now scales each point set to integers once and answers both
 questions on `int`.  On seeded random point sets in dimensions 1 to 4, with
 integer and rational coordinates, repeated points, points inside the hull
@@ -192,11 +197,12 @@ def point_sets(seed: int, count: int):
 
 
 def outcome(build, pts):
-    """The vertices built, or the error with its offending indices."""
+    """The vertices and facets built, or the error with its offending indices."""
     try:
-        return build(pts).vertices
-    except PolytopeError as exc:
+        p = build(pts)
+    except (PolytopeError, DimensionError) as exc:
         return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "first", None)
+    return p.vertices, p.facets()
 
 
 def probe_points(p: Polytope, rng: random.Random):
@@ -237,6 +243,7 @@ def test_make_polytope_and_extreme_points_agree(seed):
     for pts in point_sets(seed, 120):
         got = outcome(make_polytope, pts)
         assert got == outcome(fraction_make_polytope, pts), pts
+        assert got == outcome(polytope._vertex_polytope, pts), pts
         want = fraction_extreme_points(pts)
         assert extreme_points(pts) == lp_extreme_points(pts) == want, pts
         seen.add(got[0] if isinstance(got[0], type) else len(pts[0]))
@@ -285,7 +292,7 @@ CENTRE = QVector([Fraction(1, 2), Fraction(1, 2)])
 @pytest.mark.parametrize("pos", range(5))
 def test_square_plus_centre_in_every_position(pos):
     pts = SQUARE[:pos] + [CENTRE] + SQUARE[pos:]
-    for build in (make_polytope, fraction_make_polytope):
+    for build in (make_polytope, fraction_make_polytope, polytope._vertex_polytope):
         with pytest.raises(NotInConvexPosition) as exc:
             build(pts)
         assert exc.value.index == pos
@@ -389,3 +396,25 @@ def test_extreme_points_make_no_lp(monkeypatch):
 
     monkeypatch.setattr(polytope, "lp_feasible", no_lp)
     assert [extreme_points(pts) for pts in cases] == want
+
+
+def test_vertex_polytope_agrees_on_boundary_small_and_capped_sets(monkeypatch):
+    """Points inside edges and facets, centroids and repeats, also on hulls
+    of lower dimension; 0, 1 and 2 points; mixed dimensions and each cap."""
+    cases = [pts for _, _, pts in boundary_point_sets(110, 60)]
+    cases += [extreme_points(pts) for _, _, pts in boundary_point_sets(120, 30)]
+    cases += list(small_point_sets())
+    cases += [[QVector([0, 0]), QVector([1, 0, 0])]]
+    cases += [[QVector([t, t * t]) for t in range(DEFAULT_MAX_VERTICES + k)] for k in (0, 1)]
+    cases += [[QVector([int(j == i) for j in range(17)]) for i in range(3)]]
+    rejected = 0
+    for pts in cases:
+        got = outcome(polytope._vertex_polytope, pts)
+        assert got == outcome(make_polytope, pts), pts
+        rejected += isinstance(got[0], type)
+    assert 0 < rejected < len(cases)
+    square3 = [QVector([*v, 1]) for v in SQUARE]
+    for raw in ("2", "x"):
+        monkeypatch.setenv(ENV_MAX_DIM, raw)
+        for pts in (square3, SQUARE):
+            assert outcome(polytope._vertex_polytope, pts) == outcome(make_polytope, pts)

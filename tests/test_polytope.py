@@ -1,10 +1,16 @@
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinaltri.birkhoff import (
+    birkhoff_context, projected_birkhoff, verify_birkhoff_volume_relation
+)
+from spinaltri.everest import EverestParams, everest_volume
+from spinaltri.io import load_polytope
 from spinaltri.linalg import QVector
 from spinaltri.polytope import (
     DuplicatePoint,
@@ -225,7 +231,7 @@ class TestExtremePoints:
 
         monkeypatch.setattr(polytope, "lp_feasible", no_lp)
         monkeypatch.setattr(polytope, "_build_frame", no_frame)
-        for build in (extreme_points, make_polytope):
+        for build in (extreme_points, make_polytope, polytope._vertex_polytope):
             with pytest.raises(DimensionError, match="points of mixed dimension"):
                 build([QVector(t) for t in raw])
 
@@ -237,3 +243,47 @@ class TestExtremePoints:
         # Re-validating through the strict constructor must succeed.
         p = make_polytope(ext)
         assert p.n_vertices == len(ext)
+
+
+GOLDEN_CUBE3 = Path(__file__).resolve().parent / "golden" / "inputs" / "cube3.json"
+
+
+# Label -> (polytopes built, the call that builds them).
+LIBRARY_BUILDS = {
+    "everest-hull": (1, lambda: everest_volume(EverestParams(2, 2), "hull")),
+    "everest-lifting": (1, lambda: everest_volume(EverestParams(2, 2), "lifting")),
+    "projected-b4": (1, lambda: projected_birkhoff(birkhoff_context(4))),
+    # truncated, projected, repositioned and the shadow of the last
+    "b3-volume-relation": (4, lambda: verify_birkhoff_volume_relation(birkhoff_context(3))),
+    "polytope-file": (1, lambda: load_polytope(GOLDEN_CUBE3).facets()),
+}
+
+
+@pytest.mark.parametrize("label", LIBRARY_BUILDS)
+def test_library_constructors_read_convex_position_off_their_facets(label, monkeypatch):
+    """The library builds its polytopes with no LP, and each one runs the
+    double description once, for the convex-position check and the facets
+    it keeps."""
+    from spinaltri import polytope
+
+    built, run = LIBRARY_BUILDS[label]
+
+    def no_lp(constraints):
+        raise AssertionError("an LP was built")
+
+    polytopes, dds = [], []
+    real_init, real_dd = polytope.Polytope.__init__, polytope._supporting_hyperplanes
+
+    def counting_init(self, *args):
+        polytopes.append(self)
+        real_init(self, *args)
+
+    def counting_dd(*args):
+        dds.append(args)
+        return real_dd(*args)
+
+    monkeypatch.setattr(polytope, "lp_feasible", no_lp)
+    monkeypatch.setattr(polytope.Polytope, "__init__", counting_init)
+    monkeypatch.setattr(polytope, "_supporting_hyperplanes", counting_dd)
+    run()
+    assert len(polytopes) == len(dds) == built
