@@ -44,6 +44,7 @@ from .everest import (
     EverestParams,
     c_constant,
     everest_polytope,
+    everest_verify,
     everest_volume,
     g_eval,
     se_matrix,

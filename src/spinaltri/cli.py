@@ -15,13 +15,9 @@ from .linalg import MAX_TOKEN_DIGITS, format_rational
 from . import io as sio
 from .everest import (
     EverestParams,
-    _everest_polytope,
-    _hull_volume,
-    _se_checks,
-    _volume_by_lifting,
     c_constant,
+    everest_verify,
     everest_volume,
-    g_eval,
     vertex_families,
 )
 from .birkhoff import (
@@ -273,34 +269,16 @@ def cmd_everest(args) -> int:
         }
         _emit(doc, [format_rational(value)], args)
         return 0
-    return _everest_verify(params, args)
-
-
-def _everest_verify(params: EverestParams, args) -> int:
-    # Each family is built once: E(n, s)'s and E(n+1, s)'s are passed on.
-    fam = vertex_families(params)  # raises on any cardinality mismatch
-    up = vertex_families(EverestParams(params.n + 1, params.s))
-    checks = [
-        ("family_cardinalities", True),
-        ("vertices_on_unit_level", all(g_eval(params, v) == 1 for v in fam.everest)),
-        *_se_checks(params, fam, up).items(),
-        ("hull_volume_matches_formula",
-         _hull_volume(_everest_polytope(params, fam)) == c_constant(params)),
-    ]
-    if args.lifting:
-        checks.append(
-            ("lifting_volume_matches_formula",
-             _volume_by_lifting(params, up) == c_constant(params))
-        )
-    ok = all(flag for _, flag in checks)
+    checks = everest_verify(params, args.lifting)
+    ok = all(checks.values())
     doc = {
         "n": params.n,
         "s": params.s,
         "volume": format_rational(c_constant(params)),
-        "checks": {name: flag for name, flag in checks},
+        "checks": checks,
         "ok": ok,
     }
-    lines = [f"{name}: {'pass' if flag else 'FAIL'}" for name, flag in checks]
+    lines = [f"{name}: {'pass' if flag else 'FAIL'}" for name, flag in checks.items()]
     _emit(doc, lines, args)
     return 0 if ok else 1
 
@@ -309,8 +287,8 @@ def cmd_birkhoff(args) -> int:
     if args.volume and args.action != "verify":
         raise ValueError("--volume applies only to birkhoff verify")
     n = _parse_int(args.n, "n")
+    ctx = birkhoff_context(n)
     if args.action == "context":
-        ctx = birkhoff_context(n)
         rep = determinant_identities(ctx)
         doc = {
             "n": n,
@@ -331,7 +309,7 @@ def cmd_birkhoff(args) -> int:
         _emit(doc, lines, args)
         return 0 if rep.all_ok else 1
     if args.action == "project":
-        p = projected_birkhoff(birkhoff_context(n))
+        p = projected_birkhoff(ctx)
         doc = {
             "n": n,
             "ambient_dim": p.ambient_dim,
@@ -341,7 +319,6 @@ def cmd_birkhoff(args) -> int:
         lines.extend("(" + ", ".join(sio.vector_to_strings(v)) + ")" for v in p.vertices)
         _emit(doc, lines, args)
         return 0
-    ctx = birkhoff_context(n)
     rep = determinant_identities(ctx)
     doc = {
         "n": n,

@@ -157,6 +157,23 @@ def simplotope_with_spine(n: int, s: int) -> tuple[Polytope, Spine]:
     return p, spine(p, [index_of[u] for u in fam.v_zero])
 
 
+def everest_verify(params: EverestParams, lifting: bool = False) -> dict[str, bool]:
+    """The checks of E(n, s) by name, in report order, on one build each of
+    the E(n, s) and E(n+1, s) families.  The first two hold once reached:
+    vertex_families raises on a wrong family size, and the hull on a vertex
+    off the gauge's unit level."""
+    fam = vertex_families(params)
+    up = vertex_families(EverestParams(params.n + 1, params.s))
+    checks = {"family_cardinalities": True, "vertices_on_unit_level": True}
+    checks.update(_se_checks(params, fam, up))
+    hull_volume = _hull_volume(_everest_polytope(params, fam))
+    checks["hull_volume_matches_formula"] = hull_volume == c_constant(params)
+    if lifting:
+        lifted = _volume_by_lifting(params, up)
+        checks["lifting_volume_matches_formula"] = lifted == c_constant(params)
+    return checks
+
+
 def se_matrix(params: EverestParams) -> IntRows:
     """The rows of the (ns) x ((n+1)s) block matrix (I | -I ... -I stacked)
     that carries the (n+1, s)-simplotope onto the (n, s)-Everest polytope:

@@ -140,7 +140,8 @@ class Polytope:
         return self._facets
 
     def incidence_masks(self) -> list[int]:
-        """The facets' vertex sets as bitmasks, in facet order."""
+        """The facets' vertex sets as bitmasks, in facet order; on a polytope
+        from _hull, its double description's zero sets in ray order."""
         if self._masks is None:
             self._masks = [vertex_mask(f.incident) for f in self.facets()]
         return self._masks
@@ -181,9 +182,9 @@ def make_polytope(
 def _vertex_polytope(points: Sequence[QVector]) -> Polytope:
     """make_polytope for the library's constructors, whose polytopes all go
     on to their facets: point i is a vertex iff its least face is its own
-    bit, on the facets the polytope keeps, so one double description, no LP."""
+    bit, on the masks the polytope keeps, so one double description, no LP."""
     poly = _distinct_polytope(points, DEFAULT_MAX_VERTICES)
-    masks = [vertex_mask(f.incident) for f in poly.facets()]
+    masks = poly.incidence_masks()
     n = poly.n_vertices
     for i in range(n):
         if least_face(masks, 1 << i, n) != 1 << i:
@@ -252,7 +253,7 @@ def extreme_points(points: Sequence[QVector]) -> list[QVector]:
         raise DimensionError("points of mixed dimension")
     if len(unique) < 2:
         return unique
-    masks = [z for *_, z in _hull_rays(unique)[1]]
+    masks = _hull(unique).incidence_masks()
     n = len(unique)
     return [p for i, p in enumerate(unique) if least_face(masks, 1 << i, n) == 1 << i]
 
@@ -269,15 +270,15 @@ def least_face(masks: Iterable[int], face: int, n: int) -> int:
     return least
 
 
-def _hull_rays(
-    points: Sequence[QVector],
-) -> tuple[_Frame, list[tuple[tuple[int, ...], int, int]]]:
-    """The frame of the points' affine hull and the double description's
-    rays on them (see _supporting_hyperplanes), with their zero sets over
-    the input indices; DuplicatePoint first if two points are equal."""
-    fr = _build_frame(tuple(points), len(points[0]))
+def _hull(points: Sequence[QVector]) -> Polytope:
+    """The polytope on the points, which may be redundant, whose masks are
+    the double description's zero sets (see _supporting_hyperplanes), with
+    no normal lifted; DuplicatePoint first if two points are equal."""
+    poly = Polytope(points, len(points[0]))
+    fr = poly.frame()
     check_distinct(fr.ivertices)
-    return fr, _supporting_hyperplanes(fr.icoords, fr.dim, (0, *fr.basis))
+    poly._masks = [z for *_, z in _supporting_hyperplanes(fr.icoords, fr.dim, (0, *fr.basis))]
+    return poly
 
 
 def vertex_mask(indices: Iterable[int]) -> int:

@@ -23,7 +23,7 @@ from .polytope import (
     NotInConvexPosition,
     Polytope,
     PolytopeError,
-    _hull_rays,
+    _hull,
     checked_points,
     facet_masks,
     facets_of_face,
@@ -77,11 +77,10 @@ class _PullContext:
     face's come from facets_of_face on its parent's facet list (a face of
     a face E is cut out by E's facets alone), so the recursion touches no
     coordinates and a face scans its parent's few facets, not all of P's.
-    A face pulled with no parent falls back to P's masks.  facets_of_face
-    keeps the maximal candidates by popcount, largest first, so a face's
-    facets arrive in that order; the cells are gathered in a set and
-    sorted, so neither the order nor the parent reaches the result.  Each
-    face's pulling triangulation is memoized on the face alone because
+    facets_of_face keeps the maximal candidates by popcount, largest first,
+    so a face's facets arrive in that order; the cells are gathered in a
+    set and sorted, so neither the order nor the parent reaches the result.
+    Each face's pulling triangulation is memoized on the face alone because
     neighbouring face chains share lower faces.
     """
 
@@ -99,8 +98,6 @@ class _PullContext:
         if face not in self.memo:
             members = [i for i in range(face.bit_length()) if face >> i & 1]
             first = min(members, key=self.rank.__getitem__)
-            if parent is None:
-                parent = self.facet_masks
             subs = self.facet_masks if face == self.top else facets_of_face(face, parent)
             cells: set[tuple[int, ...]] = set()
             for sub in subs:
@@ -133,11 +130,11 @@ def pulling_triangulation(p: Polytope, order: Sequence[int] | None = None) -> Tr
     return Triangulation.make(p.vertices, cells, p.dim)
 
 
-# The last input star_triangulation accepted, as (points, frame, masks): the
-# points' tuple, the frame of their hull and the double description's zero
-# sets.  One entry, keyed on the points' value and re-keyed on every hit, so
-# the next call on the same objects matches by identity; a rejected input is
-# never kept.
+# The last input star_triangulation accepted, as (points, hull): the points'
+# tuple and their hull polytope from polytope._hull, which keeps the frame and
+# the double description's zero sets.  One entry, keyed on the points' value
+# and re-keyed on every hit, so the next call on the same objects matches by
+# identity; a rejected input is never kept.
 _star_memo: tuple | None = None
 
 
@@ -161,11 +158,13 @@ def star_triangulation(
     (Fukuda and Prodon 1996), and no LP.  Point i is a vertex iff
     `least_face` of its bit is its bit: make_polytope's rule on the same
     list, the origin exempt.  A rejected input names the first other point
-    that fails, or a repeated point, by input index.  The frame and the zero
-    sets of the last accepted input are kept, so a call on equal points, as
-    for the stars of one shadow under many orders, runs neither again.  The
-    origin count, the order, `checked_points` and the origin's dimension run
-    on every call, so the vertex cap counts the points other than the origin.
+    that fails, or a repeated point, by input index.  The hull polytope of
+    the last accepted input, which holds the frame and the zero sets, is
+    kept, so a call on equal points, as for the stars of one shadow under
+    many orders, pulls it and runs neither again; the star keeps this call's
+    points.  The origin count, the order, `checked_points` and the origin's
+    dimension run on every call, so the vertex cap counts the points other
+    than the origin.
     """
     global _star_memo
     pts = [q if isinstance(q, QVector) else QVector(q) for q in points]
@@ -191,24 +190,20 @@ def star_triangulation(
     # Tuple equality compares each pair by identity first, so the points of
     # one shadow's map match without hashing or comparing a coordinate.
     if memo is not None and memo[0] == key:
-        _, fr, masks = memo
+        hull = memo[1]
     else:
-        fr, raw = _hull_rays(pts)
-        masks = [m for *_, m in raw]
+        hull = _hull(key)
+        masks = hull.incidence_masks()
         for i in others:
             if least_face(masks, 1 << i, n) != 1 << i:
                 raise NotInConvexPosition(i)
-    _star_memo = (key, fr, masks)
+    _star_memo = (key, hull)
 
     base = order if order is not None else list(range(n))
-    # Pulling reads the facets' zero sets only, so the polytope gets the
-    # double description's masks and never lifts a normal to ambient form.
-    full = Polytope(pts, dim)
-    full._frame, full._masks = fr, masks
-    tri = pulling_triangulation(full, [z] + [i for i in base if i != z])
+    tri = pulling_triangulation(hull, [z] + [i for i in base if i != z])
     if set(itertools.chain.from_iterable(tri.simplices)) != set(range(n)):
         raise ShadowInternalError("star construction failed to use every point")
-    return tri
+    return Triangulation(key, tri.simplices, tri.dim)
 
 
 def spinal_triangulation(s: Spine) -> Triangulation:

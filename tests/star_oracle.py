@@ -1,10 +1,12 @@
 """The former star triangulation, kept as the tests' oracle.
 
 `lp_star_triangulation` is the library's former `star_triangulation`, kept
-verbatim but for its name.  It builds the hull of the non-origin points with
-`make_polytope` (one exact LP per point), asks `Polytope.contains` where the
-origin lies (one facet enumeration of that hull), and in the outside case
-builds and enumerates the polytope of all points a second time.
+verbatim but for its name and for the parent facet list, the hull's own,
+that it hands `_PullContext.pull` with each facet.  It builds the hull of
+the non-origin points with `make_polytope` (one exact LP per point), asks
+`Polytope.contains` where the origin lies (one facet enumeration of that
+hull), and in the outside case builds and enumerates the polytope of all
+points a second time.
 `star_triangulation` now reads all of that off one double description of all
 the points; `tests/test_star_oracle.py` checks that both give the same cells
 and dimension, or the same exception type and message.
@@ -85,7 +87,7 @@ def lp_star_triangulation(
     for facet, mask in zip(hull.facets(), hull.incidence_masks()):
         if facet.offset == 0:
             continue  # origin lies in this facet's hyperplane; cone is flat
-        for tau in ctx.pull(mask):
+        for tau in ctx.pull(mask, ctx.facet_masks):
             cells.add(tuple(sorted((z,) + tuple(others[j] for j in tau))))
     tri = Triangulation.make(pts, cells, hull.dim)
     used = set(itertools.chain.from_iterable(tri.simplices))

@@ -16,6 +16,7 @@ from spinaltri.everest import (
     EverestParams,
     c_constant,
     everest_polytope,
+    everest_verify,
     everest_volume,
     g_eval,
     se_matrix,
@@ -27,6 +28,7 @@ from spinaltri.volume import polytope_volume
 import everest_oracle
 from linalg_oracle import QMatrix, concat, kernel_basis, rank
 from test_birkhoff import is_int_rows
+from test_golden_cli import load_corpus
 
 GRID = [(1, 1), (1, 2), (2, 1), (2, 2)]
 
@@ -526,3 +528,48 @@ class TestVolume:
     def test_unknown_method(self):
         with pytest.raises(EverestError):
             everest_volume(EverestParams(1, 1), "monte-carlo")
+
+
+class TestVerify:
+    """everest_verify is the report `spinaltri everest verify` prints."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            r["argv"]
+            for r in load_corpus()
+            if r["argv"][:2] == ["everest", "verify"] and r["exit"] == 0
+        ],
+        ids=" ".join,
+    )
+    def test_the_cli_prints_its_checks(self, argv, capsys):
+        # --pretty prints the checks in report order, one per line.
+        assert main([a for a in argv if a != "--pretty"] + ["--pretty"]) == 0
+        params = EverestParams(int(argv[2]), int(argv[3]))
+        checks = everest_verify(params, lifting="--lifting" in argv)
+        assert capsys.readouterr().out.splitlines() == [
+            f"{name}: {'pass' if flag else 'FAIL'}" for name, flag in checks.items()
+        ]
+
+    def test_the_gauge_runs_once_per_vertex(self, monkeypatch, capsys):
+        # Patched at every binding site, as perfbench's tracer patches it.
+        calls = []
+        real = everest.g_eval
+
+        def counting(params, x):
+            calls.append(tuple(x))
+            return real(params, x)
+
+        sites = [
+            (module, name)
+            for module in list(sys.modules.values())
+            if module.__name__.split(".")[0] == "spinaltri"
+            for name, value in vars(module).items()
+            if value is real
+        ]
+        assert {m.__name__ for m, _ in sites} >= {"spinaltri", "spinaltri.everest"}
+        for module, name in sites:
+            monkeypatch.setattr(module, name, counting)
+        assert main(["everest", "verify", "2", "2"]) == 0
+        assert sorted(calls) == sorted(vertex_families(EverestParams(2, 2)).everest)
+        assert capsys.readouterr().err == ""

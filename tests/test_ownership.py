@@ -1,0 +1,52 @@
+"""Each object is built by the module that owns it: only `polytope.py`
+writes a polytope's frame, facets or facet masks, and the command line
+reaches the library through its public names alone."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spinaltri"
+POLYTOPE_FIELDS = {"_frame", "_masks", "_facets"}
+
+
+def _writes(tree: ast.Module):
+    """Each attribute the module stores to, by assignment of any form or by
+    setattr with a literal name, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr, node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value, node.lineno
+
+
+def _imports(tree: ast.Module):
+    """Each name the module imports, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_polytope_fields_are_written_in_polytope_and_the_cli_imports_no_private_name():
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path.name != "polytope.py":
+            bad += [
+                f"{path.name}:{line} writes {attr}"
+                for attr, line in _writes(tree)
+                if attr in POLYTOPE_FIELDS
+            ]
+        if path.name == "cli.py":
+            bad += [
+                f"{path.name}:{line} imports {name}"
+                for name, line in _imports(tree)
+                if any(part.startswith("_") for part in name.split("."))
+            ]
+    assert not bad, "\n".join(bad)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinaltri import triangulation
+from spinaltri import polytope, triangulation
 from spinaltri.birkhoff import birkhoff_context, projected_birkhoff
 from spinaltri.everest import EverestParams, everest_polytope, simplotope_with_spine
 from spinaltri.linalg import QVector
@@ -146,13 +146,37 @@ def test_one_vertex_polytope_needs_no_facets():
     assert p.incidence_masks() == []
 
 
-def test_pulling_enumerates_facets_once():
-    p = projected_birkhoff(birkhoff_context(4))
+def test_pulling_enumerates_facets_once(monkeypatch):
+    # A polytope built on its own enumerates its facets at its first
+    # pulling, once.
+    b4 = projected_birkhoff(birkhoff_context(4))
+    p = Polytope(b4.vertices, b4.ambient_dim)
     with mock.patch.object(
         Polytope, "facets", autospec=True, side_effect=Polytope.facets
     ) as facets:
         pulling_triangulation(p, list(reversed(range(p.n_vertices))))
     assert facets.call_count == 1
+    # A library polytope keeps the masks its convex-position check formed,
+    # so from construction through its first pulling it runs one double
+    # description and forms one mask per facet, besides the start cone's.
+    dds, masks = [], []
+    real_dd, real_mask = polytope._supporting_hyperplanes, polytope.vertex_mask
+
+    def counting_dd(*args):
+        dds.append(args)
+        return real_dd(*args)
+
+    def counting_mask(indices):
+        masks.append(indices)
+        return real_mask(indices)
+
+    monkeypatch.setattr(polytope, "_supporting_hyperplanes", counting_dd)
+    monkeypatch.setattr(polytope, "vertex_mask", counting_mask)
+    q = projected_birkhoff(birkhoff_context(4))
+    pulling_triangulation(q, list(reversed(range(q.n_vertices))))
+    monkeypatch.undo()
+    assert len(dds) == 1
+    assert len(masks) == len(q.facets()) + 1
 
 
 def quadratic_facets_of_face(face: int, facet_masks) -> list[int]:

@@ -752,7 +752,7 @@ class TestSharedWork:
         # double description, whose start cone is the only other one.
         assert len(dds) == 1
         assert adjugates == ["_build_frame", "_supporting_hyperplanes"]
-        fr = spinaltri.triangulation._star_memo[1]
+        fr = spinaltri.triangulation._star_memo[1].frame()
         assert not fr.identity and fr.normal_map and fr.gram_det > 0
         monkeypatch.undo()
         assert len({t.simplices for t in stars}) > 1
