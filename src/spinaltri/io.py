@@ -58,9 +58,9 @@ def _rational_rows(raw: Any, name: str, item: str) -> list[QVector]:
         if type(row) is not list:
             raise DocumentError(f"{item} {i} is {json.dumps(row)}, not a list of coordinates")
         for j, x in enumerate(row):
-            # JSON strings and numbers only; floats arrive as strings from
-            # load_json, so they are read exactly.
-            if type(x) not in (str, int, float):
+            # JSON strings and integers only: load_json keeps floats as
+            # strings, so they are read exactly, and a float is never rounded.
+            if type(x) not in (str, int):
                 raise DocumentError(
                     f"{item} {i} coordinate {j} is {json.dumps(x)}, not a rational"
                 )

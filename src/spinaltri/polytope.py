@@ -184,12 +184,18 @@ def _vertex_polytope(points: Sequence[QVector]) -> Polytope:
     on to their facets: point i is a vertex iff its least face is its own
     bit, on the masks the polytope keeps, so one double description, no LP."""
     poly = _distinct_polytope(points, DEFAULT_MAX_VERTICES)
-    masks = poly.incidence_masks()
-    n = poly.n_vertices
-    for i in range(n):
-        if least_face(masks, 1 << i, n) != 1 << i:
-            raise NotInConvexPosition(i)
+    _check_vertices(poly)
     return poly
+
+
+def _check_vertices(poly: Polytope, exempt: int = -1) -> None:
+    """NotInConvexPosition for the first point of poly, other than exempt,
+    that is not a vertex: its least face over poly's masks is not its own
+    bit."""
+    masks, n = poly.incidence_masks(), poly.n_vertices
+    for i in range(n):
+        if i != exempt and least_face(masks, 1 << i, n) != 1 << i:
+            raise NotInConvexPosition(i)
 
 
 def _distinct_polytope(points: Sequence[QVector], max_vertices: int) -> Polytope:

@@ -73,9 +73,9 @@ def enumerate_spines(
 ) -> list[tuple[int, ...]]:
     """All spines of size >= min_size, in lexicographic order of index tuples.
 
-    The independent sets of the conflict graph are grown in increasing index
-    order, so the work grows with the number of spines, not with the 2^n
-    vertex subsets.
+    The independent sets of the conflict graph are grown depth first in
+    increasing index order, which is that order already, so the work grows
+    with the number of spines, not with the 2^n vertex subsets.
     """
     if p.n_vertices > max_vertices:
         raise PolytopeError(
@@ -101,5 +101,4 @@ def enumerate_spines(
                 grow(u + (j,), allowed & ~conflict[j])
 
     grow((), full)
-    out.sort()
     return out

@@ -16,13 +16,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import DimensionError, QVector, int_adjugate, int_dot, scaled_ints
 from .polytope import (
-    NotInConvexPosition,
     Polytope,
     PolytopeError,
+    _check_vertices,
     _hull,
     checked_points,
     facet_masks,
@@ -155,16 +155,15 @@ def star_triangulation(
     a vertex: when it is none, no face pulled below the top holds it.
 
     Cost: one double description on all the points, which may be redundant
-    (Fukuda and Prodon 1996), and no LP.  Point i is a vertex iff
-    `least_face` of its bit is its bit: make_polytope's rule on the same
-    list, the origin exempt.  A rejected input names the first other point
-    that fails, or a repeated point, by input index.  The hull polytope of
-    the last accepted input, which holds the frame and the zero sets, is
-    kept, so a call on equal points, as for the stars of one shadow under
-    many orders, pulls it and runs neither again; the star keeps this call's
-    points.  The origin count, the order, `checked_points` and the origin's
-    dimension run on every call, so the vertex cap counts the points other
-    than the origin.
+    (Fukuda and Prodon 1996), and no LP.  The vertex rule is
+    `_vertex_polytope`'s on the same list, the origin exempt.  A rejected
+    input names the first other point that fails, or a repeated point, by
+    input index.  The hull polytope of the last accepted input, which holds
+    the frame and the zero sets, is kept, so a call on equal points, as for
+    the stars of one shadow under many orders, pulls it and runs neither
+    again; the star keeps this call's points.  The origin count, the order,
+    `checked_points` and the origin's dimension run on every call, so the
+    vertex cap counts the points other than the origin.
     """
     global _star_memo
     pts = [q if isinstance(q, QVector) else QVector(q) for q in points]
@@ -180,11 +179,9 @@ def star_triangulation(
             raise TriangulationError("order must be a permutation of the point indices")
     if len(pts) == 1:
         return Triangulation.make(pts, [(0,)], 0)
-    others = [i for i in range(len(pts)) if i != z]
-    dim = len(checked_points([pts[i] for i in others])[0])
+    dim = len(checked_points(pts[:z] + pts[z + 1 :])[0])
     if len(pts[z]) != dim:
         raise DimensionError(f"point of dim {len(pts[z])} against ambient dim {dim}")
-    n = len(pts)
     key = tuple(pts)
     memo = _star_memo  # read once, so its key and its contents match
     # Tuple equality compares each pair by identity first, so the points of
@@ -193,15 +190,12 @@ def star_triangulation(
         hull = memo[1]
     else:
         hull = _hull(key)
-        masks = hull.incidence_masks()
-        for i in others:
-            if least_face(masks, 1 << i, n) != 1 << i:
-                raise NotInConvexPosition(i)
+        _check_vertices(hull, z)
     _star_memo = (key, hull)
 
-    base = order if order is not None else list(range(n))
+    base = order if order is not None else range(len(pts))
     tri = pulling_triangulation(hull, [z] + [i for i in base if i != z])
-    if set(itertools.chain.from_iterable(tri.simplices)) != set(range(n)):
+    if set(itertools.chain.from_iterable(tri.simplices)) != set(range(len(pts))):
         raise ShadowInternalError("star construction failed to use every point")
     return Triangulation(key, tri.simplices, tri.dim)
 
@@ -220,59 +214,53 @@ def spinal_triangulation(s: Spine) -> Triangulation:
 
 class ShadowMap:
     """Projection data for a spine: the vertex images under the orthogonal
-    projector onto the complement of the spine's span (`shadow_points`),
+    projection onto the complement of the spine's span (`shadow_points`),
     the star point table (`star_points`: the origin, then the non-spine
     images in vertex order) and, for each star point, its vertex index
     (`lift_indices`, -1 for the origin), the one table `lift` reads.
 
-    With A~ the integer spine directions (columns vscale * (u_j - u_0)) and
-    G = A~^T A~, the projector is P'/det G for the integer numerator
-    P' = det(G) I - A~ adj(G) A~^T, and the image of a vertex v is
-    P'(v - u_0) / (det G vscale).
+    With A~ the integer spine directions (columns vscale * (u_j - u_0)),
+    G = A~^T A~ and w = vscale * (v - u_0), the image of a vertex v is
+    (det(G) w - A~ adj(G) (A~^T w)) / (det G vscale), which passes through
+    only the k = |U| - 1 entries of A~^T w.  Each image must be orthogonal
+    to every spine direction, zero on the spine, and nonzero and distinct
+    off it.
     """
 
     def __init__(self, sp: Spine):
         p = sp.polytope
-        d = p.ambient_dim
         fr = p.frame()
         self.spine = sp
         t = fr.ivertices[sp.indices[0]]
         diffs = [[a - b for a, b in zip(v, t)] for v in fr.ivertices]
         a_cols = [diffs[i] for i in sp.indices[1:]]
-        a_rows = [[c[r] for c in a_cols] for r in range(d)]
         adj, den = int_adjugate([[int_dot(u, w) for w in a_cols] for u in a_cols])
-        a_adj = [[int_dot(row, col) for col in zip(*adj)] for row in a_rows]
-        num = [
-            [den * (r == c) - int_dot(a_adj[r], a_rows[c]) for c in range(d)]
-            for r in range(d)
-        ]
-        # Symmetric, then (P'^2)[r][c] = P'[r] . P'[c].
-        if any(
-            num[r][c] != num[c][r] or int_dot(num[r], num[c]) != den * num[r][c]
-            for r in range(d)
-            for c in range(d)
-        ):
-            raise ShadowInternalError("projector is not symmetric idempotent")
         self._den = den
-        inum = [tuple(int_dot(row, w) for row in num) for w in diffs]
         uset = set(sp.indices)
-        for i in sp.indices:
-            if any(inum[i]):
-                raise ShadowInternalError("a spine point escaped the kernel")
+        inum = []
         seen: dict[tuple, int] = {}
-        for i, w in enumerate(inum):
+        for i, w in enumerate(diffs):
+            at_w = [int_dot(a, w) for a in a_cols]
+            y = [int_dot(row, at_w) for row in adj]
+            img = tuple(
+                den * x - sum(c * a[r] for c, a in zip(y, a_cols))
+                for r, x in enumerate(w)
+            )
+            if any(int_dot(a, img) for a in a_cols):
+                raise ShadowInternalError(f"vertex {i} projected off the complement")
             if i in uset:
-                continue
-            if not any(w):
+                if any(img):
+                    raise ShadowInternalError("a spine point escaped the kernel")
+            elif not any(img):
                 raise ShadowInternalError(f"non-spine vertex {i} projected to zero")
-            if w in seen:
-                raise ShadowInternalError(f"vertices {seen[w]} and {i} share a projection")
-            seen[w] = i
+            elif seen.setdefault(img, i) != i:
+                raise ShadowInternalError(f"vertices {seen[img]} and {i} share a projection")
+            inum.append(img)
         scale = den * fr.vscale
         images = tuple(QVector([Fraction(x, scale) for x in w]) for w in inum)
         self.shadow_points = images
         nonspine = [i for i in range(p.n_vertices) if i not in uset]
-        self.star_points = (QVector.zero(d),) + tuple(images[i] for i in nonspine)
+        self.star_points = (QVector.zero(p.ambient_dim),) + tuple(images[i] for i in nonspine)
         self.lift_indices = (-1,) + tuple(nonspine)
         self.e = p.dim - sp.n + 1
         self._shadow_poly: Polytope | None = None
@@ -341,14 +329,13 @@ def fold(t: Triangulation, sm: ShadowMap) -> Triangulation:
         raise TriangulationError("triangulation is not over the spine's polytope")
     uset = set(sm.spine.indices)
     star_of = {g: k for k, g in enumerate(sm.lift_indices) if g >= 0}
-    _check_indices(t.simplices, len(t.points))
-    cells = []
-    for c in t.simplices:
+
+    def image(c: Sequence[int]) -> tuple[int, ...]:
         if not uset <= set(c):
             raise TriangulationError("triangulation is not spinal for this spine")
-        cells.append(tuple(sorted([0] + [star_of[i] for i in c if i not in uset])))
-    result = Triangulation.make(sm.star_points, cells, sm.e)
-    _check_repeats(t.simplices, cells, result)
+        return tuple(sorted([0] + [star_of[i] for i in c if i not in uset]))
+
+    result = _map_cells(t.simplices, len(t.points), image, sm.star_points, sm.e)
     ok, reason = validate_detailed(result, shadow_polytope(sm))
     if not ok:
         ok, why = validate_detailed(t, p)
@@ -374,37 +361,37 @@ def lift(star: Triangulation, sm: ShadowMap) -> Triangulation:
         raise TriangulationError("star is not over the shadow's point table")
     if star.dim != sm.e:
         raise TriangulationError(f"dim {star.dim} is not the shadow's dimension {sm.e}")
-    image = sm.lift_indices
-    _check_indices(star.simplices, len(image))
-    cells = []
-    for c in star.simplices:
-        lifted = [image[i] for i in c]
+
+    def image(c: Sequence[int]) -> tuple[int, ...]:
+        lifted = [sm.lift_indices[i] for i in c]
         if lifted.count(-1) != 1:
             raise TriangulationError("star cell must contain the origin exactly once")
         lifted.remove(-1)
-        cells.append(tuple(sorted([*sm.spine.indices, *lifted])))
-    result = Triangulation.make(p.vertices, cells, p.dim)
-    _check_repeats(star.simplices, cells, result)
+        return tuple(sorted([*sm.spine.indices, *lifted]))
+
+    result = _map_cells(star.simplices, len(sm.lift_indices), image, p.vertices, p.dim)
     ok, reason = validate_detailed(result, p)
     if not ok:
         raise TriangulationError(f"lift is not a triangulation of the polytope: {reason}")
     return result
 
 
-def _check_indices(cells: Sequence[Sequence[int]], n: int) -> None:
-    """Refuse the first cell with an index outside range(n), as
-    validate_detailed words it, before any cell is read through a table."""
-    used = set().union(*cells)
-    if used and (min(used) < 0 or max(used) >= n):
-        bad = next(c for c in cells if any(not 0 <= i < n for i in c))
-        raise TriangulationError(f"cell {bad} references a missing point")
-
-
-def _check_repeats(given: Sequence, cells: list, made: Triangulation) -> None:
-    """Refuse a given cell whose image repeats an earlier one's in made."""
+def _map_cells(
+    given: Sequence[Sequence[int]], n: int, image: Callable, points: Sequence[QVector], dim: int
+) -> Triangulation:
+    """The triangulation on points whose cells are the images of the given
+    cells, for fold and lift.  It refuses the first cell with an index
+    outside range(n), as validate_detailed words it, before any cell is
+    mapped, then a given cell whose image repeats an earlier one's."""
+    for c in given:
+        if any(not 0 <= i < n for i in c):
+            raise TriangulationError(f"cell {c} references a missing point")
+    cells = [image(c) for c in given]
+    made = Triangulation.make(points, cells, dim)
     if made.n_simplices < len(cells):
         i = next(i for i, c in enumerate(cells) if c in cells[:i])
         raise TriangulationError(f"cell {given[i]} is given twice")
+    return made
 
 
 def validate(t: Triangulation, p: Polytope) -> bool:

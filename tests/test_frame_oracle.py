@@ -24,7 +24,9 @@ offset and incidence), projected images and accept/reject answers with
 equal reasons.  The instances are seeded random polytopes in dimensions 2 to
 4, their images under random rational affine maps into the same or a larger
 space (skew rational embeddings of lower dimension), the shadows of every
-spine of those, and the Birkhoff contexts.
+spine of those, the Birkhoff contexts, and the shadows of the 4- and 5-cube
+diagonals, of every spine of the 4-cube and of the repositioned B3 and B4
+along their cyclic spines.
 """
 
 import functools
@@ -469,22 +471,61 @@ def test_single_vertex_frame():
             assert polytope.frame_coords(p, x) == want
 
 
+def assert_same_shadow(p: Polytope, idx: Sequence[int]):
+    """The spine's shadow map, after its images and star points are checked
+    against the former projector's."""
+    sp = spine(p, idx)
+    sm = shadow(sp)
+    _, images = fraction_projector(sp)
+    assert sm.shadow_points == images
+    nonspine = [i for i in range(p.n_vertices) if i not in set(idx)]
+    assert sm.star_points[1:] == tuple(images[i] for i in nonspine)
+    return sm
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shadows_of_every_spine_match(seed):
     rng = random.Random(200 + seed)
     shadows = 0
     for p in instances(seed, 8):
         for idx in enumerate_spines(p, 1):
-            sp = spine(p, idx)
-            sm = shadow(sp)
-            _, images = fraction_projector(sp)
-            assert sm.shadow_points == images
-            nonspine = [i for i in range(p.n_vertices) if i not in set(idx)]
-            assert sm.star_points[1:] == tuple(images[i] for i in nonspine)
+            sm = assert_same_shadow(p, idx)
             if sm.e > 0:
                 assert_same_frame(shadow_polytope(sm), rng)
             shadows += 1
     assert shadows > 100
+
+
+def _cube(d: int) -> Polytope:
+    return make_polytope(
+        [QVector(v) for v in itertools.product([0, 1], repeat=d)], max_vertices=2**d
+    )
+
+
+def _repositioned_birkhoff(n: int) -> tuple[Polytope, list[tuple[int, ...]]]:
+    """B_n moved so its cyclic spine sits on {0, e_1, ..., e_(n-1)}, as the
+    Birkhoff volume relation builds it, with that spine."""
+    ctx = birkhoff.birkhoff_context(n)
+    p = polytope._vertex_polytope([birkhoff._reposition(ctx, v) for v in ctx.vertices])
+    return p, [ctx.spine_vertex_indices]
+
+
+SPINE_CASES = {
+    "cube4-diagonal": lambda: (_cube(4), [(0, 15)]),
+    "cube5-diagonal": lambda: (_cube(5), [(0, 31)]),
+    "cube4-every-spine": lambda: (_cube(4), enumerate_spines(_cube(4), 2)),
+    "cube4-one-point": lambda: (_cube(4), [(i,) for i in range(16)]),
+    "birkhoff3-cyclic": lambda: _repositioned_birkhoff(3),
+    "birkhoff4-cyclic": lambda: _repositioned_birkhoff(4),
+}
+
+
+@pytest.mark.parametrize("case", list(SPINE_CASES))
+def test_shadows_of_high_dimensional_spines_match(case):
+    p, spines = SPINE_CASES[case]()
+    assert spines
+    for idx in spines:
+        assert_same_shadow(p, idx)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

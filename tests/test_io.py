@@ -128,10 +128,15 @@ def test_json_numbers_parse_exactly(tmp_path):
             {"ambient_dim": 2, "vertices": [["1/0", "0"], [None, "1"]]},
             "vertex 1 coordinate 0 is null, not a rational",
         ),
+        # A Python float is refused, not read as the decimal str() shows.
+        (
+            {"ambient_dim": 1, "vertices": [[0.1], [1]]},
+            "vertex 0 coordinate 0 is 0.1, not a rational",
+        ),
     ],
     ids=["string", "null", "list", "no-ambient-dim", "no-vertices", "null-coordinate",
          "boolean-coordinate", "list-coordinate", "token-past-the-bound", "bad-literal",
-         "zero-denominator", "type-before-token"],
+         "zero-denominator", "type-before-token", "float-coordinate"],
 )
 def test_malformed_polytope_documents_are_named(doc, message):
     with pytest.raises(sio.DocumentError) as exc:
@@ -154,3 +159,11 @@ def test_malformed_triangulation_documents_are_named(doc, message):
     with pytest.raises(sio.DocumentError) as exc:
         sio.simplices_from_doc(doc, 3)
     assert str(exc.value) == message
+
+
+def test_star_doc_refuses_a_float_shadow_point():
+    points = [QVector([0, 0]), QVector([Fraction(1, 10), 1])]
+    with pytest.raises(sio.DocumentError) as exc:
+        sio.check_star_doc({"shadow_points": [[0, 0], [0.1, 1]]}, 2, points)
+    assert str(exc.value) == "shadow point 1 coordinate 0 is 0.1, not a rational"
+    sio.check_star_doc({"shadow_points": [[0, 0], ["0.1", 1]]}, 2, points)

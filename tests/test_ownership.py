@@ -1,6 +1,7 @@
 """Each object is built by the module that owns it: only `polytope.py`
-writes a polytope's frame, facets or facet masks, and the command line
-reaches the library through its public names alone."""
+writes a polytope's frame, facets or facet masks or decides which points are
+vertices, and the command line reaches the library through its public names
+alone."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,17 @@ def _imports(tree: ast.Module):
                 yield alias.name, node.lineno
 
 
+def _raised(tree: ast.Module):
+    """The name of each exception the module raises, with its line."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id, node.lineno
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr, node.lineno
+
+
 def test_polytope_fields_are_written_in_polytope_and_the_cli_imports_no_private_name():
     bad = []
     for path in sorted(SRC.glob("*.py")):
@@ -48,5 +60,19 @@ def test_polytope_fields_are_written_in_polytope_and_the_cli_imports_no_private_
                 f"{path.name}:{line} imports {name}"
                 for name, line in _imports(tree)
                 if any(part.startswith("_") for part in name.split("."))
+            ]
+    assert not bad, "\n".join(bad)
+
+
+def test_only_polytope_applies_the_vertex_rule():
+    # A point that is not a vertex is named by the one rule in polytope.py.
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "polytope.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            bad += [
+                f"{path.name}:{line} raises {name}"
+                for name, line in _raised(tree)
+                if name == "NotInConvexPosition"
             ]
     assert not bad, "\n".join(bad)
