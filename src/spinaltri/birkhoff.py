@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import IntRows, det, int_det, int_dot, matvec, scaled_ints
-from .polytope import Polytope, PolytopeError, _vertex_polytope, facet_masks
+from .linalg import IntRows, det, int_det, int_dot, matvec
+from .polytope import Polytope, _vertex_polytope, point_table
 from .spine import spine
 from .volume import lifting_relation_report, polytope_volume
 
@@ -277,14 +277,10 @@ def _projected_images(ctx: BirkhoffContext) -> list[IntVector]:
 
 
 def _strictly_inside(x: Sequence, p: Polytope) -> bool:
-    """Whether the rational point x is on no facet hyperplane of p and beyond
-    none, by the validator's integer facet test; for a full-dimensional p
-    that is the interior."""
-    amb, q = scaled_ints([x])
-    try:
-        return facet_masks(p.facets(), amb, q) == [0]
-    except PolytopeError:
-        return False
+    """Whether the rational point x is in p's affine hull, on no facet
+    hyperplane of p and beyond none, by the validator's `point_table`; for a
+    full-dimensional p that is the interior."""
+    return point_table(p, [x])[2] == [0]
 
 
 @dataclass(frozen=True)

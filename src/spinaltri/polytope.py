@@ -114,8 +114,7 @@ class Polytope:
         self._masks: list[int] | None = None
         self._frame: _Frame | None = None
         self._relvol: Fraction | None = None
-        # The last points tuple validated against this polytope and its
-        # table (triangulation._point_table).
+        # The last points tuple given to point_table and its table.
         self._point_table: tuple | None = None
 
     def __repr__(self) -> str:
@@ -148,18 +147,12 @@ class Polytope:
 
     def contains(self, x: QVector) -> bool:
         """Exact membership test: in the affine hull and on the inner side
-        of every facet, both on integers as in the validator."""
+        of every facet, by the validator's `point_table`."""
         if len(x) != self.ambient_dim:
             raise DimensionError(
                 f"point of dim {len(x)} against ambient dim {self.ambient_dim}"
             )
-        amb, q = scaled_ints([x])
-        try:
-            hull_ints(self.frame(), amb, q)
-            facet_masks(self.facets(), amb, q)
-        except PolytopeError:
-            return False
-        return True
+        return type(point_table(self, [x])[2]) is list
 
 
 def make_polytope(
@@ -336,6 +329,48 @@ def _in_convex_hull(x: Sequence[int], hull_points: Sequence[Sequence[int]]) -> b
     for c in range(len(x)):
         constraints.append(([p[c] for p in hull_points], x[c], EQ))
     return lp_feasible(constraints)
+
+
+def point_table(p: Polytope, points: Sequence[QVector]) -> tuple:
+    """(coords, scale, on_facet, dets) of points against p: their hull
+    coordinates as integers at one scale, for each point the bitmask whose
+    bit j is set iff it lies on facet j's hyperplane, and a dict from each
+    sorted cell validated on them to its `cell_det` on coords, filled by
+    validate_detailed.  A failure is kept as its reason in place of what it
+    stops: a point off the affine hull replaces coords, a point beyond a
+    facet replaces on_facet.
+
+    p keeps the table of the last points tuple it was given and hands it back
+    while the same tuple object comes again, so the folds of one shadow,
+    which all share the map's `star_points`, build it once, and the lifts
+    and folds of its stars share their cells' determinants.  A list is never
+    kept, so a membership query does not evict that table."""
+    memo = p._point_table
+    if memo is not None and memo[0] is points:
+        return memo[1]
+    fr = p.frame()
+    if points is p.vertices:
+        on_facet = [0] * len(points)
+        for j, f in enumerate(p.facets()):
+            for i in f.incident:
+                on_facet[i] |= 1 << j
+        table = (fr.icoords, fr.scale, on_facet)
+    else:
+        amb, q = scaled_ints(points)
+        try:
+            coords, scale = hull_ints(fr, amb, q)
+        except PolytopeError:
+            table = ("a point lies outside the affine hull of the polytope", None, None)
+        else:
+            try:
+                on_facet = facet_masks(p.facets(), amb, q)
+            except PolytopeError as exc:
+                on_facet = str(exc)
+            table = (coords, scale, on_facet)
+    table += ({},)
+    if type(points) is tuple:  # a list could change under the same identity
+        p._point_table = (points, table)
+    return table
 
 
 def facet_masks(

@@ -18,17 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .linalg import DimensionError, QVector, int_adjugate, int_dot, scaled_ints
+from .linalg import DimensionError, QVector, int_adjugate, int_dot
 from .polytope import (
     Polytope,
-    PolytopeError,
     _check_vertices,
     _hull,
     checked_points,
-    facet_masks,
     facets_of_face,
-    hull_ints,
     least_face,
+    point_table,
     vertex_mask,
 )
 from .spine import Spine
@@ -217,14 +215,37 @@ class ShadowMap:
     projection onto the complement of the spine's span (`shadow_points`),
     the star point table (`star_points`: the origin, then the non-spine
     images in vertex order) and, for each star point, its vertex index
-    (`lift_indices`, -1 for the origin), the one table `lift` reads.
+    (`lift_indices`, -1 for the origin), the one table `lift` reads; the
+    shadow, the convex hull of the images (`polytope`); and vol(U)^2 of the
+    spine simplex (`spine_sq_volume`).
 
     With A~ the integer spine directions (columns vscale * (u_j - u_0)),
     G = A~^T A~ and w = vscale * (v - u_0), the image of a vertex v is
     (det(G) w - A~ adj(G) (A~^T w)) / (det G vscale), which passes through
     only the k = |U| - 1 entries of A~^T w.  Each image must be orthogonal
     to every spine direction, zero on the spine, and nonzero and distinct
-    off it.
+    off it.  vol(U)^2 is det G / (vscale^(2k) (k!)^2), as `gram_sq_volume`
+    would give on the spine's points.
+
+    The shadow's vertices come from P's facet masks, with no vertex test.
+    Let L be the span of the differences u - u_0 over the spine U and pi
+    the projection along L.
+
+    (i) For every vertex v not in U, pi(v) is a vertex of the shadow.  Were
+    pi(v) a convex combination of the other images, v = sum lambda_w w + l
+    with l = sum nu_j u_j, sum nu_j = 0 and l != 0, since v is a vertex of P.
+    Every facet F through v has a_F . l >= 0 and misses at most one point of
+    U, so F contains every u_j with nu_j > 0, and at least one such j exists.
+    The facets through v meet only in v, so u_j = v, a contradiction.
+
+    (ii) The origin, the image of U, is a vertex of the shadow iff conv(U)
+    is a face of P: a functional that exposes a face containing U is
+    constant on U, so it is orthogonal to L.  conv(U) is a face iff
+    `least_face` of U's mask over P's facet masks is U's mask.
+
+    So the vertices are the non-spine images in vertex order, with the
+    origin at position U[0] iff (ii) holds; two vertices with one image are
+    rejected above.
     """
 
     def __init__(self, sp: Spine):
@@ -235,7 +256,6 @@ class ShadowMap:
         diffs = [[a - b for a, b in zip(v, t)] for v in fr.ivertices]
         a_cols = [diffs[i] for i in sp.indices[1:]]
         adj, den = int_adjugate([[int_dot(u, w) for w in a_cols] for u in a_cols])
-        self._den = den
         uset = set(sp.indices)
         inum = []
         seen: dict[tuple, int] = {}
@@ -263,61 +283,29 @@ class ShadowMap:
         self.star_points = (QVector.zero(p.ambient_dim),) + tuple(images[i] for i in nonspine)
         self.lift_indices = (-1,) + tuple(nonspine)
         self.e = p.dim - sp.n + 1
-        self._shadow_poly: Polytope | None = None
-
-    @property
-    def spine_sq_volume(self) -> Fraction:
-        """vol(U)^2 of the spine simplex: det G / (vscale^(2k) (k!)^2) with
-        k = |U| - 1, as `gram_sq_volume` would give on the spine's points."""
-        k = self.spine.n - 1
-        scale = self.spine.polytope.frame().vscale
-        return Fraction(self._den, scale ** (2 * k) * math.factorial(k) ** 2)
+        k = sp.n - 1
+        self.spine_sq_volume = Fraction(den, fr.vscale ** (2 * k) * math.factorial(k) ** 2)
+        u = vertex_mask(sp.indices)
+        origin = sp.indices[0] if least_face(p.incidence_masks(), u, p.n_vertices) == u else -1
+        self.polytope = Polytope(
+            [q for i, q in enumerate(images) if i not in uset or i == origin], p.ambient_dim
+        )
 
 
 def shadow(sp: Spine) -> ShadowMap:
     """The spine's shadow map, built on the first call and kept on the spine,
     so the volume law, fold and lift of one spine share its projection and
-    the shadow polytope it caches."""
+    its shadow polytope."""
     if sp._shadow is None:
         object.__setattr__(sp, "_shadow", ShadowMap(sp))
     return sp._shadow
 
 
 def shadow_polytope(sm: ShadowMap) -> Polytope:
-    """Convex hull of the projected vertex images (the origin included).
-
-    Its vertices come from the spine's facet masks, with no vertex test.  Let
-    L be the span of the differences u - u_0 over the spine U and pi the
-    projection along L.
-
-    (i) For every vertex v not in U, pi(v) is a vertex of the shadow.  Were
-    pi(v) a convex combination of the other images, v = sum lambda_w w + l
-    with l = sum nu_j u_j, sum nu_j = 0 and l != 0, since v is a vertex of P.
-    Every facet F through v has a_F . l >= 0 and misses at most one point of
-    U, so F contains every u_j with nu_j > 0, and at least one such j exists.
-    The facets through v meet only in v, so u_j = v, a contradiction.
-
-    (ii) The origin, the image of U, is a vertex of the shadow iff conv(U)
-    is a face of P: a functional that exposes a face containing U is
-    constant on U, so it is orthogonal to L.  conv(U) is a face iff
-    `least_face` of U's mask over P's facet masks is U's mask.
-
-    So the vertices are the non-spine images in vertex order, with the
-    origin at position U[0] iff (ii) holds.  `ShadowMap` has already
-    rejected two vertices with one image.
-    """
-    if sm._shadow_poly is None:
-        sp = sm.spine
-        p = sp.polytope
-        u = vertex_mask(sp.indices)
-        is_face = least_face(p.incidence_masks(), u, p.n_vertices) == u
-        keep = [
-            q
-            for i, q in enumerate(sm.shadow_points)
-            if not u >> i & 1 or (i == sp.indices[0] and is_face)
-        ]
-        sm._shadow_poly = Polytope(keep, p.ambient_dim)
-    return sm._shadow_poly
+    """The spine's shadow, the convex hull of the projected vertex images
+    (the origin included): `sm.polytope`, whose vertex rule `ShadowMap`
+    states."""
+    return sm.polytope
 
 
 def fold(t: Triangulation, sm: ShadowMap) -> Triangulation:
@@ -416,7 +404,7 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
 
     k = p.dim
     n = len(t.points)
-    coords, scale, on_facet, dets = _point_table(p, t.points)
+    coords, scale, on_facet, dets = point_table(p, t.points)
     if isinstance(coords, str):
         return False, coords
     if not t.simplices:
@@ -465,44 +453,3 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
         if sides[0] == sides[1]:
             return False, f"the cells on ridge {ridge} lie on the same side of it"
     return True, "ok"
-
-
-def _point_table(p: Polytope, points: tuple[QVector, ...]) -> tuple:
-    """(coords, scale, on_facet, dets) of points against p: their hull
-    coordinates as integers at one scale, for each point the bitmask whose
-    bit j is set iff it lies on facet j's hyperplane, and a dict from each
-    sorted cell validated on them to its `cell_det` on coords, filled by
-    validate_detailed.  A failure is kept as its reason in place of what it
-    stops: a point off the affine hull replaces coords, a point beyond a
-    facet replaces on_facet.
-
-    p keeps the table of the last points tuple it was given and hands it back
-    while the same tuple object comes again, so the folds of one shadow,
-    which all share the map's `star_points`, build it once, and the lifts
-    and folds of its stars share their cells' determinants."""
-    memo = p._point_table
-    if memo is not None and memo[0] is points:
-        return memo[1]
-    fr = p.frame()
-    if points is p.vertices:
-        on_facet = [0] * len(points)
-        for j, f in enumerate(p.facets()):
-            for i in f.incident:
-                on_facet[i] |= 1 << j
-        table = (fr.icoords, fr.scale, on_facet)
-    else:
-        amb, q = scaled_ints(points)
-        try:
-            coords, scale = hull_ints(fr, amb, q)
-        except PolytopeError:
-            table = ("a point lies outside the affine hull of the polytope", None, None)
-        else:
-            try:
-                on_facet = facet_masks(p.facets(), amb, q)
-            except PolytopeError as exc:
-                on_facet = str(exc)
-            table = (coords, scale, on_facet)
-    table += ({},)
-    if type(points) is tuple:  # a list could change under the same identity
-        p._point_table = (points, table)
-    return table

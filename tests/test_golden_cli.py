@@ -33,6 +33,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 from spinaltri.cli import build_parser, main
 
@@ -43,9 +44,15 @@ _TIMING = re.compile(r"\(\d+\.\d+s\)")
 
 def run_command(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process CLI call; run it with
-    `golden/` as the working directory."""
+    `golden/` as the working directory.  argparse wraps help and usage text
+    to $COLUMNS, so the call sees COLUMNS=80 and the caller's value, if any,
+    comes back afterwards."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         try:
             code = main(list(argv))
         except SystemExit as exc:  # argparse usage errors

@@ -1,13 +1,13 @@
 """Each object is built by the module that owns it: only `polytope.py`
-writes a polytope's frame, facets or facet masks or decides which points are
-vertices, and the command line reaches the library through its public names
-alone."""
+writes a polytope's frame, facets, facet masks or point table, places points
+against its hull and facets or decides which points are vertices, and the
+command line reaches the library through its public names alone."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinaltri"
-POLYTOPE_FIELDS = {"_frame", "_masks", "_facets"}
+POLYTOPE_FIELDS = {"_frame", "_masks", "_facets", "_point_table"}
 
 
 def _writes(tree: ast.Module):
@@ -74,5 +74,20 @@ def test_only_polytope_applies_the_vertex_rule():
                 f"{path.name}:{line} raises {name}"
                 for name, line in _raised(tree)
                 if name == "NotInConvexPosition"
+            ]
+    assert not bad, "\n".join(bad)
+
+
+def test_only_polytope_places_points():
+    # Hull coordinates and facet bitmasks of given points come from the one
+    # routine polytope.point_table.
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "polytope.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            bad += [
+                f"{path.name}:{line} imports {name}"
+                for name, line in _imports(tree)
+                if name in {"hull_ints", "facet_masks"}
             ]
     assert not bad, "\n".join(bad)

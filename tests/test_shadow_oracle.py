@@ -1,10 +1,10 @@
 """Cross-check the shadow's vertices by theorem against the vertex test.
 
 `extreme_points_shadow_polytope` is the library's former `shadow_polytope`,
-kept verbatim but for one name: it hulls the projected vertex images with one
-exact LP per image, through `lp_extreme_points`, the library's former
-`extreme_points`.  `shadow_polytope` now takes the vertices from the spine's
-facet masks; on every spine of every instance both must give the same vertex
+kept but for one name and the cache it kept on the map: it hulls the
+projected vertex images with one exact LP per image, through
+`lp_extreme_points`, the library's former `extreme_points`.
+`shadow_polytope` now takes the vertices from the spine's facet masks; on every spine of every instance both must give the same vertex
 list, in the same order.
 
 `spine.spine` no longer checks that a spine is affinely independent; the
@@ -31,10 +31,8 @@ from test_membership_oracle import lp_extreme_points
 
 def extreme_points_shadow_polytope(sm: ShadowMap) -> Polytope:
     """Convex hull of the projected vertex images (the origin included)."""
-    if sm._shadow_poly is None:
-        ext = lp_extreme_points(list(sm.shadow_points))
-        sm._shadow_poly = Polytope(ext, sm.spine.polytope.ambient_dim)
-    return sm._shadow_poly
+    ext = lp_extreme_points(list(sm.shadow_points))
+    return Polytope(ext, sm.spine.polytope.ambient_dim)
 
 
 def cube(d):

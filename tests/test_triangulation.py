@@ -663,7 +663,7 @@ class TestRepeatedWork:
         calls = {"hull_ints": 0, "facet_masks": 0}
 
         def counting(name):
-            real = getattr(spinaltri.triangulation, name)
+            real = getattr(spinaltri.polytope, name)
 
             def counted(*args):
                 calls[name] += 1
@@ -672,7 +672,7 @@ class TestRepeatedWork:
             return counted
 
         for name in calls:
-            monkeypatch.setattr(spinaltri.triangulation, name, counting(name))
+            monkeypatch.setattr(spinaltri.polytope, name, counting(name))
         rng = random.Random(19)
         for _ in range(24):
             order = list(range(len(sm.star_points)))
@@ -680,6 +680,31 @@ class TestRepeatedWork:
             star = star_triangulation(list(sm.star_points), order)
             assert fold(lift(star, sm), sm).simplices == star.simplices
         assert calls == {"hull_ints": 1, "facet_masks": 1}
+
+    def test_membership_queries_keep_the_table_of_the_folds(self, monkeypatch):
+        # contains and the Birkhoff interior test place a list of one point,
+        # which the shadow never keeps, so they leave the folds' table alone.
+        from spinaltri.birkhoff import _strictly_inside
+
+        sp = spine(cube(3), [0, 7])
+        sm = shadow(sp)
+        t = spinal_triangulation(sp)
+        folded = fold(t, sm)
+        hull = shadow_polytope(sm)
+        assert hull.contains(sm.star_points[1])
+        assert not hull.contains(qv(2, -1, -1))  # beyond a facet
+        assert not hull.contains(qv(1, 1, 1))  # off the affine hull
+        assert _strictly_inside((0, 0, 0), hull)
+        calls = []
+        real = spinaltri.polytope.hull_ints
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spinaltri.polytope, "hull_ints", counted)
+        assert fold(t, sm).simplices == folded.simplices
+        assert calls == []
 
     @pytest.mark.parametrize(
         "build",
