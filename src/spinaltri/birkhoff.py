@@ -18,7 +18,7 @@ from typing import Sequence
 from .linalg import IntRows, det, int_det, int_dot, matvec
 from .polytope import Polytope, _vertex_polytope, point_table
 from .spine import spine
-from .volume import lifting_relation_report, polytope_volume
+from .volume import _full_volume, lifting_relation_report
 
 
 class BirkhoffError(ValueError):
@@ -255,8 +255,8 @@ def projected_birkhoff(ctx: BirkhoffContext) -> Polytope:
         if any(images[i]):
             raise BirkhoffError("a spine vertex has a nonzero projected image")
     # The spine images are the origin, interior for n >= 3, and every other
-    # image is a vertex: the map's kernel on the hull is the spine's span,
-    # so (i) of triangulation.shadow_polytope applies; _vertex_polytope checks.
+    # image is a vertex, by (i) of the triangulation.ShadowMap docstring: the
+    # map's kernel on the hull is the spine's span.  _vertex_polytope checks.
     spine_set = set(ctx.spine_vertex_indices)
     p = _vertex_polytope([v for i, v in enumerate(images) if i not in spine_set])
     if n >= 3 and not (
@@ -309,14 +309,10 @@ def verify_birkhoff_volume_relation(ctx: BirkhoffContext) -> VolumeRelationRepor
     if n not in (3, 4):
         raise BirkhoffError("the volume relation is computed for n = 3 or 4 only")
     truncated = _vertex_polytope([matvec(ctx.a_map, v) for v in ctx.vertices])
-    vol_ab = polytope_volume(truncated).volume
-    if vol_ab is None:
-        raise BirkhoffError("the truncated polytope is not full-dimensional")
+    vol_ab = _full_volume(truncated, BirkhoffError, "truncated polytope")
     vol_b = Fraction(n) ** (n - 1) * vol_ab
     projected = projected_birkhoff(ctx)
-    vol_hat = polytope_volume(projected).volume
-    if vol_hat is None:
-        raise BirkhoffError("the projected polytope is not full-dimensional")
+    vol_hat = _full_volume(projected, BirkhoffError, "projected polytope")
     lhs = math.comb(m * m, n - 1) * vol_b
     rhs = vol_hat * Fraction(1, math.factorial(n - 1)) * Fraction(n) ** (n - 1)
     relation_ok = lhs == rhs

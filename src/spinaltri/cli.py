@@ -195,9 +195,10 @@ def cmd_lift(args) -> int:
     sp = spine(p, _parse_spine_set(args.set))
     sm = shadow(sp)
     doc = sio.load_json(args.star, "triangulation")
-    simplices = sio.simplices_from_doc(doc, len(sm.star_points))
+    simplices = sio.simplices_from_doc(doc)
     sio.check_star_doc(doc, sm.e, sm.star_points)
-    star = Triangulation.make(sm.star_points, simplices, sm.e)
+    # The constructor keeps the cells as given, so lift refuses a repeat.
+    star = Triangulation(sm.star_points, tuple(simplices), sm.e)
     lifted = lift(star, sm)
     _emit(sio.triangulation_to_doc(lifted), _triangulation_lines(lifted), args)
     return 0

@@ -28,7 +28,7 @@ from .linalg import (
 )
 from .polytope import Polytope, _vertex_polytope
 from .spine import Spine, spine
-from .volume import polytope_volume
+from .volume import _full_volume
 
 
 # Desk-scale cap on the (s+1)^(n+1) sign patterns of vertex_families, reached
@@ -166,7 +166,7 @@ def everest_verify(params: EverestParams, lifting: bool = False) -> dict[str, bo
     up = vertex_families(EverestParams(params.n + 1, params.s))
     checks = {"family_cardinalities": True, "vertices_on_unit_level": True}
     checks.update(_se_checks(params, fam, up))
-    hull_volume = _hull_volume(_everest_polytope(params, fam))
+    hull_volume = _full_volume(_everest_polytope(params, fam), EverestError, "Everest hull")
     checks["hull_volume_matches_formula"] = hull_volume == c_constant(params)
     if lifting:
         lifted = _volume_by_lifting(params, up)
@@ -260,19 +260,11 @@ def everest_volume(params: EverestParams, method: str = "formula") -> Fraction:
     if method == "formula":
         return c_constant(params)
     if method == "hull":
-        return _hull_volume(everest_polytope(params))
+        return _full_volume(everest_polytope(params), EverestError, "Everest hull")
     if method == "lifting":
         # The (n+1, s) families cap n and s before anything else is built.
         return _volume_by_lifting(params, vertex_families(EverestParams(params.n + 1, params.s)))
     raise EverestError(f"unknown method {method!r}")
-
-
-def _hull_volume(p: Polytope) -> Fraction:
-    """The volume of the Everest hull p."""
-    report = polytope_volume(p)
-    if report.volume is None:
-        raise EverestError("the Everest hull is not full-dimensional")
-    return report.volume
 
 
 def _volume_by_lifting(params: EverestParams, fam_up: Families) -> Fraction:
@@ -292,9 +284,7 @@ def _volume_by_lifting(params: EverestParams, fam_up: Families) -> Fraction:
     p = _vertex_polytope(verts)
     index_of = {v: i for i, v in enumerate(verts)}
     sp = spine(p, [index_of[tuple(matvec(pi_tilde, u))] for u in fam_up.v_zero])
-    vol_p = polytope_volume(p).volume
-    if vol_p is None:
-        raise EverestError("the transformed simplotope is not full-dimensional")
+    vol_p = _full_volume(p, EverestError, "transformed simplotope")
     vol_u_sq = gram_sq_volume(sp.points(), sp.n - 1)
     vol_u = sqrt_rational(vol_u_sq)
     if vol_u is None:

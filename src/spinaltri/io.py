@@ -109,25 +109,17 @@ def triangulation_to_doc(t: Triangulation) -> dict[str, Any]:
     }
 
 
-def simplices_from_doc(doc: dict[str, Any], n_points: int) -> list[tuple[int, ...]]:
-    """Cells over a table of n_points points: every index in range, no cell
-    given twice."""
+def simplices_from_doc(doc: dict[str, Any]) -> list[tuple[int, ...]]:
+    """The cells of a triangulation document as integer tuples, in file
+    order.  Only their JSON shape is checked here: `lift` refuses an index
+    outside the point table and a repeated cell."""
     (raw,) = _json_object(doc, "triangulation", ("simplices",))
     if type(raw) is not list:
         raise DocumentError(f"simplices is {json.dumps(raw)}, not a list of cells")
     for k, c in enumerate(raw):
         if type(c) is not list:
             raise DocumentError(f"cell {k} is {json.dumps(c)}, not a list of indices")
-    cells = [tuple(_json_int(i, "index") for i in c) for c in raw]
-    seen = set()
-    for c in cells:
-        bad = [i for i in c if not 0 <= i < n_points]
-        if bad:
-            raise DocumentError(f"cell {list(c)}: index {bad[0]} is outside 0..{n_points - 1}")
-        if frozenset(c) in seen:
-            raise DocumentError(f"cell {list(c)} is given twice")
-        seen.add(frozenset(c))
-    return cells
+    return [tuple(_json_int(i, "index") for i in c) for c in raw]
 
 
 def check_star_doc(doc: dict[str, Any], dim: int, points: Sequence[QVector]) -> None:

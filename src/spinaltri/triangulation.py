@@ -107,19 +107,20 @@ class _PullContext:
         return self.memo[face]
 
 
-def _normalize_order(p: Polytope, order: Sequence[int] | None) -> list[int]:
+def _permutation(order: Sequence[int] | None, n: int, noun: str) -> list[int]:
+    """order as a list, range(n) when None; refused unless it permutes range(n)."""
     if order is None:
-        return list(range(p.n_vertices))
+        return list(range(n))
     order = list(order)
-    if sorted(order) != list(range(p.n_vertices)):
-        raise TriangulationError("order must be a permutation of all vertex indices")
+    if sorted(order) != list(range(n)):
+        raise TriangulationError(f"order must be a permutation of {noun}")
     return order
 
 
 def pulling_triangulation(p: Polytope, order: Sequence[int] | None = None) -> Triangulation:
     """Pulling triangulation: recursively join each face's first vertex with
     the pulling triangulations of the face's facets avoiding that vertex."""
-    order = _normalize_order(p, order)
+    order = _permutation(order, p.n_vertices, "all vertex indices")
     rank = {v: i for i, v in enumerate(order)}
     cells = _PullContext(p, rank).pull((1 << p.n_vertices) - 1)
     want = p.dim + 1
@@ -171,10 +172,7 @@ def star_triangulation(
             f"need the origin exactly once among the points, found {len(zeros)}"
         )
     z = zeros[0]
-    if order is not None:
-        order = list(order)
-        if sorted(order) != list(range(len(pts))):
-            raise TriangulationError("order must be a permutation of the point indices")
+    order = _permutation(order, len(pts), "the point indices")
     if len(pts) == 1:
         return Triangulation.make(pts, [(0,)], 0)
     dim = len(checked_points(pts[:z] + pts[z + 1 :])[0])
@@ -191,8 +189,7 @@ def star_triangulation(
         _check_vertices(hull, z)
     _star_memo = (key, hull)
 
-    base = order if order is not None else range(len(pts))
-    tri = pulling_triangulation(hull, [z] + [i for i in base if i != z])
+    tri = pulling_triangulation(hull, [z] + [i for i in order if i != z])
     if set(itertools.chain.from_iterable(tri.simplices)) != set(range(len(pts))):
         raise ShadowInternalError("star construction failed to use every point")
     return Triangulation(key, tri.simplices, tri.dim)
@@ -368,17 +365,19 @@ def _map_cells(
     given: Sequence[Sequence[int]], n: int, image: Callable, points: Sequence[QVector], dim: int
 ) -> Triangulation:
     """The triangulation on points whose cells are the images of the given
-    cells, for fold and lift.  It refuses the first cell with an index
-    outside range(n), as validate_detailed words it, before any cell is
-    mapped, then a given cell whose image repeats an earlier one's."""
+    cells, for fold and lift, and the one check of a star file's cells: it
+    refuses the first cell with an index outside range(n) before any cell
+    is mapped, then a given cell whose image repeats an earlier one's, each
+    named as a list, as given."""
     for c in given:
         if any(not 0 <= i < n for i in c):
-            raise TriangulationError(f"cell {c} references a missing point")
+            bad = next(i for i in c if not 0 <= i < n)
+            raise TriangulationError(f"cell {list(c)}: index {bad} is outside 0..{n - 1}")
     cells = [image(c) for c in given]
     made = Triangulation.make(points, cells, dim)
     if made.n_simplices < len(cells):
         i = next(i for i, c in enumerate(cells) if c in cells[:i])
-        raise TriangulationError(f"cell {given[i]} is given twice")
+        raise TriangulationError(f"cell {list(given[i])} is given twice")
     return made
 
 

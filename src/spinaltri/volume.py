@@ -69,6 +69,14 @@ def polytope_volume(p: Polytope, order: Sequence[int] | None = None) -> VolumeRe
     )
 
 
+def _full_volume(p: Polytope, error: type[ValueError], what: str) -> Fraction:
+    """p's volume; error(f"the {what} is not full-dimensional") if p has none."""
+    vol = polytope_volume(p).volume
+    if vol is None:
+        raise error(f"the {what} is not full-dimensional")
+    return vol
+
+
 @dataclass(frozen=True)
 class LiftingRelationReport:
     """Both sides of the squared volume relation

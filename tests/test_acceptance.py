@@ -32,3 +32,24 @@ def _run(number, name, fn):
 )
 def test_acceptance_criterion(number, name, fn):
     _run(number, name, fn)
+
+
+def test_fold_lift_criterion_places_each_shadows_points_once(monkeypatch):
+    # lift validates each lifted star on P's own vertices, and fold its cells
+    # on the shadow map's star points, whose table the shadow keeps; no other
+    # validation places a point, so each of the three shadows places its
+    # points once.
+    import spinaltri.polytope
+    from spinaltri.selfcheck import check_fold_lift_bijection
+
+    calls = []
+    real = spinaltri.polytope.hull_ints
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spinaltri.polytope, "hull_ints", counted)
+    ok, detail = check_fold_lift_bijection(Workspace())
+    assert ok, detail
+    assert len(calls) == 3

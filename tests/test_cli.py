@@ -173,6 +173,12 @@ def test_lift_rejects_fractional_index(capsys, cube_file, tmp_path):
             "cell [0, 2, -1]: index -1 is outside 0..6",
         ),
         (lambda cells: cells + [cells[0][::-1]], "cell [3, 1, 0] is given twice"),
+        # Not a repeat of [0, 1, 3]: lift's validation refuses its five vertices.
+        (
+            lambda cells: cells + [[0, 1, 3, 3]],
+            "lift is not a triangulation of the polytope: "
+            "cell (0, 1, 3, 3, 7) does not have 4 distinct vertices",
+        ),
         (
             lambda cells: cells[1:],
             "lift is not a triangulation of the polytope: "
@@ -186,6 +192,7 @@ def test_lift_rejects_fractional_index(capsys, cube_file, tmp_path):
         "out-of-range-index",
         "negative-index",
         "repeated-cell",
+        "repeated-index",
         "dropped-cell",
         "boolean-index",
         "string-index",
@@ -253,6 +260,19 @@ SHADOW_MISMATCH = "shadow_points are not the shadow points of this spine"
         (lambda doc: {**doc, "shadow_points": doc["shadow_points"][:-1]}, SHADOW_MISMATCH),
         (lambda doc: {**doc, "shadow_points": doc["shadow_points"][::-1]}, SHADOW_MISMATCH),
         (lambda doc: {**doc, "shadow_points": []}, SHADOW_MISMATCH),
+        # "dim" and "shadow_points" are read before lift checks the cells.
+        (
+            lambda doc: {**doc, "dim": 3, "simplices": [[0, 1, 99]] + doc["simplices"][1:]},
+            "dim 3 is not the shadow's dimension 2",
+        ),
+        (
+            lambda doc: {
+                **doc,
+                "shadow_points": doc["shadow_points"][::-1],
+                "simplices": doc["simplices"] + [doc["simplices"][0][::-1]],
+            },
+            SHADOW_MISMATCH,
+        ),
     ],
     ids=[
         "dim-9",
@@ -267,6 +287,8 @@ SHADOW_MISMATCH = "shadow_points are not the shadow points of this spine"
         "dropped-point",
         "reversed-points",
         "no-points",
+        "range-and-dim",
+        "repeat-and-shadow-points",
     ],
 )
 def test_lift_checks_star_dim_and_shadow_points(capsys, cube_file, tmp_path, edit, message):

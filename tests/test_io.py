@@ -157,7 +157,7 @@ def test_malformed_polytope_documents_are_named(doc, message):
 )
 def test_malformed_triangulation_documents_are_named(doc, message):
     with pytest.raises(sio.DocumentError) as exc:
-        sio.simplices_from_doc(doc, 3)
+        sio.simplices_from_doc(doc)
     assert str(exc.value) == message
 
 

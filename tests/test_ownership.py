@@ -1,7 +1,9 @@
 """Each object is built by the module that owns it: only `polytope.py`
 writes a polytope's frame, facets, facet masks or point table, places points
-against its hull and facets or decides which points are vertices, and the
-command line reaches the library through its public names alone."""
+against its hull and facets or decides which points are vertices, only
+`triangulation.py` words the refusal of a cell's index or of a repeated
+cell, and the command line reaches the library through its public names
+alone."""
 
 import ast
 from pathlib import Path
@@ -89,5 +91,23 @@ def test_only_polytope_places_points():
                 f"{path.name}:{line} imports {name}"
                 for name, line in _imports(tree)
                 if name in {"hull_ints", "facet_masks"}
+            ]
+    assert not bad, "\n".join(bad)
+
+
+def test_only_triangulation_words_the_cell_refusals():
+    # A star file's out-of-range index and repeated cell are refused once,
+    # by the cell map of fold and lift: no other module builds a string with
+    # that wording, docstrings included.
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "triangulation.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            bad += [
+                f"{path.name}:{node.lineno} builds {node.value!r}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and ("is given twice" in node.value or "is outside 0.." in node.value)
             ]
     assert not bad, "\n".join(bad)

@@ -518,7 +518,7 @@ class TestFoldLift:
         assert again.n_simplices == 7
         with pytest.raises(TriangulationError) as exc:
             fold(again, sm)
-        assert str(exc.value) == f"cell {t.simplices[0][::-1]} is given twice"
+        assert str(exc.value) == "cell [7, 3, 1, 0] is given twice"
 
     def test_lift_refuses_a_repeated_cell(self):
         sm = shadow(spine(cube(3), [0, 7]))
@@ -526,7 +526,7 @@ class TestFoldLift:
         again = Triangulation(star.points, star.simplices + (star.simplices[2],), star.dim)
         with pytest.raises(TriangulationError) as exc:
             lift(again, sm)
-        assert str(exc.value) == f"cell {star.simplices[2]} is given twice"
+        assert str(exc.value) == "cell [0, 2, 3] is given twice"
 
     @pytest.mark.parametrize("dim", [7, 1, 3])
     def test_lift_refuses_another_dim(self, dim):
@@ -601,21 +601,24 @@ class TestRepeatedWork:
         assert lift(Triangulation(copy, star.simplices, star.dim), sm) == lift(star, sm)
 
     @pytest.mark.parametrize(
-        "edit,cell",
+        "edit,message",
         [
             # Every 6 of the diagonal star read as -1, the last point.
-            (lambda cells: [[-1 if i == 6 else i for i in c] for c in cells], (-1, 0, 2)),
-            (lambda cells: [(0, 1, 99)] + cells[1:], (0, 1, 99)),
+            (
+                lambda cells: [[-1 if i == 6 else i for i in c] for c in cells],
+                "cell [-1, 0, 2]: index -1 is outside 0..6",
+            ),
+            (lambda cells: [(0, 1, 99)] + cells[1:], "cell [0, 1, 99]: index 99 is outside 0..6"),
         ],
         ids=["negative", "out-of-range"],
     )
-    def test_lift_names_a_cell_with_a_missing_point(self, edit, cell):
+    def test_lift_names_a_cell_with_a_missing_point(self, edit, message):
         sm = shadow(spine(cube(3), [0, 7]))
         star = star_triangulation(list(sm.star_points))
         bad = Triangulation.make(sm.star_points, edit(list(star.simplices)), star.dim)
         with pytest.raises(TriangulationError) as exc:
             lift(bad, sm)
-        assert str(exc.value) == f"cell {cell} references a missing point"
+        assert str(exc.value) == message
 
     def test_fold_names_a_cell_with_a_missing_point(self):
         p = cube(3)
@@ -623,7 +626,7 @@ class TestRepeatedWork:
         t = Triangulation.make(p.vertices, [(0, 7, 8, 9)], 3)
         with pytest.raises(TriangulationError) as exc:
             fold(t, sm)
-        assert str(exc.value) == "cell (0, 7, 8, 9) references a missing point"
+        assert str(exc.value) == "cell [0, 7, 8, 9]: index 8 is outside 0..7"
 
     @pytest.mark.parametrize(
         "verts,points,cells,reason",
