@@ -139,8 +139,11 @@ class Polytope:
         return self._facets
 
     def incidence_masks(self) -> list[int]:
-        """The facets' vertex sets as bitmasks, in facet order; on a polytope
-        from _hull, its double description's zero sets in ray order."""
+        """The facets' vertex sets as bitmasks, in one of three orders: that
+        of facets(); on a polytope from _hull, its double description's zero
+        sets in ray order; on a spine's shadow, the order `ShadowMap` derives
+        them in from the spine's polytope (see _polytope_with_faces).  Only
+        in the first do they pair with facets() by position."""
         if self._masks is None:
             self._masks = [vertex_mask(f.incident) for f in self.facets()]
         return self._masks
@@ -280,6 +283,27 @@ def _hull(points: Sequence[QVector]) -> Polytope:
     return poly
 
 
+def _polytope_with_faces(
+    vertices: Sequence[QVector],
+    ambient_dim: int,
+    masks: list[int],
+    points: tuple[QVector, ...],
+    on_facet: list[int],
+) -> Polytope:
+    """The polytope on the vertices whose facets' vertex sets are masks, as
+    a caller knows them without a double description, with the point table
+    of the points tuple already in place: their hull coordinates, placed by
+    hull_ints, and on_facet, bit j of point i set iff point i lies on the
+    facet of masks[j].  The points must lie in the polytope; facets() still
+    runs the double description when asked, in its own order."""
+    poly = Polytope(vertices, ambient_dim)
+    poly._masks = masks
+    amb, q = scaled_ints(points)
+    coords, scale = hull_ints(poly.frame(), amb, q)
+    poly._point_table = (points, (coords, scale, on_facet, {}))
+    return poly
+
+
 def vertex_mask(indices: Iterable[int]) -> int:
     """The vertex index set as an int bitmask."""
     return sum(1 << i for i in indices)
@@ -300,11 +324,15 @@ def facets_of_face(face: int, facet_masks: Sequence[int]) -> list[int]:
     That is O(c * f) for c candidates and f facets of the face.  The facets
     come in that order, not sorted.
     """
-    cands = sorted(
-        {face & g for g in facet_masks} - {face, 0}, key=int.bit_count, reverse=True
-    )
+    return maximal_masks({face & g for g in facet_masks} - {face, 0})
+
+
+def maximal_masks(cands: Iterable[int]) -> list[int]:
+    """The inclusion-maximal sets among the bitmasks cands, each once, by
+    popcount, largest first (see facets_of_face); a repeat lies in its
+    first copy, so it is dropped as any other set in a kept one is."""
     kept: list[int] = []
-    for c in cands:
+    for c in sorted(cands, key=int.bit_count, reverse=True):
         for k in kept:
             if c & k == c:
                 break

@@ -23,9 +23,11 @@ from .polytope import (
     Polytope,
     _check_vertices,
     _hull,
+    _polytope_with_faces,
     checked_points,
     facets_of_face,
     least_face,
+    maximal_masks,
     point_table,
     vertex_mask,
 )
@@ -160,12 +162,18 @@ def star_triangulation(
     input index.  The hull polytope of the last accepted input, which holds
     the frame and the zero sets, is kept, so a call on equal points, as for
     the stars of one shadow under many orders, pulls it and runs neither
-    again; the star keeps this call's points.  The origin count, the order,
-    `checked_points` and the origin's dimension run on every call, so the
-    vertex cap counts the points other than the origin.
+    again.  The star keeps this call's points, a tuple of QVectors as the
+    same object, so that validating a star of `ShadowMap.star_points`
+    against the shadow reuses the point table the shadow keeps for that
+    tuple.  The origin count, the order, `checked_points` and the origin's
+    dimension run on every call, so the vertex cap counts the points other
+    than the origin.
     """
     global _star_memo
-    pts = [q if isinstance(q, QVector) else QVector(q) for q in points]
+    if type(points) is tuple and all(isinstance(q, QVector) for q in points):
+        pts = points
+    else:
+        pts = tuple(q if isinstance(q, QVector) else QVector(q) for q in points)
     zeros = [i for i, q in enumerate(pts) if q.is_zero()]
     if len(zeros) != 1:
         raise TriangulationError(
@@ -178,21 +186,20 @@ def star_triangulation(
     dim = len(checked_points(pts[:z] + pts[z + 1 :])[0])
     if len(pts[z]) != dim:
         raise DimensionError(f"point of dim {len(pts[z])} against ambient dim {dim}")
-    key = tuple(pts)
     memo = _star_memo  # read once, so its key and its contents match
     # Tuple equality compares each pair by identity first, so the points of
     # one shadow's map match without hashing or comparing a coordinate.
-    if memo is not None and memo[0] == key:
+    if memo is not None and memo[0] == pts:
         hull = memo[1]
     else:
-        hull = _hull(key)
+        hull = _hull(pts)
         _check_vertices(hull, z)
-    _star_memo = (key, hull)
+    _star_memo = (pts, hull)
 
     tri = pulling_triangulation(hull, [z] + [i for i in order if i != z])
     if set(itertools.chain.from_iterable(tri.simplices)) != set(range(len(pts))):
         raise ShadowInternalError("star construction failed to use every point")
-    return Triangulation(key, tri.simplices, tri.dim)
+    return Triangulation(pts, tri.simplices, tri.dim)
 
 
 def spinal_triangulation(s: Spine) -> Triangulation:
@@ -243,6 +250,23 @@ class ShadowMap:
     So the vertices are the non-spine images in vertex order, with the
     origin at position U[0] iff (ii) holds; two vertices with one image are
     rejected above.
+
+    (iii) The shadow's facets come from P's facet masks too.  A face G != P
+    of P projects to a face of the shadow iff some functional in the
+    relative interior of G's normal cone is constant on U.  Such a
+    functional is a strictly positive combination of the normals of the
+    facets F that hold G, and each F that misses u_j falls short of its
+    offset at u_j by some delta > 0, so it is constant on U iff the weighted
+    shortfalls sum to one value at every u_j.  No F misses two points of U,
+    so these sums run over disjoint sets of facets, and positive weights
+    equalize them iff no F that holds G misses a point of U (G contains U)
+    or every point of U is missed by some F that holds G (G misses U).  The
+    projection maps these faces one to one onto the shadow's proper faces,
+    keeping inclusion, so the shadow's facets are the images of the maximal
+    ones among the facets of P that hold U and the nonempty intersections
+    F_1 & ... & F_|U| of one facet missing each u_j.  The image of G holds
+    the origin iff G contains U, and pi(v), v not in U, iff v is in G; the
+    star points' facet bits are these incidences too.
     """
 
     def __init__(self, sp: Spine):
@@ -282,10 +306,28 @@ class ShadowMap:
         self.e = p.dim - sp.n + 1
         k = sp.n - 1
         self.spine_sq_volume = Fraction(den, fr.vscale ** (2 * k) * math.factorial(k) ** 2)
+        masks = p.incidence_masks()
         u = vertex_mask(sp.indices)
-        origin = sp.indices[0] if least_face(p.incidence_masks(), u, p.n_vertices) == u else -1
-        self.polytope = Polytope(
-            [q for i, q in enumerate(images) if i not in uset or i == origin], p.ambient_dim
+        origin = sp.indices[0] if least_face(masks, u, p.n_vertices) == u else -1
+        keep = [i for i in range(p.n_vertices) if i not in uset or i == origin]
+        # One point of U at a time, keeping the distinct nonempty partial
+        # intersections: the product of the groups grows as |group|^|U|.
+        ands = {(1 << p.n_vertices) - 1}
+        for j in sp.indices:
+            missing = [f for f in masks if not f >> j & 1]
+            ands = {a & f for a in ands for f in missing} - {0}
+        # Each face holds all of U or none of it, so its bit at U[0] says
+        # whether its image holds the origin.
+        faces = maximal_masks([f for f in masks if f & u == u] + list(ands))
+        self.polytope = _polytope_with_faces(
+            [images[i] for i in keep],
+            p.ambient_dim,
+            [vertex_mask(b for b, i in enumerate(keep) if g >> i & 1) for g in faces],
+            self.star_points,
+            [
+                vertex_mask(j for j, g in enumerate(faces) if g >> i & 1)
+                for i in (sp.indices[0], *nonspine)
+            ],
         )
 
 

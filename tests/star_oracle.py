@@ -1,8 +1,11 @@
 """The former star triangulation, kept as the tests' oracle.
 
 `lp_star_triangulation` is the library's former `star_triangulation`, kept
-verbatim but for its name and for the parent facet list, the hull's own,
-that it hands `_PullContext.pull` with each facet.  It builds the hull of
+verbatim but for its name, for the parent facet list, the hull's own,
+that it hands `_PullContext.pull` with each facet, and for pulling each
+facet's `vertex_mask(f.incident)`, not the mask at its position in
+`incidence_masks()`, which pairs with `facets()` by position only on some
+polytopes (see `Polytope.incidence_masks`).  It builds the hull of
 the non-origin points with `make_polytope` (one exact LP per point), asks
 `Polytope.contains` where the origin lies (one facet enumeration of that
 hull), and in the outside case builds and enumerates the polytope of all
@@ -26,7 +29,7 @@ import itertools
 from typing import Sequence
 
 from spinaltri.linalg import QVector
-from spinaltri.polytope import DuplicatePoint, NotInConvexPosition, make_polytope
+from spinaltri.polytope import DuplicatePoint, NotInConvexPosition, make_polytope, vertex_mask
 from spinaltri.triangulation import (
     ShadowInternalError,
     Triangulation,
@@ -84,10 +87,10 @@ def lp_star_triangulation(
     local_rank = {local_of[g]: i for i, g in enumerate(base) if g != z}
     ctx = _PullContext(hull, local_rank)
     cells: set[tuple[int, ...]] = set()
-    for facet, mask in zip(hull.facets(), hull.incidence_masks()):
+    for facet in hull.facets():
         if facet.offset == 0:
             continue  # origin lies in this facet's hyperplane; cone is flat
-        for tau in ctx.pull(mask, ctx.facet_masks):
+        for tau in ctx.pull(vertex_mask(facet.incident), ctx.facet_masks):
             cells.add(tuple(sorted((z,) + tuple(others[j] for j in tau))))
     tri = Triangulation.make(pts, cells, hull.dim)
     used = set(itertools.chain.from_iterable(tri.simplices))

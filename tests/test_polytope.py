@@ -248,14 +248,19 @@ class TestExtremePoints:
 GOLDEN_CUBE3 = Path(__file__).resolve().parent / "golden" / "inputs" / "cube3.json"
 
 
-# Label -> (polytopes built, the call that builds them).
+# Label -> (polytopes built, double descriptions run, the call that builds
+# them).
 LIBRARY_BUILDS = {
-    "everest-hull": (1, lambda: everest_volume(EverestParams(2, 2), "hull")),
-    "everest-lifting": (1, lambda: everest_volume(EverestParams(2, 2), "lifting")),
-    "projected-b4": (1, lambda: projected_birkhoff(birkhoff_context(4))),
-    # truncated, projected, repositioned and the shadow of the last
-    "b3-volume-relation": (4, lambda: verify_birkhoff_volume_relation(birkhoff_context(3))),
-    "polytope-file": (1, lambda: load_polytope(GOLDEN_CUBE3).facets()),
+    "everest-hull": (1, 1, lambda: everest_volume(EverestParams(2, 2), "hull")),
+    "everest-lifting": (1, 1, lambda: everest_volume(EverestParams(2, 2), "lifting")),
+    "projected-b4": (1, 1, lambda: projected_birkhoff(birkhoff_context(4))),
+    # truncated, projected, repositioned and the shadow of the last, whose
+    # facet masks come from the repositioned polytope's with no double
+    # description
+    "b3-volume-relation": (
+        4, 3, lambda: verify_birkhoff_volume_relation(birkhoff_context(3))
+    ),
+    "polytope-file": (1, 1, lambda: load_polytope(GOLDEN_CUBE3).facets()),
 }
 
 
@@ -263,10 +268,10 @@ LIBRARY_BUILDS = {
 def test_library_constructors_read_convex_position_off_their_facets(label, monkeypatch):
     """The library builds its polytopes with no LP, and each one runs the
     double description once, for the convex-position check and the facets
-    it keeps."""
+    it keeps, but a spine's shadow, which runs none."""
     from spinaltri import polytope
 
-    built, run = LIBRARY_BUILDS[label]
+    built, ran, run = LIBRARY_BUILDS[label]
 
     def no_lp(constraints):
         raise AssertionError("an LP was built")
@@ -286,4 +291,4 @@ def test_library_constructors_read_convex_position_off_their_facets(label, monke
     monkeypatch.setattr(polytope.Polytope, "__init__", counting_init)
     monkeypatch.setattr(polytope, "_supporting_hyperplanes", counting_dd)
     run()
-    assert len(polytopes) == len(dds) == built
+    assert (len(polytopes), len(dds)) == (built, ran)

@@ -7,6 +7,13 @@ projected vertex images with one exact LP per image, through
 `shadow_polytope` now takes the vertices from the spine's facet masks; on every spine of every instance both must give the same vertex
 list, in the same order.
 
+The shadow's facet masks, and the facet bits of the star points in the
+point table it keeps for `star_points`, come from P's facet masks by (iii)
+of the `ShadowMap` docstring.  The oracle is the double description on a
+fresh `Polytope` over the shadow's vertices: the masks must be its
+`incidence_masks()` as a set, and the star bits must be `facet_masks` of its
+`facets()` once each facet is matched to its mask.
+
 `spine.spine` no longer checks that a spine is affinely independent; the
 check it made, a nonzero Gram determinant, must hold on every spine that
 `enumerate_spines` finds.
@@ -14,14 +21,18 @@ check it made, a nonzero Gram determinant, must hold on every spine that
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from spinaltri.everest import EverestParams, everest_polytope, simplotope_with_spine
-from spinaltri.linalg import QVector, gram_sq_volume
-from spinaltri.polytope import Polytope, extreme_points, make_polytope
+from spinaltri.io import load_polytope
+from spinaltri.linalg import QVector, gram_sq_volume, scaled_ints
+from spinaltri.polytope import (
+    Polytope, extreme_points, facet_masks, make_polytope, point_table, vertex_mask
+)
 from spinaltri.spine import enumerate_spines, spine
 from spinaltri.triangulation import ShadowMap, shadow_polytope
 from random_polytopes import random_polytope
@@ -36,7 +47,9 @@ def extreme_points_shadow_polytope(sm: ShadowMap) -> Polytope:
 
 
 def cube(d):
-    return make_polytope([QVector(b) for b in itertools.product((0, 1), repeat=d)])
+    return make_polytope(
+        [QVector(b) for b in itertools.product((0, 1), repeat=d)], max_vertices=2**d
+    )
 
 
 def cross_polytope(d):
@@ -136,3 +149,69 @@ def test_former_independence_guard_never_fires(source):
         for s in enumerate_spines(p, 1):
             pts = [p.vertices[i] for i in s]
             assert gram_sq_volume(pts, len(s) - 1) != 0, (name, s)
+
+
+# --- the shadow's facets and star incidences against the double description
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def golden_instances():
+    """Every polytope among the golden inputs that loads."""
+    for path in sorted(GOLDEN_INPUTS.glob("*.json")):
+        try:
+            yield path.stem, load_polytope(str(path))
+        except (ValueError, OSError):
+            continue  # a malformed document or a triangulation file
+
+
+def assert_same_faces(sm):
+    """The shadow's derived masks and star bits against a fresh double
+    description on its vertices."""
+    got = sm.polytope
+    fresh = Polytope(got.vertices, got.ambient_dim)
+    masks = got.incidence_masks()
+    assert sorted(masks) == sorted(fresh.incidence_masks())
+    assert len(set(masks)) == len(masks)
+    facets = fresh.facets()
+    where = [[vertex_mask(f.incident) for f in facets].index(m) for m in masks]
+    on_facet = point_table(got, sm.star_points)[2]
+    assert [sum(1 << where[j] for j in range(len(masks)) if b >> j & 1) for b in on_facet] == (
+        facet_masks(facets, *scaled_ints(sm.star_points))
+    )
+
+
+def assert_same_faces_on_spines(p, min_size=1):
+    """assert_same_faces on every spine of p; the number of spines."""
+    spines = enumerate_spines(p, min_size, max_vertices=p.n_vertices)
+    for s in spines:
+        assert_same_faces(ShadowMap(spine(p, s)))
+    return len(spines)
+
+
+@pytest.mark.parametrize(
+    "source", [random_instances, named_instances, skew_instances, golden_instances]
+)
+def test_shadow_faces_agree_with_the_double_description(source):
+    # The random 5-polytopes run under slow, with the 5-cube.
+    count = sum(assert_same_faces_on_spines(p) for name, p in source() if p.dim < 5)
+    assert count > 100
+
+
+def test_zero_dimensional_shadows_have_no_facets():
+    for p in (cube(1), make_polytope([QVector([0, 0]), QVector([1, 0]), QVector([0, 1])])):
+        sm = ShadowMap(spine(p, range(p.n_vertices)))
+        assert sm.polytope.dim == 0 and sm.polytope.incidence_masks() == []
+        assert point_table(sm.polytope, sm.star_points)[2] == [0]
+    assert ShadowMap(spine(make_polytope([QVector([2, 3])]), [0])).polytope.incidence_masks() == []
+
+
+@pytest.mark.slow
+def test_shadow_faces_agree_on_the_5_cube_and_the_larger_polytopes():
+    count = assert_same_faces_on_spines(cube(5))
+    for source in (random_instances, named_instances, skew_instances, golden_instances):
+        count += sum(assert_same_faces_on_spines(p) for name, p in source() if p.dim >= 5)
+    for n, s in [(2, 4), (1, 5), (3, 2)]:
+        count += assert_same_faces_on_spines(simplotope_with_spine(n, s)[0], 2)
+    assert count > 1000

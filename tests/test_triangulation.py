@@ -380,12 +380,13 @@ class TestShadowMemo:
     def test_law_fold_and_lift_project_once(self, monkeypatch):
         # Once P is built, law + fold + lift solve no LP: the shadow's
         # vertices come from the spine theorem.  The shadow polytope is built
-        # once and pulled once.
+        # once, by polytope.py, which owns its masks and point table, and
+        # pulled once.
         p = cube(3)
         sp = spine(p, [0, 7])
         lps, built, pulled = [], [], []
         real_lp = spinaltri.lp.lp_feasible
-        real_polytope = spinaltri.triangulation.Polytope
+        real_polytope = spinaltri.polytope.Polytope
         real_pull = pulling_triangulation
 
         def counting_lp(*args, **kwargs):
@@ -402,7 +403,7 @@ class TestShadowMemo:
 
         monkeypatch.setattr(spinaltri.lp, "lp_feasible", counting_lp)
         monkeypatch.setattr(spinaltri.polytope, "lp_feasible", counting_lp)
-        monkeypatch.setattr(spinaltri.triangulation, "Polytope", counting_polytope)
+        monkeypatch.setattr(spinaltri.polytope, "Polytope", counting_polytope)
         monkeypatch.setattr(spinaltri.volume, "pulling_triangulation", counting_pull)
         monkeypatch.setattr(spinaltri.triangulation, "pulling_triangulation", counting_pull)
         assert lifting_relation_report(sp).holds
@@ -658,31 +659,99 @@ class TestRepeatedWork:
         assert validate_detailed(good, p) == (True, "ok")
         assert validate_detailed(t, p) == (False, reason)
 
-    def test_folds_of_one_shadow_build_one_point_table(self, monkeypatch):
-        import random
-
-        sp = spine(cube(3), [0, 7])
-        sm = shadow(sp)
-        calls = {"hull_ints": 0, "facet_masks": 0}
+    @staticmethod
+    def count_placements(monkeypatch, names=("hull_ints", "facet_masks")):
+        """The arguments of each call of the named functions of
+        spinaltri.polytope, by name, from now on."""
+        calls = {name: [] for name in names}
 
         def counting(name):
             real = getattr(spinaltri.polytope, name)
 
             def counted(*args):
-                calls[name] += 1
+                calls[name].append(args)
                 return real(*args)
 
             return counted
 
         for name in calls:
             monkeypatch.setattr(spinaltri.polytope, name, counting(name))
+        return calls
+
+    def test_folds_of_one_shadow_build_one_point_table(self, monkeypatch):
+        # shadow() places the star points once, reading their facet bits off
+        # P's masks, and the folds place none.
+        import random
+
+        calls = self.count_placements(monkeypatch)
+        sp = spine(cube(3), [0, 7])
+        sm = shadow(sp)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "hull_ints": 1, "facet_masks": 0
+        }
         rng = random.Random(19)
         for _ in range(24):
             order = list(range(len(sm.star_points)))
             rng.shuffle(order)
             star = star_triangulation(list(sm.star_points), order)
             assert fold(lift(star, sm), sm).simplices == star.simplices
-        assert calls == {"hull_ints": 1, "facet_masks": 1}
+        assert {name: len(c) for name, c in calls.items()} == {
+            "hull_ints": 1, "facet_masks": 0
+        }
+
+    def test_validating_a_star_of_the_shadow_keeps_its_table(self, monkeypatch):
+        # A star built on the map's own points tuple keeps that tuple, so
+        # validating it against the shadow reads the table shadow() filled,
+        # and neither it nor the folds around it place a point or run a
+        # double description on the shadow.
+        sp = spine(cube(3), [0, 7])
+        sm = shadow(sp)
+        t = spinal_triangulation(sp)
+        fr = sm.polytope.frame()
+        calls = self.count_placements(
+            monkeypatch, ("hull_ints", "facet_masks", "_supporting_hyperplanes")
+        )
+        folded = fold(t, sm)
+        star = star_triangulation(sm.star_points)
+        assert star.points is sm.star_points
+        assert validate(star, sm.polytope)
+        assert fold(t, sm).simplices == folded.simplices
+        assert calls["hull_ints"] == calls["facet_masks"] == []
+        # The one double description is the star's, on its own hull.
+        (dd,) = calls["_supporting_hyperplanes"]
+        assert dd[0] is not fr.icoords
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [*itertools.product((0, 1), repeat=3), (Fraction(1, 2),) * 3],
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            [(0, 0), (2, 0), (3, 2), (0, 2), (1, 1)],
+            # 7 points, not all of them vertices; spines of up to 3 and 4 points
+            [tuple(rng.randint(-3, 3) for _ in range(3)) for rng in [random.Random(0)] * 7],
+            [tuple(rng.randint(-3, 3) for _ in range(4)) for rng in [random.Random(15)] * 7],
+        ],
+        ids=["cube3-centre", "simplex3", "quadrilateral-inner", "random3", "random4"],
+    )
+    def test_an_op_runs_two_double_descriptions(self, monkeypatch, points):
+        # One for the extreme points and one for P's facets; each spine's
+        # shadow reads its facets off P's masks and runs none.
+        from spinaltri.polytope import extreme_points
+        from spinaltri.spine import enumerate_spines
+
+        dds = self.count_placements(monkeypatch, ("_supporting_hyperplanes",))
+        p = make_polytope(extreme_points([QVector(q) for q in points]))
+        t = pulling_triangulation(p)
+        assert validate(t, p)
+        spines = enumerate_spines(p, 1)
+        for s in spines:
+            sp = spine(p, s)
+            assert lifting_relation_report(sp).holds
+            sm = shadow(sp)
+            spinal = spinal_triangulation(sp)
+            assert lift(fold(spinal, sm), sm).simplices == spinal.simplices
+        assert p.dim == len(points[0]) and any(len(s) > 1 for s in spines)
+        assert len(dds["_supporting_hyperplanes"]) == 2
 
     def test_membership_queries_keep_the_table_of_the_folds(self, monkeypatch):
         # contains and the Birkhoff interior test place a list of one point,
