@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import (
-    DimensionError, QVector, int_adjugate, int_dot, int_echelon, scaled_ints
+    DimensionError, IntRows, QVector, int_adjugate, int_det, int_dot, int_echelon, scaled_ints
 )
 from .lp import EQ, LE, lp_feasible
 
@@ -86,9 +86,7 @@ class _Frame:
     A lower-dimensional hull also keeps ``solve``, an integer d x d matrix T
     with T B~ = ``den`` [I_k; 0] (den > 0): the hull coordinates of a point
     are the first k entries of T t, where the other d - k vanish iff the
-    point lies in the hull.  ``normal_map`` = B~ adj(B~^T B~) sends a normal
-    in hull coordinates to a positive multiple of the ambient normal that
-    lies in the direction space.  ``gram_det`` = det(B^T B).
+    point lies in the hull.  ``gram_det`` = det(B^T B).
     """
 
     dim: int
@@ -101,7 +99,6 @@ class _Frame:
     basis: tuple[int, ...]
     solve: tuple[tuple[int, ...], ...] = ()
     den: int = 1
-    normal_map: tuple[tuple[int, ...], ...] = ()
 
 
 class Polytope:
@@ -130,7 +127,7 @@ class Polytope:
 
     def frame(self) -> _Frame:
         if self._frame is None:
-            self._frame = _build_frame(self.vertices, self.ambient_dim)
+            self._frame = _build_frame(*scaled_ints(self.vertices), self.ambient_dim)
         return self._frame
 
     def facets(self) -> list[Facet]:
@@ -284,22 +281,21 @@ def _hull(points: Sequence[QVector]) -> Polytope:
 
 
 def _polytope_with_faces(
-    vertices: Sequence[QVector],
-    ambient_dim: int,
-    masks: list[int],
-    points: tuple[QVector, ...],
-    on_facet: list[int],
+    vertices: Sequence[QVector], ivertices: IntRows, vscale: int, masks: list[int],
+    points: tuple[QVector, ...], ipoints: IntRows, on_facet: list[int],
 ) -> Polytope:
     """The polytope on the vertices whose facets' vertex sets are masks, as
     a caller knows them without a double description, with the point table
     of the points tuple already in place: their hull coordinates, placed by
     hull_ints, and on_facet, bit j of point i set iff point i lies on the
-    facet of masks[j].  The points must lie in the polytope; facets() still
+    facet of masks[j].  The frame and the hull coordinates come from the
+    vertices and points times vscale, ivertices and ipoints, as scaled_ints
+    gives the vertices.  The points must lie in the polytope; facets() still
     runs the double description when asked, in its own order."""
-    poly = Polytope(vertices, ambient_dim)
+    poly = Polytope(vertices, len(ivertices[0]))
+    poly._frame = _build_frame(ivertices, vscale, poly.ambient_dim)
     poly._masks = masks
-    amb, q = scaled_ints(points)
-    coords, scale = hull_ints(poly.frame(), amb, q)
+    coords, scale = hull_ints(poly._frame, ipoints, vscale)
     poly._point_table = (points, (coords, scale, on_facet, {}))
     return poly
 
@@ -443,13 +439,13 @@ def hull_ints(
     return out, fr.den * q
 
 
-def _build_frame(vertices: tuple[QVector, ...], ambient_dim: int) -> _Frame:
-    """One fraction-free echelon of [E | I], E the d x (n - 1) integer edges
-    from vertex 0 as columns.  Its pivot columns in E are the greedy basis.
-    With p its last pivot, the column of vertex i in E ends as p (c_i, 0),
-    c_i the hull coordinates, and the identity block as T' with T' B~ =
-    p [I_k; 0], which ``solve`` keeps times sign(p)."""
-    ivertices, vscale = scaled_ints(vertices)
+def _build_frame(ivertices: IntRows, vscale: int, ambient_dim: int) -> _Frame:
+    """The frame of the vertices ivertices / vscale, as scaled_ints gives
+    them.  One fraction-free echelon of [E | I], E the d x (n - 1) integer
+    edges from vertex 0 as columns.  Its pivot columns in E are the greedy
+    basis.  With p its last pivot, the column of vertex i in E ends as
+    p (c_i, 0), c_i the hull coordinates, and the identity block as T' with
+    T' B~ = p [I_k; 0], which ``solve`` keeps times sign(p)."""
     m = len(ivertices) - 1
     rows = [
         [v[r] - o for v in ivertices[1:]] + [int(r == j) for j in range(ambient_dim)]
@@ -465,7 +461,6 @@ def _build_frame(vertices: tuple[QVector, ...], ambient_dim: int) -> _Frame:
     g = sign * math.gcd(den, *(x for row in ech[:k] for x in row[:m]))
     icoords = ((0,) * k,) + tuple(tuple(r[c] // g for r in ech[:k]) for c in range(m))
     bt = [[row[c] for row in rows] for c in lead]  # the rows of B~^T
-    gram_adj, gram_det = int_adjugate([[int_dot(a, b) for b in bt] for a in bt])
     return _Frame(
         k,
         False,
@@ -473,11 +468,10 @@ def _build_frame(vertices: tuple[QVector, ...], ambient_dim: int) -> _Frame:
         vscale,
         icoords,
         den // g,
-        Fraction(gram_det, vscale ** (2 * k)),
+        Fraction(int_det([[int_dot(a, b) for b in bt] for a in bt]), vscale ** (2 * k)),
         basis,
         tuple(tuple(sign * x for x in row[m:]) for row in ech),
         abs(den),
-        tuple(tuple(int_dot(row, col) for col in zip(*gram_adj)) for row in zip(*bt)),
     )
 
 
@@ -493,40 +487,37 @@ def frame_coords(p: Polytope, point: QVector) -> QVector:
 
 def _enumerate_facets(p: Polytope) -> list[Facet]:
     """The canonical facets, sorted, from one double description on p's
-    hull coordinates.  A point is its own affine hull, so it has none."""
+    hull coordinates.  A point is its own affine hull, so it has none.
+
+    A lower-dimensional hull's normals g, in hull coordinates, are lifted
+    to R^d by the normal map B~ adj(B~^T B~), formed once per call.  The
+    double description orients every normal outward, and B G^-1 keeps that
+    orientation (n.(v - v_0) = g.c for the lifted n), so the canonical
+    normal is the primitive vector along the lifted one; the offset is its
+    value at an incident vertex.
+    """
     k = p.dim
     if k == 0:
         return []
     fr = p.frame()
+    if not fr.identity:
+        bt = [[a - b for a, b in zip(fr.ivertices[i], fr.ivertices[0])] for i in fr.basis]
+        adj, _ = int_adjugate([[int_dot(a, b) for b in bt] for a in bt])
+        normal_map = [[int_dot(row, col) for col in zip(*adj)] for row in zip(*bt)]
     keyed = []
     n = len(fr.ivertices)
     for normal_ints, _, mask in _supporting_hyperplanes(fr.icoords, k, (0, *fr.basis)):
         incident = tuple(i for i in range(n) if mask >> i & 1)
-        ints, offset = _lift_normal(fr, normal_ints, incident)
+        ints = normal_ints
+        if not fr.identity:
+            ints = [int_dot(row, normal_ints) for row in normal_map]
+            g = math.gcd(*ints)
+            ints = tuple(v // g for v in ints)
+        offset = Fraction(int_dot(ints, fr.ivertices[incident[0]]), fr.vscale)
         keyed.append(((ints, offset), Facet(QVector(ints), offset, incident)))
     # The normals are integral, so their int tuples order as the entries do.
     keyed.sort(key=lambda kf: kf[0])
     return [f for _, f in keyed]
-
-
-def _lift_normal(
-    fr: _Frame, normal_ints: Sequence[int], incident: tuple[int, ...]
-) -> tuple[tuple[int, ...], Fraction]:
-    """Turn a hull-coordinate hyperplane into canonical ambient form: the
-    integer normal and the offset.
-
-    The double description orients every normal outward, and B G^-1 keeps
-    that orientation (n.(v - v_0) = g.c for the lifted n), so the canonical
-    normal is the primitive vector along normal_map . g.
-    """
-    if fr.identity:
-        ints = list(normal_ints)
-    else:
-        ints = [int_dot(row, normal_ints) for row in fr.normal_map]
-    g = math.gcd(*ints)
-    ints = tuple(v // g for v in ints)
-    offset = Fraction(int_dot(ints, fr.ivertices[incident[0]]), fr.vscale)
-    return ints, offset
 
 
 def _supporting_hyperplanes(

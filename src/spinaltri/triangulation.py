@@ -297,7 +297,11 @@ class ShadowMap:
             elif seen.setdefault(img, i) != i:
                 raise ShadowInternalError(f"vertices {seen[img]} and {i} share a projection")
             inum.append(img)
-        scale = den * fr.vscale
+        # The images over the lcm of their denominators, as scaled_ints of
+        # their fractions gives them; the shadow's frame is built from these.
+        g = math.gcd(den * fr.vscale, *(x for w in inum for x in w))
+        scale = den * fr.vscale // g
+        inum = [tuple(x // g for x in w) for w in inum]
         images = tuple(QVector([Fraction(x, scale) for x in w]) for w in inum)
         self.shadow_points = images
         nonspine = [i for i in range(p.n_vertices) if i not in uset]
@@ -321,11 +325,13 @@ class ShadowMap:
         faces = maximal_masks([f for f in masks if f & u == u] + list(ands))
         self.polytope = _polytope_with_faces(
             [images[i] for i in keep],
-            p.ambient_dim,
-            [vertex_mask(b for b, i in enumerate(keep) if g >> i & 1) for g in faces],
+            tuple(inum[i] for i in keep),
+            scale,
+            [vertex_mask(b for b, i in enumerate(keep) if f >> i & 1) for f in faces],
             self.star_points,
+            ((0,) * p.ambient_dim,) + tuple(inum[i] for i in nonspine),
             [
-                vertex_mask(j for j, g in enumerate(faces) if g >> i & 1)
+                vertex_mask(j for j, f in enumerate(faces) if f >> i & 1)
                 for i in (sp.indices[0], *nonspine)
             ],
         )

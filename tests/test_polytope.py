@@ -226,7 +226,7 @@ class TestExtremePoints:
         def no_lp(constraints):
             raise AssertionError("an LP was built")
 
-        def no_frame(vertices, ambient_dim):
+        def no_frame(ivertices, vscale, ambient_dim):
             raise AssertionError("a frame was built")
 
         monkeypatch.setattr(polytope, "lp_feasible", no_lp)

@@ -40,3 +40,16 @@ def test_readme_states_the_caps_of_the_source():
         stated = re.findall(pattern, text)
         assert stated, pattern
         assert [int(x.replace(",", "")) for x in stated] == [value] * len(stated), pattern
+
+
+def test_readme_prose_is_at_most_80_columns():
+    # Fenced code blocks and table rows keep their own width.
+    fenced, long = False, []
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and not line.lstrip().startswith("|") and len(line) > 80:
+            long.append(number)
+    assert not fenced, "a code fence is never closed"
+    assert long == [], f"README.md lines over 80 columns: {long}"

@@ -31,7 +31,8 @@ from spinaltri.everest import EverestParams, everest_polytope, simplotope_with_s
 from spinaltri.io import load_polytope
 from spinaltri.linalg import QVector, gram_sq_volume, scaled_ints
 from spinaltri.polytope import (
-    Polytope, extreme_points, facet_masks, make_polytope, point_table, vertex_mask
+    Polytope, _build_frame, extreme_points, facet_masks, hull_ints, make_polytope,
+    point_table, vertex_mask
 )
 from spinaltri.spine import enumerate_spines, spine
 from spinaltri.triangulation import ShadowMap, shadow_polytope
@@ -215,3 +216,40 @@ def test_shadow_faces_agree_on_the_5_cube_and_the_larger_polytopes():
     for n, s in [(2, 4), (1, 5), (3, 2)]:
         count += assert_same_faces_on_spines(simplotope_with_spine(n, s)[0], 2)
     assert count > 1000
+
+
+# --- the shadow's frame from the map's integer images
+
+
+def integer_frame_spines():
+    yield "cube3", spine(cube(3), [0, 7])
+    yield "cube4", spine(cube(4), [0, 15])
+    yield "S(2,2)", simplotope_with_spine(2, 2)[1]
+    # An edge of the simplex is a face: the origin is a vertex of the shadow.
+    simplex = make_polytope([QVector(r) for r in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]])
+    yield "simplex3", spine(simplex, [0, 1])
+    # Images (16, -8, -8) / 12 and the like: the gcd of the scale and the
+    # numerators is 4, so the map reduces them before building the frame.
+    dilated = make_polytope([QVector(b) for b in itertools.product((0, 2), repeat=3)])
+    yield "dilated-cube3", spine(dilated, [0, 7])
+    rng = random.Random(20261021)
+    for d in (3, 4):
+        for k in range(4):
+            p = random_polytope(rng, (d,))
+            for s in enumerate_spines(p, 1):
+                yield f"random{d}-{k}-{s}", spine(p, s)
+
+
+def test_the_shadow_frame_from_integers_is_the_frame_from_its_vertices():
+    vscales = {}
+    for name, sp in integer_frame_spines():
+        sm = ShadowMap(sp)
+        got = sm.polytope
+        want = _build_frame(*scaled_ints(got.vertices), got.ambient_dim)
+        assert got.frame() == want, name
+        coords, scale = got._point_table[1][:2]
+        assert got._point_table[0] is sm.star_points
+        assert (coords, scale) == hull_ints(want, *scaled_ints(sm.star_points)), name
+        vscales[name] = want.vscale
+    assert vscales["dilated-cube3"] == 3  # the images' scale 12 over g = 4
+    assert len(vscales) > 50

@@ -793,9 +793,9 @@ class TestRepeatedWork:
         hull.facets()
 
         def forbidden(*args):
-            raise AssertionError("the star lifted a facet normal")
+            raise AssertionError("the star enumerated facets and lifted their normals")
 
-        monkeypatch.setattr(spinaltri.polytope, "_lift_normal", forbidden)
+        monkeypatch.setattr(spinaltri.polytope, "_enumerate_facets", forbidden)
         star = star_triangulation(list(sm.star_points))
         assert validate(star, hull)
 
@@ -822,7 +822,7 @@ class TestSharedWork:
     and a point table keeps the determinants of the cells it has seen; every
     answer and every error is the one computed afresh."""
 
-    def test_stars_of_one_shadow_run_one_dd_and_one_gram_adjugate(self, monkeypatch):
+    def test_stars_of_one_shadow_run_one_dd_and_one_adjugate(self, monkeypatch):
         sm = shadow(spine(cube(4), [0, 15]))
         dds, adjugates = [], []
         real_dd = spinaltri.polytope._supporting_hyperplanes
@@ -845,12 +845,22 @@ class TestSharedWork:
             rng.shuffle(order)
             orders.append(order)
             stars.append(star_triangulation(list(sm.star_points), order))
-        # One frame, whose Gram matrix is the only frame adjugate, and one
-        # double description, whose start cone is the only other one.
+        # One frame, which forms no adjugate, and one double description,
+        # whose start cone is the only adjugate.
         assert len(dds) == 1
-        assert adjugates == ["_build_frame", "_supporting_hyperplanes"]
-        fr = spinaltri.triangulation._star_memo[1].frame()
-        assert not fr.identity and fr.normal_map and fr.gram_det > 0
+        assert adjugates == ["_supporting_hyperplanes"]
+        hull = spinaltri.triangulation._star_memo[1]
+        fr = hull.frame()
+        assert not fr.identity and fr.gram_det > 0
+        # facets() on the lower-dimensional hull runs its own double
+        # description and forms the normal map's Gram adjugate once; on a
+        # full-dimensional polytope it forms none.
+        del adjugates[:]
+        hull.facets()
+        assert adjugates == ["_enumerate_facets", "_supporting_hyperplanes"]
+        del adjugates[:]
+        assert cube(4).facets()
+        assert adjugates == ["_supporting_hyperplanes"]
         monkeypatch.undo()
         assert len({t.simplices for t in stars}) > 1
         for order, star in zip(orders, stars):
