@@ -154,16 +154,9 @@ def _triangulation_lines(t: Triangulation) -> list[str]:
 def cmd_triangulate(args) -> int:
     p = sio.load_polytope(args.polytope)
     if args.spinal:
-        if args.set is None:
-            raise ValueError("--spinal needs --set with the spine indices")
-        if args.order is not None:
-            raise ValueError("--spinal pulls the spine first and takes no --order")
         t = spinal_triangulation(spine(p, _parse_spine_set(args.set)))
     else:
-        if args.set is not None:
-            raise ValueError("--set applies only with --spinal")
-        order = _parse_order(args.order)
-        t = pulling_triangulation(p, order)
+        t = pulling_triangulation(p, _parse_order(args.order))
     _emit(sio.triangulation_to_doc(t), _triangulation_lines(t), args)
     return 0
 
@@ -238,10 +231,6 @@ def cmd_verify_lifting(args) -> int:
 
 
 def cmd_everest(args) -> int:
-    if args.method is not None and args.action != "volume":
-        raise ValueError("--method applies only to everest volume")
-    if args.lifting and args.action != "verify":
-        raise ValueError("--lifting applies only to everest verify")
     params = EverestParams(
         _parse_int(args.n, "n"), _parse_int(args.s, "s")
     )
@@ -285,8 +274,6 @@ def cmd_everest(args) -> int:
 
 
 def cmd_birkhoff(args) -> int:
-    if args.volume and args.action != "verify":
-        raise ValueError("--volume applies only to birkhoff verify")
     n = _parse_int(args.n, "n")
     ctx = birkhoff_context(n)
     if args.action == "context":
@@ -352,37 +339,46 @@ def cmd_selftest(args) -> int:
 
 
 # Verb -> (handler, help line, its arguments after --pretty as (name,
-# add_argument keywords)), in help order.
+# add_argument keywords), where its options apply), in help order.  A row
+# (option, key, value, refusal) lets the option be given only where key is
+# value: a positional key by its value, an option key by whether it is
+# given.  `main` raises the refusal of the first row an argv breaks.
 VERBS = {
-    "facets": (cmd_facets, "enumerate facets of a polytope file", [("polytope", {})]),
+    "facets": (cmd_facets, "enumerate facets of a polytope file", [("polytope", {})], []),
     "spine-check": (cmd_spine_check, "test the facet criterion for a vertex set", [
         ("polytope", {}),
-        ("--set", dict(required=True, help="comma-separated vertex indices"))]),
+        ("--set", dict(required=True, help="comma-separated vertex indices"))], []),
     "spine-enum": (cmd_spine_enum, "enumerate all spines", [
-        ("polytope", {}), ("--min-size", dict(default="2"))]),
+        ("polytope", {}), ("--min-size", dict(default="2"))], []),
     "triangulate": (cmd_triangulate, "pulling or spinal triangulation", [
         ("polytope", {}), ("--order", dict(help="pulling order as comma-separated indices")),
         ("--spinal", dict(action="store_true")),
-        ("--set", dict(help="spine indices for --spinal"))]),
+        ("--set", dict(help="spine indices for --spinal"))], [
+        ("--spinal", "--set", True, "--spinal needs --set with the spine indices"),
+        ("--order", "--spinal", False, "--spinal pulls the spine first and takes no --order"),
+        ("--set", "--spinal", True, "--set applies only with --spinal")]),
     "fold": (cmd_fold, "fold a spinal triangulation to the shadow", [
         ("polytope", {}), ("--set", dict(required=True)),
-        ("--order", dict(help="optional spinal pulling order"))]),
+        ("--order", dict(help="optional spinal pulling order"))], []),
     "lift": (cmd_lift, "lift a star triangulation of the shadow", [
         ("polytope", {}), ("--set", dict(required=True)),
-        ("--star", dict(required=True, help="triangulation JSON over the shadow table"))]),
+        ("--star", dict(required=True, help="triangulation JSON over the shadow table"))], []),
     "volume": (cmd_volume, "exact volume by pulling triangulation", [
-        ("polytope", {}), ("--order", {})]),
+        ("polytope", {}), ("--order", {})], []),
     "verify-lifting": (cmd_verify_lifting, "check the projection volume law", [
-        ("polytope", {}), ("--set", dict(required=True))]),
+        ("polytope", {}), ("--set", dict(required=True))], []),
     "everest": (cmd_everest, "Everest polytope operations", [
         ("action", dict(choices=["vertices", "volume", "verify"])), ("n", {}), ("s", {}),
         ("--method", dict(choices=["formula", "hull", "lifting"])),
-        ("--lifting", dict(action="store_true", help="include the lifting route in verify"))]),
+        ("--lifting", dict(action="store_true", help="include the lifting route in verify"))], [
+        ("--method", "action", "volume", "--method applies only to everest volume"),
+        ("--lifting", "action", "verify", "--lifting applies only to everest verify")]),
     "birkhoff": (cmd_birkhoff, "Birkhoff projection pipeline", [
         ("action", dict(choices=["context", "project", "verify"])), ("n", {}),
-        ("--volume", dict(action="store_true", help="also check the volume relation"))]),
+        ("--volume", dict(action="store_true", help="also check the volume relation"))], [
+        ("--volume", "action", "verify", "--volume applies only to birkhoff verify")]),
     "selftest": (cmd_selftest, "run the acceptance checks minus long items", [
-        ("--only", dict(help="run a single criterion by number"))]),
+        ("--only", dict(help="run a single criterion by number"))], []),
 }
 
 
@@ -395,7 +391,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="verb", required=True)
-    for name, (fn, help_line, arguments) in VERBS.items():
+    for name, (fn, help_line, arguments, _) in VERBS.items():
         if only in (None, name):
             p = sub.add_parser(name, help=help_line, allow_abbrev=False)
             p.set_defaults(func=fn)
@@ -403,6 +399,12 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
             for arg, kwargs in arguments:
                 p.add_argument(arg, **kwargs)
     return ap
+
+
+def _state(args, name: str):
+    """A positional's value, or whether an option is given."""
+    value = getattr(args, name.removeprefix("--"))
+    return value not in (None, False) if name.startswith("--") else value
 
 
 def main(argv=None) -> int:
@@ -416,6 +418,9 @@ def main(argv=None) -> int:
     if args is None or rest:
         args = build_parser().parse_args(argv)
     try:
+        for option, key, value, refusal in VERBS[args.verb][3]:
+            if _state(args, option) and _state(args, key) != value:
+                raise ValueError(refusal)
         return args.func(args)
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -397,6 +397,13 @@ def point_table(p: Polytope, points: Sequence[QVector]) -> tuple:
     return table
 
 
+def cell_det(icoords: Sequence[Sequence[int]], cell: Sequence[int]) -> int:
+    """Signed determinant of the edge vectors from a cell's first vertex,
+    on integer coordinates."""
+    base = icoords[cell[0]]
+    return int_det([[a - b for a, b in zip(icoords[i], base)] for i in cell[1:]])
+
+
 def facet_masks(
     facets: Sequence[Facet], amb: Sequence[Sequence[int]], q: int
 ) -> list[int]:

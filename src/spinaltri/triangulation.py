@@ -24,6 +24,7 @@ from .polytope import (
     _check_vertices,
     _hull,
     _polytope_with_faces,
+    cell_det,
     checked_points,
     facets_of_face,
     least_face,
@@ -129,6 +130,22 @@ def pulling_triangulation(p: Polytope, order: Sequence[int] | None = None) -> Tr
     if any(len(c) != want for c in cells):
         raise TriangulationError("pulling produced a cell of the wrong dimension")
     return Triangulation.make(p.vertices, cells, p.dim)
+
+
+def triangulation_relative_volume(p: Polytope, simplices) -> Fraction:
+    """The summed volume of cells of p's vertices in p's hull frame: the
+    cells' |cell_det| on the frame's integer coordinates over scale^k k!."""
+    fr = p.frame()
+    total = sum(abs(cell_det(fr.icoords, c)) for c in simplices)
+    return Fraction(total, fr.scale**fr.dim * math.factorial(fr.dim))
+
+
+def polytope_relative_volume(p: Polytope) -> Fraction:
+    """Hull-frame volume of p via a pulling triangulation (cached)."""
+    if p._relvol is None:
+        t = pulling_triangulation(p)
+        p._relvol = triangulation_relative_volume(p, t.simplices)
+    return p._relvol
 
 
 # The last input star_triangulation accepted, as (points, hull): the points'
@@ -447,8 +464,6 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
     k - j transpositions, so the apex c_j lies on the side (-1)^(k-j) sign D
     of the ridge c minus c_j, oriented by its own sorted order.
     """
-    from .volume import cell_det, polytope_relative_volume
-
     k = p.dim
     n = len(t.points)
     coords, scale, on_facet, dets = point_table(p, t.points)

@@ -19,10 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import int_det
 from .polytope import Polytope
 from .spine import Spine
-from .triangulation import pulling_triangulation, shadow, shadow_polytope
+from .triangulation import (
+    polytope_relative_volume,
+    pulling_triangulation,
+    shadow,
+    shadow_polytope,
+    triangulation_relative_volume,
+)
 
 
 @dataclass(frozen=True)
@@ -31,27 +36,6 @@ class VolumeReport:
     n_simplices: int
     sq_volume: Fraction
     volume: Fraction | None
-
-
-def cell_det(icoords: Sequence[Sequence[int]], cell: Sequence[int]) -> int:
-    """Signed determinant of the edge vectors from a cell's first vertex,
-    on integer coordinates."""
-    base = icoords[cell[0]]
-    return int_det([[a - b for a, b in zip(icoords[i], base)] for i in cell[1:]])
-
-
-def triangulation_relative_volume(p: Polytope, simplices) -> Fraction:
-    fr = p.frame()
-    total = sum(abs(cell_det(fr.icoords, c)) for c in simplices)
-    return Fraction(total, fr.scale**fr.dim * math.factorial(fr.dim))
-
-
-def polytope_relative_volume(p: Polytope) -> Fraction:
-    """Hull-frame volume of p via a pulling triangulation (cached)."""
-    if p._relvol is None:
-        t = pulling_triangulation(p)
-        p._relvol = triangulation_relative_volume(p, t.simplices)
-    return p._relvol
 
 
 def polytope_volume(p: Polytope, order: Sequence[int] | None = None) -> VolumeReport:

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from polytope_writer import save_polytope
+from spinaltri import cli
 from spinaltri.cli import main
 from spinaltri.linalg import QVector
 from spinaltri.polytope import make_polytope
+from test_golden_cli import GOLDEN
 
 
 @pytest.fixture
@@ -500,6 +502,43 @@ def test_option_that_does_not_apply_is_one_error_line(capsys, cube_file, argv, m
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# A value for each option of the table's rows that takes one, and for each
+# positional but an action.
+OPTION_VALUES = {"--set": "0,7", "--order": "7,6,5,4,3,2,1,0", "--method": "hull"}
+POSITIONALS = {"polytope": str(GOLDEN / "inputs" / "cube3.json"), "n": "3", "s": "2"}
+
+
+def _misapplied():
+    """(argv, refusal) for each row of `cli.VERBS` and each action, or each
+    state of the option the row names, where the row does not apply: the
+    row's option is given, and with every given option each option that it
+    needs by another row."""
+    for verb, (_, _, arguments, rows) in cli.VERBS.items():
+        for option, key, value, refusal in rows:
+            states = [True, False] if key.startswith("--") else dict(arguments)[key]["choices"]
+            for state in (s for s in states if s != value):
+                given = {option} | ({key} if state is True else set())
+                given |= {b for a, b, v, _ in rows if a in given and v is True and b != key}
+                argv = [verb]
+                for name, _ in arguments:
+                    if not name.startswith("--"):
+                        argv.append(state if name == key else POSITIONALS[name])
+                    elif name in given:
+                        argv += [name, OPTION_VALUES[name]] if name in OPTION_VALUES else [name]
+                yield argv, refusal
+
+
+@pytest.mark.parametrize("argv,refusal", list(_misapplied()))
+def test_each_row_of_the_verb_table_refuses_its_option_where_it_does_not_apply(
+    capsys, argv, refusal
+):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {refusal}\n"
 
 
 def test_everest_volume_method_defaults_to_formula(capsys):

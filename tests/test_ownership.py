@@ -3,7 +3,9 @@ writes a polytope's frame, facets, facet masks or point table, places points
 against its hull and facets or decides which points are vertices, only
 `triangulation.py` words the refusal of a cell's index or of a repeated
 cell, and the command line reaches the library through its public names
-alone."""
+alone.  The modules import each other without a cycle, and no function
+imports a module of the package when it runs but `cli.cmd_selftest`, which
+loads `selfcheck` only for that verb."""
 
 import ast
 from pathlib import Path
@@ -111,3 +113,57 @@ def test_only_triangulation_words_the_cell_refusals():
                 and ("is given twice" in node.value or "is outside 0.." in node.value)
             ]
     assert not bad, "\n".join(bad)
+
+
+def _module_imports(tree: ast.Module):
+    """(enclosing function or None, the package module imported) for each
+    relative import outside `if TYPE_CHECKING:` blocks.  `from . import
+    io` names the module io; `from .x import y` the module x."""
+    def visit(node, fn):
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            yield from (i for child in node.orelse for i in visit(child, fn))
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name if fn is None else f"{fn}.{node.name}"
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for name in [node.module] if node.module else [a.name for a in node.names]:
+                yield fn, name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, fn)
+
+    return visit(tree, None)
+
+
+def _import_graph():
+    graph, lazy = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        graph[path.stem] = set()
+        for fn, name in _module_imports(tree):
+            graph[path.stem].add(name)
+            if fn is not None:
+                lazy.append(f"{path.name}: {fn} imports {name}")
+    return graph, lazy
+
+
+def test_the_import_graph_of_src_is_acyclic():
+    graph, _ = _import_graph()
+    assert all(name in graph for targets in graph.values() for name in targets)
+    done: set[str] = set()
+
+    def walk(module: str, path: list[str]) -> None:
+        if module in path:
+            cycle = path[path.index(module) :] + [module]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if module not in done:
+            for name in sorted(graph[module]):
+                walk(name, path + [module])
+            done.add(module)
+
+    for module in graph:
+        walk(module, [])
+
+
+def test_no_function_imports_the_package_but_the_selftest_verb():
+    _, lazy = _import_graph()
+    assert lazy == ["cli.py: cmd_selftest imports selfcheck"]

@@ -968,13 +968,13 @@ class TestSharedWork:
             t = Triangulation.make(p.vertices, cells, 3)
         spinaltri.volume.polytope_relative_volume(p)  # its own cells' determinants
         dets = []
-        real = spinaltri.volume.cell_det
+        real = spinaltri.triangulation.cell_det
 
         def counting(*args):
             dets.append(args)
             return real(*args)
 
-        monkeypatch.setattr(spinaltri.volume, "cell_det", counting)
+        monkeypatch.setattr(spinaltri.triangulation, "cell_det", counting)
         first = validate_detailed(t, p)
         assert first == (reason == "ok", reason)
         assert dets
@@ -993,13 +993,13 @@ class TestSharedWork:
         sm = shadow(spine(cube(4), [0, 15]))
         p, hull = sm.spine.polytope, shadow_polytope(sm)
         dets = []
-        real = spinaltri.volume.cell_det
+        real = spinaltri.triangulation.cell_det
 
         def counting(icoords, cell):
             dets.append(cell)
             return real(icoords, cell)
 
-        monkeypatch.setattr(spinaltri.volume, "cell_det", counting)
+        monkeypatch.setattr(spinaltri.triangulation, "cell_det", counting)
         rng = random.Random(19)
         lifted_cells, star_cells = set(), set()
         for _ in range(24):
