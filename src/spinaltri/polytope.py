@@ -108,6 +108,7 @@ class Polytope:
         self.vertices: tuple[QVector, ...] = tuple(vertices)
         self.ambient_dim = ambient_dim
         self._facets: list[Facet] | None = None
+        self._planes: list[tuple[tuple[int, ...], int, int]] | None = None
         self._masks: list[int] | None = None
         self._frame: _Frame | None = None
         self._relvol: Fraction | None = None
@@ -136,13 +137,14 @@ class Polytope:
         return self._facets
 
     def incidence_masks(self) -> list[int]:
-        """The facets' vertex sets as bitmasks, in one of three orders: that
-        of facets(); on a polytope from _hull, its double description's zero
-        sets in ray order; on a spine's shadow, the order `ShadowMap` derives
-        them in from the spine's polytope (see _polytope_with_faces).  Only
-        in the first do they pair with facets() by position."""
+        """The facets' vertex sets as bitmasks: the kept double description's
+        zero sets in ray order (_hyperplanes), or on a spine's shadow those
+        `ShadowMap` derives from the spine's polytope, in its order (see
+        _polytope_with_faces).  Neither pairs with facets() by position."""
         if self._masks is None:
-            self._masks = [vertex_mask(f.incident) for f in self.facets()]
+            if self._planes is None:  # perfbench's test_self_time_excludes_nested_spans
+                self.facets()  # pins this call (ROADMAP item 10); it runs the DD
+            self._masks = [z for *_, z in self._planes]
         return self._masks
 
     def contains(self, x: QVector) -> bool:
@@ -163,8 +165,10 @@ def make_polytope(
     Points inside the hull of the others are rejected rather than filtered;
     use extreme_points() for explicit filtering.
     """
-    poly = _distinct_polytope(points, max_vertices)
+    pts = checked_points(points, max_vertices)
+    poly = Polytope(pts, len(pts[0]))
     ints = poly.frame().ivertices
+    check_distinct(ints)
     if len(ints) > 1:
         for i in range(len(ints)):  # the first, before any later LP
             if _in_convex_hull(ints[i], ints[:i] + ints[i + 1 :]):
@@ -173,10 +177,9 @@ def make_polytope(
 
 
 def _vertex_polytope(points: Sequence[QVector]) -> Polytope:
-    """make_polytope for the library's constructors, whose polytopes all go
-    on to their facets: point i is a vertex iff its least face is its own
-    bit, on the masks the polytope keeps, so one double description, no LP."""
-    poly = _distinct_polytope(points, DEFAULT_MAX_VERTICES)
+    """make_polytope for the library's constructors, whose polytopes all read
+    their masks: its checks in order, convex position off _hull's zero sets."""
+    poly = _hull(checked_points(points))
     _check_vertices(poly)
     return poly
 
@@ -189,14 +192,6 @@ def _check_vertices(poly: Polytope, exempt: int = -1) -> None:
     for i in range(n):
         if i != exempt and least_face(masks, 1 << i, n) != 1 << i:
             raise NotInConvexPosition(i)
-
-
-def _distinct_polytope(points: Sequence[QVector], max_vertices: int) -> Polytope:
-    """make_polytope's checks before convex position, in its order."""
-    pts = checked_points(points, max_vertices)
-    poly = Polytope(pts, len(pts[0]))
-    check_distinct(poly.frame().ivertices)
-    return poly
 
 
 def checked_points(
@@ -270,14 +265,23 @@ def least_face(masks: Iterable[int], face: int, n: int) -> int:
 
 
 def _hull(points: Sequence[QVector]) -> Polytope:
-    """The polytope on the points, which may be redundant, whose masks are
-    the double description's zero sets (see _supporting_hyperplanes), with
-    no normal lifted; DuplicatePoint first if two points are equal."""
+    """The polytope on the points, which may be redundant, with its double
+    description run and kept (_hyperplanes), so its masks are the zero sets
+    and no normal is lifted; DuplicatePoint first if two points are equal."""
     poly = Polytope(points, len(points[0]))
-    fr = poly.frame()
-    check_distinct(fr.ivertices)
-    poly._masks = [z for *_, z in _supporting_hyperplanes(fr.icoords, fr.dim, (0, *fr.basis))]
+    check_distinct(poly.frame().ivertices)
+    _hyperplanes(poly)
     return poly
+
+
+def _hyperplanes(p: Polytope) -> list[tuple[tuple[int, ...], int, int]]:
+    """p's facet hyperplanes (a, b, zero set), a . c <= b on the frame's
+    `icoords` c, in ray order: one double description, run on the first
+    call and kept on p.  A point is its own affine hull, so it has none."""
+    if p._planes is None:
+        fr = p.frame()
+        p._planes = _supporting_hyperplanes(fr.icoords, fr.dim, (0, *fr.basis)) if fr.dim else []
+    return p._planes
 
 
 def _polytope_with_faces(
@@ -290,8 +294,8 @@ def _polytope_with_faces(
     hull_ints, and on_facet, bit j of point i set iff point i lies on the
     facet of masks[j].  The frame and the hull coordinates come from the
     vertices and points times vscale, ivertices and ipoints, as scaled_ints
-    gives the vertices.  The points must lie in the polytope; facets() still
-    runs the double description when asked, in its own order."""
+    gives the vertices.  The points must lie in the polytope; facets() or
+    placing other points runs the double description, in its own order."""
     poly = Polytope(vertices, len(ivertices[0]))
     poly._frame = _build_frame(ivertices, vscale, poly.ambient_dim)
     poly._masks = masks
@@ -357,12 +361,12 @@ def _in_convex_hull(x: Sequence[int], hull_points: Sequence[Sequence[int]]) -> b
 
 def point_table(p: Polytope, points: Sequence[QVector]) -> tuple:
     """(coords, scale, on_facet, dets) of points against p: their hull
-    coordinates as integers at one scale, for each point the bitmask whose
-    bit j is set iff it lies on facet j's hyperplane, and a dict from each
-    sorted cell validated on them to its `cell_det` on coords, filled by
-    validate_detailed.  A failure is kept as its reason in place of what it
-    stops: a point off the affine hull replaces coords, a point beyond a
-    facet replaces on_facet.
+    coordinates as integers at one scale, for each point the bitmask of the
+    facets that hold it (p's masks for its vertices, else facet_masks), and
+    a dict from each sorted cell validated on them to its `cell_det` on
+    coords, filled by validate_detailed.  A failure is kept as its reason in
+    place of what it stops: a point off the affine hull replaces coords, a
+    point beyond a facet replaces on_facet.
 
     p keeps the table of the last points tuple it was given and hands it back
     while the same tuple object comes again, so the folds of one shadow,
@@ -374,10 +378,10 @@ def point_table(p: Polytope, points: Sequence[QVector]) -> tuple:
         return memo[1]
     fr = p.frame()
     if points is p.vertices:
-        on_facet = [0] * len(points)
-        for j, f in enumerate(p.facets()):
-            for i in f.incident:
-                on_facet[i] |= 1 << j
+        masks = p.incidence_masks()
+        on_facet = [
+            vertex_mask(j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(points))
+        ]
         table = (fr.icoords, fr.scale, on_facet)
     else:
         amb, q = scaled_ints(points)
@@ -387,7 +391,7 @@ def point_table(p: Polytope, points: Sequence[QVector]) -> tuple:
             table = ("a point lies outside the affine hull of the polytope", None, None)
         else:
             try:
-                on_facet = facet_masks(p.facets(), amb, q)
+                on_facet = facet_masks(p, coords, scale)
             except PolytopeError as exc:
                 on_facet = str(exc)
             table = (coords, scale, on_facet)
@@ -404,21 +408,16 @@ def cell_det(icoords: Sequence[Sequence[int]], cell: Sequence[int]) -> int:
     return int_det([[a - b for a, b in zip(icoords[i], base)] for i in cell[1:]])
 
 
-def facet_masks(
-    facets: Sequence[Facet], amb: Sequence[Sequence[int]], q: int
-) -> list[int]:
-    """For each ambient point a / q of amb (q > 0), the bitmask of the facets
-    whose hyperplane holds it; PolytopeError naming the first point beyond a
-    facet.  Each normal . x <= offset is tested cross-multiplied, on int."""
-    planes = [
-        ([x.numerator for x in f.normal], f.offset.numerator, f.offset.denominator)
-        for f in facets
-    ]
+def facet_masks(p: Polytope, coords: Sequence[Sequence[int]], q: int) -> list[int]:
+    """For each point c / q of hull coordinates (q > 0), the bitmask of p's
+    kept hyperplanes that hold it, each a . c <= b / scale cross-multiplied
+    on int; PolytopeError naming the first point beyond one."""
+    s = p.frame().scale
     masks = []
-    for i, a in enumerate(amb):
+    for i, c in enumerate(coords):
         mask = 0
-        for j, (normal, num, den) in enumerate(planes):
-            side = int_dot(normal, a) * den - num * q
+        for j, (a, b, _) in enumerate(_hyperplanes(p)):
+            side = int_dot(a, c) * s - b * q
             if side > 0:
                 raise PolytopeError(f"point {i} lies outside the polytope")
             if side == 0:
@@ -493,8 +492,8 @@ def frame_coords(p: Polytope, point: QVector) -> QVector:
 
 
 def _enumerate_facets(p: Polytope) -> list[Facet]:
-    """The canonical facets, sorted, from one double description on p's
-    hull coordinates.  A point is its own affine hull, so it has none.
+    """The canonical facets, sorted, lifted from p's kept double description
+    (_hyperplanes), so a point has none.
 
     A lower-dimensional hull's normals g, in hull coordinates, are lifted
     to R^d by the normal map B~ adj(B~^T B~), formed once per call.  The
@@ -503,9 +502,6 @@ def _enumerate_facets(p: Polytope) -> list[Facet]:
     normal is the primitive vector along the lifted one; the offset is its
     value at an incident vertex.
     """
-    k = p.dim
-    if k == 0:
-        return []
     fr = p.frame()
     if not fr.identity:
         bt = [[a - b for a, b in zip(fr.ivertices[i], fr.ivertices[0])] for i in fr.basis]
@@ -513,7 +509,7 @@ def _enumerate_facets(p: Polytope) -> list[Facet]:
         normal_map = [[int_dot(row, col) for col in zip(*adj)] for row in zip(*bt)]
     keyed = []
     n = len(fr.ivertices)
-    for normal_ints, _, mask in _supporting_hyperplanes(fr.icoords, k, (0, *fr.basis)):
+    for normal_ints, _, mask in _hyperplanes(p):
         incident = tuple(i for i in range(n) if mask >> i & 1)
         ints = normal_ints
         if not fr.identity:

@@ -374,10 +374,12 @@ def run_selftest(only: str | None = None) -> int:
         if only is not None and only not in (str(number), name):
             continue
         start = time.perf_counter()
-        ok, detail = fn(ws)
+        try:
+            ok, detail = fn(ws)
+        except Exception as exc:  # a check that raises fails its own criterion
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
-        status = "PASS" if ok else "FAIL"
-        print(f"criterion {number:2d} {name:28s} {status}  ({elapsed:.1f}s)")
+        print(f"criterion {number:2d} {name:28s} {'PASS' if ok else 'FAIL'}  ({elapsed:.1f}s)")
         if not ok:
             print(f"    {detail}")
             failed.append(name)

@@ -453,8 +453,8 @@ def validate(t: Triangulation, p: Polytope) -> bool:
 
 def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
     """Exact triangulation validation by the interior-ridge property (De
-    Loera, Rambau and Santos, *Triangulations*, 2010, Ch. 4): full-dimensional
-    cells with volumes summing to the polytope volume, every point used and
+    Loera, Rambau and Santos, *Triangulations*, 2010, Ch. 4): P's dimension,
+    full-dimensional cells with volumes summing to P's, every point used and
     inside P, each ridge on the boundary of P in exactly one cell, and each
     other ridge in exactly two cells on opposite sides of it.
 
@@ -465,6 +465,8 @@ def validate_detailed(t: Triangulation, p: Polytope) -> tuple[bool, str]:
     of the ridge c minus c_j, oriented by its own sorted order.
     """
     k = p.dim
+    if t.dim != k:
+        return False, f"dim {t.dim} is not the polytope's dimension {k}"
     n = len(t.points)
     coords, scale, on_facet, dets = point_table(p, t.points)
     if isinstance(coords, str):

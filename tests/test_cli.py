@@ -766,6 +766,52 @@ def test_selftest_single_criterion(capsys):
     assert "PASS" in out
 
 
+def test_selftest_fails_a_raising_criterion_and_runs_the_rest(capsys, monkeypatch):
+    # A check that raises fails its own criterion, its error's type and
+    # message the detail; the criteria after it still run.
+    from spinaltri import selfcheck
+    from spinaltri.triangulation import ShadowInternalError
+
+    ran = []
+
+    def passing(ws):
+        ran.append(ws)
+        return True, "ok"
+
+    def raising(exc):
+        def check(ws):
+            raise exc
+
+        return check
+
+    monkeypatch.setattr(selfcheck, "CRITERIA", [
+        ("first", passing),
+        ("raises-value", raising(ValueError("reconstruction failed"))),
+        ("raises-shadow", raising(ShadowInternalError("vertex 3 projected to zero"))),
+        ("last", passing),
+    ])
+    code, out = run(capsys, "selftest")
+    lines = out.splitlines()
+    assert code == 1
+    assert [line.split()[:4] for line in lines if line.startswith("criterion")] == [
+        ["criterion", str(i), name, status]
+        for i, (name, status) in enumerate(
+            [("first", "PASS"), ("raises-value", "FAIL"), ("raises-shadow", "FAIL"),
+             ("last", "PASS")],
+            start=1,
+        )
+    ]
+    assert lines[2] == "    ValueError: reconstruction failed"
+    assert lines[4] == "    ShadowInternalError: vertex 3 projected to zero"
+    assert lines[-1] == "2 criterion(s) failed: raises-value, raises-shadow"
+    assert len(ran) == 2
+    code, out = run(capsys, "selftest", "--only", "raises-shadow")
+    assert code == 1 and out.splitlines()[1:] == [
+        "    ShadowInternalError: vertex 3 projected to zero",
+        "1 criterion(s) failed: raises-shadow",
+    ]
+
+
 @pytest.mark.parametrize("only", ["99", "x"])
 def test_selftest_unknown_criterion(capsys, only):
     code = main(["selftest", "--only", only])

@@ -12,7 +12,14 @@ The library's former code is kept here verbatim as the oracle:
 - `lp_extreme_points`: the former integer `extreme_points`, one phase-1 LP
   per distinct point through `polytope._in_convex_hull`.  The library's
   `extreme_points` now reads the vertices off one double description of
-  all the points, with no LP, so these references stay independent of it.
+  all the points, with no LP, so these references stay independent of it;
+- `ambient_facet_masks`: the former `polytope.facet_masks`, which places
+  ambient points against the canonical facet normals of `facets()`.  The
+  library's `point_table` now places hull coordinates against the
+  hyperplanes its double description keeps, normals never lifted, so its
+  `on_facet` bits must be the oracle's once each kept hyperplane is matched
+  to its facet.  No system query lands on a facet hyperplane off the
+  vertices, so only this comparison runs that branch on other points.
 
 `make_polytope` keeps its LP per point; the library's own constructors call
 `polytope._vertex_polytope`, which reads convex position off the facets it
@@ -37,11 +44,12 @@ from typing import Iterator, Sequence
 import pytest
 
 from spinaltri import polytope
-from spinaltri.linalg import DimensionError, QVector, scaled_ints
+from spinaltri.linalg import DimensionError, QVector, int_dot, scaled_ints
 from spinaltri.polytope import (
     DEFAULT_MAX_VERTICES,
     ENV_MAX_DIM,
     DuplicatePoint,
+    Facet,
     NotInConvexPosition,
     Polytope,
     PolytopeError,
@@ -49,6 +57,8 @@ from spinaltri.polytope import (
     frame_coords,
     make_polytope,
     max_ambient_dim,
+    point_table,
+    vertex_mask,
 )
 from linalg_oracle import QMatrix, Vec, rank, unit
 from lp_oracle import fraction_in_convex_hull
@@ -149,6 +159,29 @@ def fraction_contains(self: Polytope, x: QVector) -> bool:
     except PolytopeError:
         return False
     return all(Vec(f.normal).dot(x) <= f.offset for f in self.facets())
+
+
+def ambient_facet_masks(
+    facets: Sequence[Facet], amb: Sequence[Sequence[int]], q: int
+) -> list[int]:
+    """For each ambient point a / q of amb (q > 0), the bitmask of the facets
+    whose hyperplane holds it; PolytopeError naming the first point beyond a
+    facet.  Each normal . x <= offset is tested cross-multiplied, on int."""
+    planes = [
+        ([x.numerator for x in f.normal], f.offset.numerator, f.offset.denominator)
+        for f in facets
+    ]
+    masks = []
+    for i, a in enumerate(amb):
+        mask = 0
+        for j, (normal, num, den) in enumerate(planes):
+            side = int_dot(normal, a) * den - num * q
+            if side > 0:
+                raise PolytopeError(f"point {i} lies outside the polytope")
+            if side == 0:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
 
 
 # --- instances ----------------------------------------------------------------
@@ -418,3 +451,66 @@ def test_vertex_polytope_agrees_on_boundary_small_and_capped_sets(monkeypatch):
         monkeypatch.setenv(ENV_MAX_DIM, raw)
         for pts in (square3, SQUARE):
             assert outcome(polytope._vertex_polytope, pts) == outcome(make_polytope, pts)
+
+
+# --- facet bits on the kept hyperplanes against the ambient normals ------------
+
+
+def placed_as_facets(p: Polytope, points) -> list[int] | str:
+    """point_table's on_facet bits of points against p, each renumbered
+    from the masks it indexes to the positions of p.facets(): the vertex
+    table indexes p's masks, any other the kept hyperplanes."""
+    on_facet = point_table(p, points)[2]
+    if isinstance(on_facet, str):
+        return on_facet
+    if points is p.vertices:
+        masks = p.incidence_masks()
+    else:
+        masks = [z for *_, z in polytope._hyperplanes(p)]
+    facets = [vertex_mask(f.incident) for f in p.facets()]
+    where = [facets.index(m) for m in masks]
+    return [sum(1 << where[j] for j in range(len(masks)) if b >> j & 1) for b in on_facet]
+
+
+def ambient_outcome(p: Polytope, points) -> list[int] | str:
+    try:
+        return ambient_facet_masks(p.facets(), *scaled_ints(points))
+    except PolytopeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_on_facet_bits_agree_with_the_ambient_normals(seed):
+    # The public and the library constructor, and the shadow of each
+    # polytope's first spine of two points, whose vertex table comes from
+    # its spine's masks in their own order; embedded hulls among them.
+    from spinaltri.spine import enumerate_spines, spine
+    from spinaltri.triangulation import shadow
+
+    rng = random.Random(80 + seed)
+    hits = set()
+    for pts in point_sets(seed, 60):
+        ext = extreme_points(pts)
+        if not ext:
+            continue
+        built = [make_polytope(ext), polytope._vertex_polytope(ext)]
+        spines = enumerate_spines(built[0], 2) if built[0].dim > 1 else []
+        if spines:
+            built.append(shadow(spine(built[0], spines[0])).polytope)
+        for p in built:
+            assert placed_as_facets(p, p.vertices) == ambient_outcome(p, p.vertices)
+            probe = Polytope([Vec(v) for v in p.vertices], p.ambient_dim)
+            for kind, x in probe_points(probe, rng):
+                if isinstance(point_table(p, [x])[0], str):
+                    continue  # off the affine hull: no bits to compare
+                got = placed_as_facets(p, [x])
+                assert got == ambient_outcome(p, [x]), (p.vertices, x)
+                if kind != "vertex" and got != [0]:
+                    on = "beyond" if isinstance(got, str) else "on a facet"
+                    hits.add((on, p.dim < p.ambient_dim, len(built) == 3 and p is built[2]))
+    # Points on a facet hyperplane off the vertices, and points beyond one,
+    # on full-dimensional and embedded hulls and on shadows.
+    assert {(on, emb) for on, emb, _ in hits} == {
+        (on, emb) for on in ("beyond", "on a facet") for emb in (False, True)
+    }
+    assert ("on a facet", True, True) in hits

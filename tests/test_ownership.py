@@ -1,17 +1,19 @@
 """Each object is built by the module that owns it: only `polytope.py`
-writes a polytope's frame, facets, facet masks or point table, places points
-against its hull and facets or decides which points are vertices, only
-`triangulation.py` words the refusal of a cell's index or of a repeated
-cell, and the command line reaches the library through its public names
-alone.  The modules import each other without a cycle, and no function
-imports a module of the package when it runs but `cli.cmd_selftest`, which
-loads `selfcheck` only for that verb."""
+writes a polytope's frame, double description, facets, facet masks or point
+table, places points against its hull and facets or decides which points
+are vertices, only `triangulation.py` words the refusal of a cell's index
+or of a repeated cell, and the command line reaches the library through its
+public names alone.  One function runs the double description, and only
+the `facets` verb and the masks of a polytope that has not run it yet call
+`facets()`, which lifts the normals.  The modules import each other without
+a cycle, and no function imports a module of the package when it runs but
+`cli.cmd_selftest`, which loads `selfcheck` only for that verb."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinaltri"
-POLYTOPE_FIELDS = {"_frame", "_masks", "_facets", "_point_table"}
+POLYTOPE_FIELDS = {"_frame", "_planes", "_masks", "_facets", "_point_table"}
 
 
 def _writes(tree: ast.Module):
@@ -95,6 +97,38 @@ def test_only_polytope_places_points():
                 if name in {"hull_ints", "facet_masks"}
             ]
     assert not bad, "\n".join(bad)
+
+
+def _calls(tree: ast.Module):
+    """(enclosing function as Class.name or name, called name) for each
+    call of a plain name or an attribute."""
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            fn = node.name if fn is None else f"{fn}.{node.name}"
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            yield fn, name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, fn)
+
+    return visit(tree, None)
+
+
+def test_one_double_description_and_facets_only_where_read():
+    # Every polytope keeps the one double description that _hyperplanes
+    # runs; facets() lifts its normals for the facets verb, and for the
+    # masks of a public make_polytope polytope that has run none yet.
+    dd, facets = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for fn, name in _calls(tree):
+            if name == "_supporting_hyperplanes":
+                dd.append(f"{path.stem}.{fn}")
+            elif name == "facets":
+                facets.append(f"{path.stem}.{fn}")
+    assert dd == ["polytope._hyperplanes"]
+    assert sorted(facets) == ["cli.cmd_facets", "polytope.Polytope.incidence_masks"]
 
 
 def test_only_triangulation_words_the_cell_refusals():

@@ -267,8 +267,8 @@ LIBRARY_BUILDS = {
 @pytest.mark.parametrize("label", LIBRARY_BUILDS)
 def test_library_constructors_read_convex_position_off_their_facets(label, monkeypatch):
     """The library builds its polytopes with no LP, and each one runs the
-    double description once, for the convex-position check and the facets
-    it keeps, but a spine's shadow, which runs none."""
+    double description once and keeps it, for the convex-position check and
+    its facets, but a spine's shadow, which runs none."""
     from spinaltri import polytope
 
     built, ran, run = LIBRARY_BUILDS[label]
@@ -292,3 +292,30 @@ def test_library_constructors_read_convex_position_off_their_facets(label, monke
     monkeypatch.setattr(polytope, "_supporting_hyperplanes", counting_dd)
     run()
     assert (len(polytopes), len(dds)) == (built, ran)
+
+
+def test_library_polytopes_lift_no_normal_to_validate_or_place(monkeypatch):
+    """validate, contains and projected_birkhoff's interior test read a
+    library polytope's kept double description, in hull coordinates, so no
+    facet normal is lifted: on a polytope file, a lower-dimensional hull and
+    projected B4."""
+    from spinaltri import polytope
+    from spinaltri.triangulation import pulling_triangulation, validate
+
+    def forbidden(p):
+        raise AssertionError("a facet normal was lifted")
+
+    monkeypatch.setattr(polytope, "_enumerate_facets", forbidden)
+    assert projected_birkhoff(birkhoff_context(4)).dim == 6
+    half = Fraction(1, 2)
+    cube3 = load_polytope(GOLDEN_CUBE3)
+    square = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    tilted = polytope._vertex_polytope([qv(x, y, x + 2 * y) for x, y in square])
+    for p, inside, on_facet, beyond, off in [
+        (cube3, qv(half, half, half), qv(1, half, half), qv(2, half, half), None),
+        (tilted, qv(1, 1, 3), qv(2, 1, 4), qv(3, 1, 5), qv(1, 1, 4)),
+    ]:
+        assert validate(pulling_triangulation(p), p)
+        assert p.contains(inside) and p.contains(on_facet) and not p.contains(beyond)
+        assert off is None or not p.contains(off)
+        assert all(p.contains(v) for v in p.vertices)

@@ -156,9 +156,9 @@ def test_pulling_enumerates_facets_once(monkeypatch):
     ) as facets:
         pulling_triangulation(p, list(reversed(range(p.n_vertices))))
     assert facets.call_count == 1
-    # A library polytope keeps the masks its convex-position check formed,
-    # so from construction through its first pulling it runs one double
-    # description and forms one mask per facet, besides the start cone's.
+    # A library polytope keeps its double description, whose zero sets are
+    # its masks, so from construction through its first pulling it runs one
+    # and forms no mask but the start cone's; no facet is lifted.
     dds, masks = [], []
     real_dd, real_mask = polytope._supporting_hyperplanes, polytope.vertex_mask
 
@@ -170,13 +170,18 @@ def test_pulling_enumerates_facets_once(monkeypatch):
         masks.append(indices)
         return real_mask(indices)
 
+    def no_facets(self):
+        raise AssertionError("facets() ran")
+
     monkeypatch.setattr(polytope, "_supporting_hyperplanes", counting_dd)
     monkeypatch.setattr(polytope, "vertex_mask", counting_mask)
+    monkeypatch.setattr(Polytope, "facets", no_facets)
     q = projected_birkhoff(birkhoff_context(4))
     pulling_triangulation(q, list(reversed(range(q.n_vertices))))
     monkeypatch.undo()
     assert len(dds) == 1
-    assert len(masks) == len(q.facets()) + 1
+    assert len(masks) == 1
+    assert len(q.incidence_masks()) == len(q.facets()) == 136
 
 
 def quadratic_facets_of_face(face: int, facet_masks) -> list[int]:

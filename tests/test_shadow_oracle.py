@@ -11,8 +11,9 @@ The shadow's facet masks, and the facet bits of the star points in the
 point table it keeps for `star_points`, come from P's facet masks by (iii)
 of the `ShadowMap` docstring.  The oracle is the double description on a
 fresh `Polytope` over the shadow's vertices: the masks must be its
-`incidence_masks()` as a set, and the star bits must be `facet_masks` of its
-`facets()` once each facet is matched to its mask.
+`incidence_masks()` as a set, and the star bits must be
+`ambient_facet_masks` of its `facets()` once each facet is matched to its
+mask.
 
 `spine.spine` no longer checks that a spine is affinely independent; the
 check it made, a nonzero Gram determinant, must hold on every spine that
@@ -31,14 +32,13 @@ from spinaltri.everest import EverestParams, everest_polytope, simplotope_with_s
 from spinaltri.io import load_polytope
 from spinaltri.linalg import QVector, gram_sq_volume, scaled_ints
 from spinaltri.polytope import (
-    Polytope, _build_frame, extreme_points, facet_masks, hull_ints, make_polytope,
-    point_table, vertex_mask
+    Polytope, _build_frame, extreme_points, hull_ints, make_polytope, point_table, vertex_mask
 )
 from spinaltri.spine import enumerate_spines, spine
 from spinaltri.triangulation import ShadowMap, shadow_polytope
 from random_polytopes import random_polytope
 from test_frame_oracle import instances
-from test_membership_oracle import lp_extreme_points
+from test_membership_oracle import ambient_facet_masks, lp_extreme_points
 
 
 def extreme_points_shadow_polytope(sm: ShadowMap) -> Polytope:
@@ -179,7 +179,7 @@ def assert_same_faces(sm):
     where = [[vertex_mask(f.incident) for f in facets].index(m) for m in masks]
     on_facet = point_table(got, sm.star_points)[2]
     assert [sum(1 << where[j] for j in range(len(masks)) if b >> j & 1) for b in on_facet] == (
-        facet_masks(facets, *scaled_ints(sm.star_points))
+        ambient_facet_masks(facets, *scaled_ints(sm.star_points))
     )
 
 

@@ -852,14 +852,17 @@ class TestSharedWork:
         hull = spinaltri.triangulation._star_memo[1]
         fr = hull.frame()
         assert not fr.identity and fr.gram_det > 0
-        # facets() on the lower-dimensional hull runs its own double
-        # description and forms the normal map's Gram adjugate once; on a
-        # full-dimensional polytope it forms none.
+        # facets() on the lower-dimensional hull lifts the kept rays: it
+        # runs no second double description and forms the normal map's Gram
+        # adjugate once.  A full-dimensional polytope's facets form none but
+        # its one double description's start cone.
         del adjugates[:]
         hull.facets()
-        assert adjugates == ["_enumerate_facets", "_supporting_hyperplanes"]
+        assert len(dds) == 1
+        assert adjugates == ["_enumerate_facets"]
         del adjugates[:]
         assert cube(4).facets()
+        assert len(dds) == 2
         assert adjugates == ["_supporting_hyperplanes"]
         monkeypatch.undo()
         assert len({t.simplices for t in stars}) > 1
@@ -1236,5 +1239,19 @@ class TestEveryReason:
         for pts, cells, want in cases:
             assert validate_detailed(Triangulation(pts, cells, 0), p) == want
 
+    def test_names_a_wrong_dim_first(self):
+        # A dim other than the polytope's is refused before the points are
+        # placed: on the first case's points, off the square's plane, too.
+        verts, off, cells, _ = self.CASES[0]
+        p = make_polytope([QVector(v) for v in verts])
+        for pts in (p.vertices, tuple(QVector(q) for q in off)):
+            for dim in (7, 1):
+                assert validate_detailed(Triangulation(pts, cells, dim), p) == (
+                    False, f"dim {dim} is not the polytope's dimension 2"
+                )
+        assert validate(Triangulation(p.vertices, cells, 2), p)
+
     def test_every_reason_has_a_case(self):
-        assert inspect.getsource(validate_detailed).count("return False") == len(self.CASES)
+        # The cases above and the wrong dim.
+        got = inspect.getsource(validate_detailed).count("return False")
+        assert got == len(self.CASES) + 1
